@@ -3,18 +3,29 @@
 # proxy when reachable and skipped otherwise).
 
 GO ?= go
+GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify vet staticcheck lint lint-fixtures race bench bench-smoke bench-scale bench-tenants bench-heat clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat clean
 
 # Everything CI gates on.
-ci: verify vet staticcheck lint race bench-smoke bench-scale bench-tenants bench-heat
+ci: verify fmt vet staticcheck lint race bench-smoke bench-tenants bench-heat
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# Every tracked Go file must be gofmt-clean; the listed files need
+# `gofmt -w`.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -w these files:" >&2; \
+		echo "$$out" >&2; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -54,15 +65,14 @@ lint-fixtures:
 
 # Race-detector pass over the parallel experiment runner, the engine,
 # the scenario/fault-injection subsystem, the migration engine, the
-# page index, (since the sharded per-quantum pipeline) the access
+# address space, (since the sharded per-quantum pipeline) the access
 # sampler/tracker and the shard harness, the multi-tenant cluster
 # engine, the region-granularity heat tracker, and the root sharded
-# golden and churn tests. -short skips the long shape tests but not
-# the runner's parallel-vs-serial determinism tests or the
-# sharded-step path.
+# golden tests. -short skips the long shape tests but not the runner's
+# parallel-vs-serial determinism tests or the sharded-step path.
 race:
 	$(GO) test -race -short ./internal/experiments/ ./internal/sim/ ./internal/scenario/ ./internal/migrate/ ./internal/pages/ ./internal/access/ ./internal/shard/ ./internal/tenant/ ./internal/heat/
-	$(GO) test -race -short -run 'TestShardedChurnBitIdentical|TestGoldenPlacementTraces|TestGoldenTenantTraces' .
+	$(GO) test -race -short -run 'TestGoldenPlacementTraces|TestGoldenTenantTraces' .
 
 # Headline figure metrics as benchmarks.
 bench:
@@ -73,15 +83,6 @@ bench:
 # benchstat-quality measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
-
-# One-iteration smoke of the page-granularity scaling pipeline: the
-# quantum-step benchmark at 10^4 pages swept across the sharded worker
-# axis, plus the quick scale experiment through the standard runner.
-# For real numbers use
-# `go test -bench=ScaleQuantumStep -benchtime=30x .` (10^6-page arm
-# included).
-bench-scale:
-	$(GO) test -run '^$$' -bench='ScaleQuantumStep/pages=10000/|^BenchmarkScale$$' -benchtime=1x .
 
 # One-iteration smoke of the multi-tenant cluster: the quick tenants
 # experiment (8 tenants, both arbitration policies, heat modes exact +

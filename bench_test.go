@@ -275,41 +275,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkScaleQuantumStep measures one quantum of the
-// page-granularity hot path (hot-set drift, weight decay, tier-share
-// read, PEBS sample batch, batched promote/demote pass) at production
-// page counts, after a split/coalesce churn warm-up, across the sharded
-// worker axis. ns/op is the per-quantum cost; slots vs live shows the
-// effect of free-slot reuse. Speedup from workers>1 requires spare
-// cores (GOMAXPROCS>1); results are identical at every worker count
-// regardless:
-//
-//	go test -bench=ScaleQuantumStep -benchtime=30x .
-func BenchmarkScaleQuantumStep(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		for _, w := range []int{1, 2, 8} {
-			b.Run("pages="+strconv.Itoa(n)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
-				p, err := experiments.NewScalePipeline(n, 1, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.Step()
-				}
-				b.ReportMetric(float64(p.Slots()), "slots")
-				b.ReportMetric(float64(p.Live()), "live")
-			})
-		}
-	}
-}
-
-// BenchmarkScale regenerates the scale experiment family end to end
-// (quick arm sizes) through the standard runner.
-func BenchmarkScale(b *testing.B) {
-	runExperiment(b, "scale")
-}
-
 // BenchmarkTenants runs the multi-tenant cluster experiment (quick arm
 // sizes: 8 tenants under both arbitration policies) through the
 // standard runner — the `make bench-tenants` CI smoke.

@@ -66,7 +66,7 @@ func (m *multiTierSystem) Step(ctx *sim.Context) {
 	var cands []core.Candidate
 	m.tracker.ForEach(func(id pages.PageID, count uint32) {
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != d.From {
+		if p.Tier != d.From {
 			return
 		}
 		cands = append(cands, core.Candidate{ID: id, Probability: m.tracker.Probability(id), Bytes: p.Bytes})

@@ -16,8 +16,8 @@ import (
 // TestGoldenPlacementTraces pins a checksum over the full sample trace
 // and final page placement of a short contended GUPS run for every
 // tiering system, swept across sharded-pipeline worker counts. The
-// scale refactors (live-page index, free-slot reuse, batched migration,
-// sharded per-quantum pipeline) must be behaviour-preserving: any
+// scale refactors (batched migration, sharded per-quantum pipeline,
+// fixed-size pages) must be behaviour-preserving: any
 // change to a placement decision, a sample, or iteration order shows up
 // here as a checksum mismatch, and a worker-dependent result shows up
 // as one worker count disagreeing with the rest. There is ONE golden

@@ -67,7 +67,7 @@ func (s *Sampler) SetWorkers(w int) {
 func (s *Sampler) rebuild() {
 	s.mRebuilds.Inc()
 	v := s.as.LiveView()
-	plan := shard.NewPlan(len(v.Live))
+	plan := shard.NewPlan(len(v.Weight))
 	// Pass 1: per-shard count of weighted pages and local weight total.
 	var counts [shard.DefaultShards]int
 	var totals [shard.DefaultShards]float64
@@ -75,8 +75,8 @@ func (s *Sampler) rebuild() {
 		lo, hi := plan.Range(sh)
 		n := 0
 		acc := 0.0
-		for _, id := range v.Live[lo:hi] {
-			if w := v.Weight[id]; w > 0 {
+		for _, w := range v.Weight[lo:hi] {
+			if w > 0 {
 				n++
 				acc += w
 			}
@@ -106,14 +106,13 @@ func (s *Sampler) rebuild() {
 		lo, hi := plan.Range(sh)
 		k := offs[sh]
 		acc := base[sh]
-		for _, id := range v.Live[lo:hi] {
-			w := v.Weight[id]
+		for i, w := range v.Weight[lo:hi] {
 			if w <= 0 {
 				continue
 			}
 			acc += w
 			s.cum[k] = acc
-			s.ids[k] = id
+			s.ids[k] = pages.PageID(lo + i)
 			k++
 		}
 	})
@@ -325,18 +324,6 @@ func (f *FreqTracker) ForEachHottest(fn func(id pages.PageID, count uint32) (sto
 	}
 }
 
-// Forget drops a page's count (page died in a split/coalesce).
-func (f *FreqTracker) Forget(id pages.PageID) {
-	if int(id) < 0 || int(id) >= len(f.counts) {
-		return
-	}
-	if c := f.counts[id]; c > 0 {
-		f.total -= uint64(c)
-		f.counts[id] = 0
-		f.tracked--
-	}
-}
-
 // AppendHot appends, in ascending page-ID order, every page whose count
 // is at least threshold (clamped up to 1) and for which keep (when
 // non-nil) returns true, stopping at max when max is positive. The scan
@@ -376,11 +363,11 @@ func (f *FreqTracker) AppendHot(dst []pages.PageID, threshold uint32, keep func(
 	return dst
 }
 
-// BytesByCount fills hist with the live bytes resting at each count
+// BytesByCount fills hist with the bytes resting at each count
 // (clamped to len(hist)-1) — the access histogram MEMTIS derives its
-// dynamic hot threshold from. hist is zeroed first; untracked and dead
-// pages are skipped, so hist[0] stays zero. The per-shard histograms
-// are integer sums reduced in shard index order.
+// dynamic hot threshold from. hist is zeroed first; untracked pages are
+// skipped, so hist[0] stays zero. The per-shard histograms are integer
+// sums reduced in shard index order.
 func (f *FreqTracker) BytesByCount(hist []int64, v pages.View) {
 	for i := range hist {
 		hist[i] = 0
@@ -402,17 +389,14 @@ func (f *FreqTracker) BytesByCount(hist []int64, v pages.View) {
 		lo, hi := plan.Range(s)
 		for i := lo; i < hi; i++ {
 			c := f.counts[i]
-			// The count array can outgrow the address space's slot
-			// arrays (doubling growth), so v is only indexed once a
-			// nonzero count proves the page was a live touch target.
-			if c == 0 || v.Dead[i] {
+			if c == 0 {
 				continue
 			}
 			b := int(c)
 			if b >= len(hist) {
 				b = len(hist) - 1
 			}
-			h[b] += v.Bytes[i]
+			h[b] += v.PageBytes
 		}
 	})
 	for s := 0; s < plan.Shards; s++ {

@@ -126,17 +126,6 @@ func TestFreqTrackerCoolDropsZeros(t *testing.T) {
 	}
 }
 
-func TestFreqTrackerForget(t *testing.T) {
-	f := NewFreqTracker(1000)
-	f.Touch(1)
-	f.Touch(1)
-	f.Forget(1)
-	if f.Count(1) != 0 || f.Total() != 0 {
-		t.Fatal("Forget did not clear state")
-	}
-	f.Forget(99) // forgetting unknown page is a no-op
-}
-
 func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 	as := testSpace(t)
 	ids := as.LiveIDs()
@@ -216,9 +205,9 @@ func TestHintFaultScanBatchLimits(t *testing.T) {
 
 func TestHintFaultContinuousScanRate(t *testing.T) {
 	as := testSpace(t)
-	n := as.LivePages()
+	n := as.NumPages()
 	h := NewHintFaultScanner(as, stats.NewRNG(12), 1.0, 0)
-	// With no traffic, marks accumulate at livePages/interval.
+	// With no traffic, marks accumulate at pages/interval.
 	for i := 0; i < 50; i++ {
 		h.Step(float64(i+1)*0.01, 0.01, 0)
 	}

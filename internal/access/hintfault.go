@@ -24,7 +24,7 @@ import (
 type HintFaultScanner struct {
 	// ScanIntervalSec is the time one full pass over the address space
 	// takes; the scanner marks pages continuously (round-robin) at a
-	// rate of livePages/ScanIntervalSec, as the kernel's incremental
+	// rate of pages/ScanIntervalSec, as the kernel's incremental
 	// page-table scanner does.
 	ScanIntervalSec float64
 	// ScanBatch additionally caps how many pages any single Step may
@@ -38,10 +38,7 @@ type HintFaultScanner struct {
 	markedAt map[pages.PageID]float64 // page -> mark timestamp (sec)
 	cursor   int                      // scan position over page IDs
 
-	idsCache   []pages.PageID
-	idsVersion uint64
-	idsValid   bool
-	scanCarry  float64
+	scanCarry float64
 }
 
 // Fault is one hint fault observed during a quantum.
@@ -87,13 +84,8 @@ func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []F
 			// quantum on, so time-to-fault measures from the marking.
 			return Keep
 		}
-		p := h.as.Get(id)
-		if p.Dead {
-			delete(h.markedAt, id)
-			return Drop
-		}
 		// Rate of accesses to this page.
-		lambda := p.Weight * totalRatePerSec
+		lambda := h.as.Weight(id) * totalRatePerSec
 		if lambda <= 0 {
 			return Keep
 		}
@@ -124,22 +116,19 @@ func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []F
 	return faults
 }
 
-// scan marks this quantum's share of live pages, resuming from the
-// previous cursor position like the kernel's incremental scanner.
+// scan marks this quantum's share of pages, resuming from the previous
+// cursor position like the kernel's incremental scanner.
 func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
-	ids := h.liveIDs()
-	if len(ids) == 0 {
-		return
-	}
-	h.scanCarry += float64(len(ids)) * quantumSec / h.ScanIntervalSec
+	n := h.as.NumPages()
+	h.scanCarry += float64(n) * quantumSec / h.ScanIntervalSec
 	budget := int(h.scanCarry)
 	h.scanCarry -= float64(budget)
 	if h.ScanBatch > 0 && budget > h.ScanBatch {
 		budget = h.ScanBatch
 	}
 	examined := 0
-	for examined < len(ids) && budget > 0 {
-		id := ids[(h.cursor+examined)%len(ids)]
+	for examined < n && budget > 0 {
+		id := pages.PageID((h.cursor + examined) % n)
 		examined++
 		if h.marked.Contains(id) {
 			continue
@@ -148,18 +137,5 @@ func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
 		h.markedAt[id] = nowSec
 		budget--
 	}
-	h.cursor = (h.cursor + examined) % len(ids)
-}
-
-// liveIDs caches the live page list across quanta; the liveness-only
-// version invalidates it when pages split or coalesce. Keying on
-// LiveVersion rather than Version means pure weight updates (which
-// happen every quantum under hot-set drift) don't force a rebuild.
-func (h *HintFaultScanner) liveIDs() []pages.PageID {
-	if !h.idsValid || h.idsVersion != h.as.LiveVersion() {
-		h.idsCache = h.as.LiveIDs()
-		h.idsVersion = h.as.LiveVersion()
-		h.idsValid = true
-	}
-	return h.idsCache
+	h.cursor = (h.cursor + examined) % n
 }

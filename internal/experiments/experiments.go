@@ -38,7 +38,7 @@ type Options struct {
 	// (serial). Results are bit-identical at any setting — sharded
 	// reductions are ordered and per-shard RNG streams are derived from
 	// the shard index, never the worker — so this is purely a wall-clock
-	// knob. It also overrides the scale experiment's worker-count axis.
+	// knob.
 	ShardWorkers int
 	// Heat is the default access-tracking fidelity for every GUPS-driven
 	// simulation (sim.Config.Heat semantics: zero spec = exact). Unlike

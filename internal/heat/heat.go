@@ -44,8 +44,6 @@ type Tracker interface {
 	Name() string
 	// Touch records one sampled access.
 	Touch(id pages.PageID)
-	// Forget drops a page's heat (the page died in a split/coalesce).
-	Forget(id pages.PageID)
 	// Cool decays every count, as the systems' periodic cooling does.
 	Cool()
 	// Cools returns how many cooling passes have run.
@@ -79,10 +77,11 @@ type Tracker interface {
 	// serial scan's first max hot pages by ID at any worker count. keep
 	// may be called from shard workers and must only read.
 	AppendHot(dst []pages.PageID, threshold uint32, keep func(id pages.PageID) bool, max int) []pages.PageID
-	// BytesByCount fills hist with the live bytes resting at each
-	// estimated count (clamped to len(hist)-1): the access histogram
-	// MEMTIS derives its dynamic hot threshold from. hist is zeroed
-	// first; hist[0] stays zero (untracked pages are skipped).
+	// BytesByCount fills hist with the bytes resting at each estimated
+	// count (clamped to len(hist)-1), pricing every page at
+	// v.PageBytes: the access histogram MEMTIS derives its dynamic hot
+	// threshold from. hist is zeroed first; hist[0] stays zero
+	// (untracked pages are skipped).
 	BytesByCount(hist []int64, v pages.View)
 	// MemoryFootprintBytes reports the tracker's storage cost — the
 	// number the fidelity ablation trades against placement quality.

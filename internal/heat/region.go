@@ -36,7 +36,7 @@ type cell struct {
 // fidelity loss the heat ablation measures; storage is
 // O(cells + split leaves) instead of O(pages), which is the scale win.
 //
-// Determinism: Touch/Forget are serial; Cool, AppendHot and
+// Determinism: Touch is serial; Cool, AppendHot and
 // BytesByCount shard over the cell array with per-shard partials
 // reduced in shard index order. The cell array uses FreqTracker's exact
 // growth rule, so at g=1 every plan, range and reduce matches the exact
@@ -72,9 +72,9 @@ type RegionTracker struct {
 	cools   int
 	workers int
 	// maxID is the highest page ID ever touched. Region expansion stops
-	// there: a coarse leaf can span IDs beyond what the address space
-	// has allocated, and emitting those would index past the slot
-	// arrays downstream.
+	// there: a coarse leaf can span IDs beyond the address space's last
+	// page, and emitting those would index past the per-page arrays
+	// downstream.
 	maxID pages.PageID
 
 	// Per-cell forecaster state/prediction, refreshed at Cool.
@@ -357,50 +357,6 @@ func (r *RegionTracker) Cool() {
 	}
 }
 
-// Forget implements Tracker: one page's uniform share (count/size,
-// what Count reports) leaves its region. At g=1 this drops the full
-// count, exactly like the exact tracker.
-func (r *RegionTracker) Forget(id pages.PageID) {
-	if id < 0 {
-		return
-	}
-	b := int(id) >> r.logG
-	if b >= len(r.cells) {
-		return
-	}
-	c := &r.cells[b]
-	if c.sub == nil {
-		per := c.count / uint32(r.g)
-		if per == 0 {
-			return
-		}
-		if c.count-per < uint32(r.g) {
-			r.tracked -= r.g
-		}
-		c.count -= per
-		r.total -= uint64(per)
-		if r.fprimed && b >= len(r.fpred) {
-			r.fextra -= uint64(per)
-		}
-		return
-	}
-	li := findLeaf(c.sub, int(id)&(r.g-1))
-	lf := &c.sub[li]
-	per := lf.count / uint32(lf.size)
-	if per == 0 {
-		return
-	}
-	if lf.count-per < uint32(lf.size) {
-		r.tracked -= int(lf.size)
-	}
-	lf.count -= per
-	c.count -= per
-	r.total -= uint64(per)
-	if r.fprimed && b >= len(r.fpred) {
-		r.fextra -= uint64(per)
-	}
-}
-
 // predicted reports whether cell b serves forecast output.
 func (r *RegionTracker) predicted(b int) bool {
 	return r.fprimed && b < len(r.fpred)
@@ -470,7 +426,7 @@ func (r *RegionTracker) Cools() int { return r.cools }
 // cellRuns calls fn for each maximal run [lo, hi) of pages in cell b
 // with uniform nonzero estimated count, ascending, clamped to the
 // highest page ID ever touched so no phantom ID beyond the address
-// space's slots is ever emitted.
+// space's last page is ever emitted.
 func (r *RegionTracker) cellRuns(b int, fn func(lo, hi pages.PageID, per uint32)) {
 	base := b << r.logG
 	limit := int(r.maxID) + 1
@@ -600,9 +556,9 @@ func (r *RegionTracker) AppendHot(dst []pages.PageID, threshold uint32, keep fun
 	return dst
 }
 
-// BytesByCount implements Tracker; dead pages are skipped and the
-// maxID clamp in cellRuns keeps every emitted ID inside the address
-// space's slot arrays.
+// BytesByCount implements Tracker: each uniform-count run adds its page
+// count times the page size, and the maxID clamp in cellRuns keeps
+// every run inside the address space.
 func (r *RegionTracker) BytesByCount(hist []int64, v pages.View) {
 	for i := range hist {
 		hist[i] = 0
@@ -628,12 +584,7 @@ func (r *RegionTracker) BytesByCount(hist []int64, v pages.View) {
 				if bkt >= len(hist) {
 					bkt = len(hist) - 1
 				}
-				for id := plo; id < phi; id++ {
-					if v.Dead[id] {
-						continue
-					}
-					h[bkt] += v.Bytes[id]
-				}
+				h[bkt] += int64(phi-plo) * v.PageBytes
 			})
 		}
 	})

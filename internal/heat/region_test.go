@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"colloid/internal/access"
+	"colloid/internal/memsys"
 	"colloid/internal/pages"
 	"colloid/internal/stats"
 )
@@ -79,8 +80,6 @@ func TestSplitMergeConservationUnderChurn(t *testing.T) {
 			r.Touch(id)
 		}
 		checkRegionInvariants(t, r)
-		r.Forget(pages.PageID(rng.Intn(space)))
-		checkRegionInvariants(t, r)
 		r.Cool()
 		checkRegionInvariants(t, r)
 	}
@@ -110,7 +109,7 @@ func TestSplitMergeConservationUnderChurn(t *testing.T) {
 	}
 }
 
-// driveTrackers feeds the same deterministic touch/forget/cool stream
+// driveTrackers feeds the same deterministic touch/cool stream
 // to both trackers.
 func driveTrackers(a, b Tracker, seed uint64, ops int) {
 	rng := stats.NewRNG(seed)
@@ -125,9 +124,6 @@ func driveTrackers(a, b Tracker, seed uint64, ops int) {
 		a.Touch(id)
 		b.Touch(id)
 		if i%500 == 499 {
-			fid := pages.PageID(rng.Intn(space))
-			a.Forget(fid)
-			b.Forget(fid)
 			a.Cool()
 			b.Cool()
 		}
@@ -218,22 +214,13 @@ func comparePageCounts(t *testing.T, what string, e, r []pageCount) {
 	}
 }
 
-// syntheticView builds a standalone page view: every third page dead,
-// sizes alternating between base and huge pages.
+// syntheticView builds a standalone view of n base pages.
 func syntheticView(n int) pages.View {
-	v := pages.View{
-		Dead:  make([]bool, n),
-		Bytes: make([]int64, n),
+	return pages.View{
+		Weight:    make([]float64, n),
+		Tier:      make([]memsys.TierID, n),
+		PageBytes: pages.BasePageBytes,
 	}
-	for i := 0; i < n; i++ {
-		v.Dead[i] = i%3 == 2
-		if i%5 == 0 {
-			v.Bytes[i] = pages.HugePageBytes
-		} else {
-			v.Bytes[i] = 4096
-		}
-	}
-	return v
 }
 
 // Worker count must never change results: the same stream at 1 and 7
@@ -371,11 +358,6 @@ func TestProbabilityNormalizedAcrossForecastBoundary(t *testing.T) {
 	if sum > 1+1e-9 {
 		t.Fatalf("distribution sums to %v > 1", sum)
 	}
-	// Forget drains the new cell's share from the shared denominator.
-	r.Forget(100)
-	if got := r.fextra; got != 12 {
-		t.Fatalf("fextra after Forget = %d, want 12", got)
-	}
 	// The next Cool extends the forecast over the new cell and resets
 	// the raw remainder.
 	r.Cool()
@@ -441,7 +423,6 @@ func TestForEachHottestSpanBucketsMatchReference(t *testing.T) {
 			}
 			r.Touch(id)
 			if i%700 == 699 {
-				r.Forget(pages.PageID(rng.Intn(space)))
 				r.Cool()
 			}
 		}

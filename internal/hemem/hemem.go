@@ -273,11 +273,6 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 	}
 	s.hotAlt.ForEach(func(id pages.PageID) access.Action {
 		p := ctx.AS.Get(id)
-		if p.Dead {
-			s.hot.Remove(id)
-			s.tracker.Forget(id)
-			return access.Drop
-		}
 		if p.Tier == memsys.DefaultTier {
 			return access.Drop
 		}
@@ -316,11 +311,6 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 func (s *System) migrateVanillaSeq(ctx *sim.Context) {
 	s.hotAlt.ForEach(func(id pages.PageID) access.Action {
 		p := ctx.AS.Get(id)
-		if p.Dead {
-			s.hot.Remove(id)
-			s.tracker.Forget(id)
-			return access.Drop
-		}
 		if p.Tier == memsys.DefaultTier {
 			return access.Drop
 		}
@@ -367,14 +357,14 @@ func (s *System) spillTier(ctx *sim.Context) memsys.TierID {
 	return 1
 }
 
-// findColdVictim probes random live pages for a cold page in the
+// findColdVictim probes random pages for a cold page in the
 // default tier.
 func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 64; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != memsys.DefaultTier {
+		if p.Tier != memsys.DefaultTier {
 			continue
 		}
 		if s.hot.Contains(id) {
@@ -480,7 +470,7 @@ func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID) []core.Can
 				return access.Stop
 			}
 			p := ctx.AS.Get(id)
-			if p.Dead || p.Tier != fromTier {
+			if p.Tier != fromTier {
 				return access.Keep
 			}
 			out = append(out, core.Candidate{

@@ -276,7 +276,7 @@ func (s *System) alternateKmigratedVanilla(ctx *sim.Context) {
 	hot := s.collectHotIDs(ctx)
 	for _, id := range hot {
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier == memsys.DefaultTier {
+		if p.Tier == memsys.DefaultTier {
 			continue
 		}
 		if ctx.AS.FreeBytes(memsys.DefaultTier) < p.Bytes {
@@ -304,11 +304,11 @@ func (s *System) collectHotIDs(ctx *sim.Context) []pages.PageID {
 func (s *System) collectCandidates(ctx *sim.Context, fromTier memsys.TierID, limit int) []core.Candidate {
 	v := ctx.AS.LiveView()
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return !v.Dead[id] && v.Tier[id] == fromTier
+		return v.Tier[id] == fromTier
 	}, limit)
 	cands := make([]core.Candidate, len(s.hotBuf))
 	for i, id := range s.hotBuf {
-		cands[i] = core.Candidate{ID: id, Probability: s.tracker.Probability(id), Bytes: v.Bytes[id]}
+		cands[i] = core.Candidate{ID: id, Probability: s.tracker.Probability(id), Bytes: v.PageBytes}
 	}
 	return cands
 }
@@ -505,7 +505,7 @@ func (s *System) findColdInDefaultExcluding(ctx *sim.Context, exclude map[pages.
 	for probe := 0; probe < 128; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != memsys.DefaultTier || exclude[id] {
+		if p.Tier != memsys.DefaultTier || exclude[id] {
 			continue
 		}
 		if s.tracker.Count(id) >= s.hotThreshold {
@@ -547,17 +547,19 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 		s.splitting = false
 		return
 	}
+	if ctx.AS.LiveView().PageBytes != pages.HugePageBytes {
+		return // only huge pages split
+	}
 	// Candidate assembly is the tracker's sharded AppendHot — pure reads
-	// of the counts, the split set, and the address-space view — capped
-	// at the serial scan's 4096 and truncated in shard index order.
+	// of the counts and the split set — capped at the serial scan's 4096
+	// and truncated in shard index order.
 	type cand struct {
 		id    pages.PageID
 		count uint32
 	}
 	const splitCap = 4096
-	v := ctx.AS.LiveView()
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return !v.Dead[id] && v.Bytes[id] == pages.HugePageBytes && !s.split.Contains(id)
+		return !s.split.Contains(id)
 	}, splitCap)
 	best := make([]cand, len(s.hotBuf))
 	for i, id := range s.hotBuf {
@@ -597,10 +599,7 @@ func (s *System) coalesceSlowly(ctx *sim.Context) {
 func (s *System) splitWeightFraction(ctx *sim.Context) float64 {
 	var frac float64
 	s.split.ForEach(func(parent pages.PageID) access.Action {
-		p := ctx.AS.Get(parent)
-		if !p.Dead {
-			frac += p.Weight
-		}
+		frac += ctx.AS.Weight(parent)
 		return access.Keep
 	})
 	return frac

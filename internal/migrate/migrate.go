@@ -303,9 +303,6 @@ func (e *Engine) StaticLimitBytesPerSec() float64 { return e.staticLimitBytesPer
 // the page's current tier is a no-op costing nothing.
 func (e *Engine) Move(id pages.PageID, to memsys.TierID) error {
 	p := e.as.Get(id)
-	if p.Dead {
-		return fmt.Errorf("migrate: page %d is dead", id)
-	}
 	if p.Tier == to {
 		return nil
 	}
@@ -333,9 +330,6 @@ func (e *Engine) Move(id pages.PageID, to memsys.TierID) error {
 // tier bandwidth like any other migration.
 func (e *Engine) MoveForced(id pages.PageID, to memsys.TierID) error {
 	p := e.as.Get(id)
-	if p.Dead {
-		return fmt.Errorf("migrate: page %d is dead", id)
-	}
 	if p.Tier == to {
 		return nil
 	}
@@ -422,12 +416,12 @@ type BatchResult struct {
 
 // MoveBatch applies the requests in order with the exact semantics of
 // calling Move per request and stopping at the first budget rejection —
-// the pattern every proactive policy loop follows. Dead-page and
-// capacity failures are recorded per request and skipped (as the loops
-// do); a budget rejection stops the batch, and the remaining requests
-// get ErrLimit outcomes without being attempted. outcomes, when
-// non-nil, must have len(reqs) entries and receives each request's
-// error (nil for applied or no-op moves).
+// the pattern every proactive policy loop follows. Capacity failures
+// are recorded per request and skipped (as the loops do); a budget
+// rejection stops the batch, and the remaining requests get ErrLimit
+// outcomes without being attempted. outcomes, when non-nil, must have
+// len(reqs) entries and receives each request's error (nil for applied
+// or no-op moves).
 //
 // Versus a per-page Move loop, the batch amortizes the obs counter
 // traffic: one bytes/moves update per batch rather than per page.
@@ -444,10 +438,6 @@ func (e *Engine) MoveBatch(reqs []Request, outcomes []error) BatchResult {
 	var batchMoves int64
 	for i, r := range reqs {
 		p := e.as.Get(r.ID)
-		if p.Dead {
-			set(i, fmt.Errorf("migrate: page %d is dead", r.ID))
-			continue
-		}
 		if p.Tier == r.To {
 			set(i, nil)
 			continue
@@ -491,8 +481,6 @@ func (e *Engine) MoveBatchForced(reqs []Request) BatchResult {
 		p := e.as.Get(r.ID)
 		var err error
 		switch {
-		case p.Dead:
-			err = fmt.Errorf("migrate: page %d is dead", r.ID)
 		case p.Tier == r.To:
 			continue
 		case e.faultActive:

@@ -3,7 +3,6 @@ package pages
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,8 +33,8 @@ func TestFirstFitPlacement(t *testing.T) {
 	if got := as.TierBytes(1); got != 40*memsys.GiB {
 		t.Fatalf("alternate tier bytes = %d", got)
 	}
-	if as.LivePages() != int(72*memsys.GiB/HugePageBytes) {
-		t.Fatalf("live pages = %d", as.LivePages())
+	if as.NumPages() != int(72*memsys.GiB/HugePageBytes) {
+		t.Fatalf("pages = %d", as.NumPages())
 	}
 }
 
@@ -122,81 +121,6 @@ func TestMoveNoopSameTier(t *testing.T) {
 	}
 }
 
-func TestSplitAndCoalesce(t *testing.T) {
-	as := testSpace(t, 4)
-	id := as.LiveIDs()[0]
-	as.SetWeight(id, 0.5)
-	liveBefore := as.LivePages()
-	weightBefore := as.DefaultShare()
-	children, err := as.Split(id, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(children) != 512 {
-		t.Fatalf("children = %d", len(children))
-	}
-	if as.LivePages() != liveBefore-1+512 {
-		t.Fatalf("live pages after split = %d", as.LivePages())
-	}
-	if !as.Get(id).Dead {
-		t.Fatal("parent not dead after split")
-	}
-	if math.Abs(as.DefaultShare()-weightBefore) > 1e-9 {
-		t.Fatalf("split changed tier share: %v -> %v", weightBefore, as.DefaultShare())
-	}
-	for _, c := range children {
-		if as.Get(c).Bytes != BasePageBytes {
-			t.Fatalf("child size = %d", as.Get(c).Bytes)
-		}
-		if math.Abs(as.Weight(c)-0.5/512) > 1e-12 {
-			t.Fatalf("child weight = %v", as.Weight(c))
-		}
-	}
-	if err := as.Coalesce(id, children); err != nil {
-		t.Fatal(err)
-	}
-	if as.Get(id).Dead {
-		t.Fatal("parent still dead after coalesce")
-	}
-	if math.Abs(as.Weight(id)-0.5) > 1e-9 {
-		t.Fatalf("parent weight after coalesce = %v", as.Weight(id))
-	}
-	if as.LivePages() != liveBefore {
-		t.Fatalf("live pages after coalesce = %d", as.LivePages())
-	}
-}
-
-func TestCoalesceRejectsSpanningTiers(t *testing.T) {
-	as := testSpace(t, 4)
-	id := as.LiveIDs()[0]
-	children, err := as.Split(id, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := as.Move(children[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.Coalesce(id, children); err == nil {
-		t.Fatal("coalesce across tiers accepted")
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	as := testSpace(t, 4)
-	id := as.LiveIDs()[0]
-	if _, err := as.Split(id, 1); err == nil {
-		t.Fatal("split into 1 part accepted")
-	}
-	if _, err := as.Split(id, 3); err == nil {
-		t.Fatal("non-divisible split accepted")
-	}
-	children, _ := as.Split(id, 2)
-	if _, err := as.Split(id, 2); err == nil {
-		t.Fatal("split of dead page accepted")
-	}
-	_ = children
-}
-
 // mustPanicPages asserts fn panics with a "pages:"-prefixed message —
 // the contract for accessors fed NoPage or an out-of-range ID.
 func mustPanicPages(t *testing.T, what string, fn func()) {
@@ -226,72 +150,6 @@ func TestBadIDAccessors(t *testing.T) {
 		if err := as.Move(id, 1); err == nil || !strings.Contains(err.Error(), "pages:") {
 			t.Fatalf("Move(%d) = %v, want descriptive error", id, err)
 		}
-		if _, err := as.Split(id, 2); err == nil {
-			t.Fatalf("Split(%d) accepted", id)
-		}
-		if err := as.Coalesce(id, []PageID{0}); err == nil {
-			t.Fatalf("Coalesce(%d) accepted", id)
-		}
-		if err := as.Coalesce(0, []PageID{id}); err == nil {
-			t.Fatalf("Coalesce with child %d accepted", id)
-		}
-	}
-}
-
-func TestSplitReusesCoalescedSlots(t *testing.T) {
-	as := testSpace(t, 4)
-	ids := as.LiveIDs()
-	slots := as.NumPages()
-	first, err := as.Split(ids[0], 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.NumPages() != slots+512 {
-		t.Fatalf("slots after first split = %d, want %d", as.NumPages(), slots+512)
-	}
-	if err := as.Coalesce(ids[0], first); err != nil {
-		t.Fatal(err)
-	}
-	// Every subsequent split/coalesce cycle must recycle the freed
-	// child slots instead of growing the slot array.
-	for i := 1; i < 20; i++ {
-		children, err := as.Split(ids[i], 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := as.Coalesce(ids[i], children); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if as.NumPages() != slots+512 {
-		t.Fatalf("slots after churn = %d, want %d (free slots not reused)", as.NumPages(), slots+512)
-	}
-}
-
-func TestLiveVersionTracksOnlyLiveness(t *testing.T) {
-	as := testSpace(t, 4)
-	id := as.LiveIDs()[0]
-	v, lv := as.Version(), as.LiveVersion()
-	as.SetWeight(id, 0.5)
-	if as.Version() == v {
-		t.Fatal("SetWeight did not bump Version")
-	}
-	if as.LiveVersion() != lv {
-		t.Fatal("SetWeight bumped LiveVersion")
-	}
-	children, err := as.Split(id, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.LiveVersion() == lv {
-		t.Fatal("Split did not bump LiveVersion")
-	}
-	lv = as.LiveVersion()
-	if err := as.Coalesce(id, children); err != nil {
-		t.Fatal(err)
-	}
-	if as.LiveVersion() == lv {
-		t.Fatal("Coalesce did not bump LiveVersion")
 	}
 }
 
@@ -315,11 +173,10 @@ func TestTierShareInto(t *testing.T) {
 	}
 }
 
-// TestChurnConservation drives 10³ random split/move/coalesce cycles
-// and asserts the incrementally-maintained aggregates (liveWeight,
-// per-tier bytes and weights, LivePages) match a from-scratch recount,
-// that LiveIDs stays ID-ordered, and that slot reuse bounds the slot
-// array.
+// TestChurnConservation drives 10³ random weight updates and moves and
+// asserts the incrementally-maintained aggregates (total weight,
+// per-tier bytes and weights) match a from-scratch recount, and that
+// ForEachLive stays ID-ordered.
 func TestChurnConservation(t *testing.T) {
 	as := testSpace(t, 8)
 	ids := as.LiveIDs()
@@ -327,58 +184,32 @@ func TestChurnConservation(t *testing.T) {
 	for _, id := range ids {
 		as.SetWeight(id, rng.Float64()/float64(len(ids)))
 	}
-	slots := as.NumPages()
-	parts := []int{2, 8, 512}
-	for cycle := 0; cycle < 1000; cycle++ {
+	for op := 0; op < 1000; op++ {
 		id := ids[rng.Intn(len(ids))]
-		n := parts[rng.Intn(len(parts))]
-		children, err := as.Split(id, n)
-		if err != nil {
-			t.Fatal(err)
+		if rng.Intn(2) == 0 {
+			as.SetWeight(id, rng.Float64()/float64(len(ids)))
+		} else {
+			_ = as.Move(id, memsys.TierID(rng.Intn(as.NumTiers()))) // capacity failures are fine
 		}
-		// Scatter some children across tiers, then herd them all to the
-		// alternate tier (always has room at this working-set size) so
-		// the coalesce is legal.
-		for i := 0; i < 4; i++ {
-			c := children[rng.Intn(len(children))]
-			_ = as.Move(c, memsys.TierID(rng.Intn(as.NumTiers())))
-		}
-		for _, c := range children {
-			if err := as.Move(c, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := as.Coalesce(id, children); err != nil {
-			t.Fatal(err)
-		}
-		// Random whole-page move to keep tier aggregates churning too.
-		_ = as.Move(ids[rng.Intn(len(ids))], memsys.TierID(rng.Intn(as.NumTiers())))
 	}
-	if as.NumPages() > slots+512 {
-		t.Fatalf("slot array grew to %d (started at %d); free slots not reused", as.NumPages(), slots)
-	}
-	// Recount everything from scratch and compare with the maintained
-	// aggregates.
 	var weight float64
 	tierBytes := make([]int64, as.NumTiers())
 	tierWeight := make([]float64, as.NumTiers())
 	count := 0
-	prev := PageID(-1)
 	as.ForEachLive(func(p Page) {
-		if p.ID <= prev {
-			t.Fatalf("ForEachLive out of ID order: %d after %d", p.ID, prev)
+		if int(p.ID) != count {
+			t.Fatalf("ForEachLive out of ID order: page %d at position %d", p.ID, count)
 		}
-		prev = p.ID
 		weight += p.Weight
 		tierBytes[p.Tier] += p.Bytes
 		tierWeight[p.Tier] += p.Weight
 		count++
 	})
-	if count != as.LivePages() {
-		t.Fatalf("LivePages = %d, recount = %d", as.LivePages(), count)
+	if count != as.NumPages() {
+		t.Fatalf("NumPages = %d, ForEachLive visited %d", as.NumPages(), count)
 	}
-	if math.Abs(weight-as.liveWeight) > 1e-6 {
-		t.Fatalf("liveWeight = %v, recount = %v", as.liveWeight, weight)
+	if math.Abs(weight-as.totalWeight) > 1e-6 {
+		t.Fatalf("totalWeight = %v, recount = %v", as.totalWeight, weight)
 	}
 	for tier := range tierBytes {
 		if tierBytes[tier] != as.TierBytes(memsys.TierID(tier)) {
@@ -388,14 +219,26 @@ func TestChurnConservation(t *testing.T) {
 			t.Fatalf("tier %d weight = %v, recount = %v", tier, as.tierWeight[tier], tierWeight[tier])
 		}
 	}
-	live := as.LiveIDs()
-	if !sort.SliceIsSorted(live, func(i, j int) bool { return live[i] < live[j] }) {
-		t.Fatal("LiveIDs not ID-ordered after churn")
+}
+
+func TestLiveViewAliasesState(t *testing.T) {
+	as := testSpace(t, 4)
+	ids := as.LiveIDs()
+	as.SetWeight(ids[3], 0.5)
+	v := as.LiveView()
+	if len(v.Weight) != as.NumPages() || len(v.Tier) != as.NumPages() {
+		t.Fatalf("view covers %d/%d pages, want %d", len(v.Weight), len(v.Tier), as.NumPages())
+	}
+	if v.Weight[ids[3]] != 0.5 {
+		t.Fatalf("view weight = %v, want 0.5", v.Weight[ids[3]])
+	}
+	if v.PageBytes != HugePageBytes {
+		t.Fatalf("view page bytes = %d", v.PageBytes)
 	}
 }
 
 // Property: for any sequence of weight updates and legal moves, the sum
-// of per-tier weights equals the sum of live page weights, and
+// of per-tier weights equals the sum of page weights, and
 // TierShare sums to 1 when weights exist.
 func TestAggregateInvariant(t *testing.T) {
 	as := testSpace(t, 8)

@@ -145,7 +145,7 @@ func (s *System) measuredDefaultShare(ctx *sim.Context) (float64, bool) {
 	var inDefault float64
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
 		p := ctx.AS.Get(id)
-		if !p.Dead && p.Tier == memsys.DefaultTier {
+		if p.Tier == memsys.DefaultTier {
 			inDefault += float64(count)
 		}
 	})
@@ -182,7 +182,7 @@ func (s *System) shift(ctx *sim.Context, from, to memsys.TierID, deficit float64
 			return true
 		}
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != from {
+		if p.Tier != from {
 			return false
 		}
 		prob := s.tracker.Probability(id)
@@ -217,7 +217,7 @@ func (s *System) evictCold(ctx *sim.Context, to memsys.TierID, bytes int64) bool
 	for probe := 0; probe < 64; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != to {
+		if p.Tier != to {
 			continue
 		}
 		if s.tracker.Count(id) > 0 {

@@ -128,8 +128,7 @@ type Config struct {
 	// fidelity for O(pages/granularity) tracker cost.
 	Heat heat.Spec
 	// Workers is the fan-out for the sharded per-quantum pipeline
-	// (live-index and sampler-CDF rebuilds, tracker cooling, candidate
-	// assembly). Default 1 = serial. Any worker count produces
+	// (sampler-CDF rebuilds, tracker cooling, candidate assembly). Default 1 = serial. Any worker count produces
 	// bit-identical results; raising it only changes wall-clock time.
 	Workers int
 	// QuantumSec is the engine step (default 10 ms, HeMem's migration
@@ -242,42 +241,16 @@ func (c Config) validateShared() []error {
 // than one complaint per retry. It checks the raw config — sentinels
 // (NoMigrationLimit, NoCHANoise) and zeros-meaning-default are fine.
 func (c Config) Validate() error {
-	var errs []error
-	if c.Topology == nil {
-		errs = append(errs, fmt.Errorf("sim: topology required"))
-	}
+	errs := c.validateShared()
 	if c.WorkingSetBytes <= 0 {
 		errs = append(errs, fmt.Errorf("sim: working set required (WorkingSetBytes = %d)", c.WorkingSetBytes))
 	} else if c.Topology != nil && c.WorkingSetBytes > c.Topology.TotalCapacity() {
 		errs = append(errs, fmt.Errorf("sim: working set %d bytes exceeds topology capacity %d bytes",
 			c.WorkingSetBytes, c.Topology.TotalCapacity()))
 	}
-	if c.PageBytes < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative page size %d", c.PageBytes))
-	} else if c.PageBytes > 0 && c.WorkingSetBytes > 0 && c.PageBytes > c.WorkingSetBytes {
+	if c.PageBytes > 0 && c.WorkingSetBytes > 0 && c.PageBytes > c.WorkingSetBytes {
 		errs = append(errs, fmt.Errorf("sim: page size %d bytes exceeds working set %d bytes",
 			c.PageBytes, c.WorkingSetBytes))
-	}
-	if c.QuantumSec < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative quantum %v s", c.QuantumSec))
-	}
-	if c.SampleEverySec < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative sample interval %v s", c.SampleEverySec))
-	}
-	errs = append(errs, c.validateAntagonist()...)
-	if err := c.Heat.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.Workers < 0 {
-		errs = append(errs, fmt.Errorf("sim: negative worker count %d", c.Workers))
-	}
-	if c.MigrationLimitBytesPerSec < 0 && c.MigrationLimitBytesPerSec != NoMigrationLimit {
-		errs = append(errs, fmt.Errorf("sim: negative migration limit %v (use sim.NoMigrationLimit for unlimited)",
-			c.MigrationLimitBytesPerSec))
-	}
-	if c.CHANoiseStdDev < 0 && c.CHANoiseStdDev != NoCHANoise {
-		errs = append(errs, fmt.Errorf("sim: negative CHA noise %v (use sim.NoCHANoise for noiseless counters)",
-			c.CHANoiseStdDev))
 	}
 	return errors.Join(errs...)
 }
@@ -395,7 +368,6 @@ type tenantState struct {
 
 	rngWorkload *stats.RNG
 	rngSystem   *stats.RNG
-	rngScenario *stats.RNG
 
 	obs           *obs.Registry
 	inflightScale float64
@@ -415,8 +387,7 @@ type Engine struct {
 	ledger    *memsys.Ledger
 	shared    *migrate.SharedBudget
 
-	antagonist  workloads.Antagonist
-	rngScenario *stats.RNG
+	antagonist workloads.Antagonist
 
 	timeSec     float64
 	quantum     int
@@ -553,7 +524,6 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	as.SetWorkers(cfg.Workers)
 	root := stats.NewRNG(cfg.Seed)
 	chaRNG := root.Split(1)
 	ts := &tenantState{
@@ -576,10 +546,6 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	}
 	ts.sampler = access.NewSampler(as, root.Split(4))
 	ts.sampler.SetWorkers(cfg.Workers)
-	// Split 5 is reserved for scenario randomness so that installing a
-	// scenario never perturbs the workload/system/sampler streams.
-	e.rngScenario = root.Split(5)
-	ts.rngScenario = e.rngScenario
 	ts.system = bo.system
 	ts.migrator.SetObs(cfg.Obs)
 	e.counters.SetObs(cfg.Obs)
@@ -679,7 +645,6 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		shared:     migrate.NewSharedBudget(cfg.MigrationLimitBytesPerSec),
 		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
 	}
-	e.rngScenario = root.Split(5)
 	e.counters.SetObs(cfg.Obs)
 	e.mQuanta = cfg.Obs.Counter("sim_quanta")
 	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
@@ -700,7 +665,6 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
 		}
-		as.SetWorkers(cfg.Workers)
 		// Per-tenant streams are forked from the tenant's name, so they
 		// depend on (seed, name) alone — never on how many tenants came
 		// before this one.
@@ -725,7 +689,6 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		}
 		ts.sampler = access.NewSampler(as, base.Split(4))
 		ts.sampler.SetWorkers(cfg.Workers)
-		ts.rngScenario = base.Split(5)
 		ts.migrator.SetShared(e.shared)
 		ts.migrator.SetObs(scoped)
 		ts.sampler.SetObs(scoped)
@@ -851,14 +814,6 @@ func (e *Engine) Migrator() *migrate.Engine { return e.tenants[0].migrator }
 // and shifts are reproducible per seed.
 func (e *Engine) WorkloadRNG() *stats.RNG { return e.tenants[0].rngWorkload }
 
-// TimeSec returns current simulation time.
-func (e *Engine) TimeSec() float64 { return e.timeSec }
-
-// ScenarioRNG returns the stream reserved for scenario randomness
-// (root split 5; allocated whether or not a scenario is installed, so
-// adding one never perturbs the other streams).
-func (e *Engine) ScenarioRNG() *stats.RNG { return e.rngScenario }
-
 // CurrentProfile returns the first tenant's active traffic profile —
 // the configured one until a ProfileSwitch event replaces it.
 func (e *Engine) CurrentProfile() workloads.Profile { return e.tenants[0].profile }
@@ -873,10 +828,6 @@ func (e *Engine) Clustered() bool { return e.clustered }
 
 // NumTenants returns the tenant count (1 in single-workload mode).
 func (e *Engine) NumTenants() int { return len(e.tenants) }
-
-// SharedMigrationBudget returns the cluster-wide proactive-migration
-// bucket (nil in single-workload mode).
-func (e *Engine) SharedMigrationBudget() *migrate.SharedBudget { return e.shared }
 
 // Ledger returns the cluster capacity ledger (nil in single-workload
 // mode).

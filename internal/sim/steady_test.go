@@ -14,8 +14,8 @@ func steadyEngine(t *testing.T, times []float64, ops []float64, now float64) *En
 	e := &Engine{topo: topo, timeSec: now, tenants: []*tenantState{{topo: topo}}}
 	for i, ts := range times {
 		e.tenants[0].samples = append(e.tenants[0].samples, Sample{
-			TimeSec:   ts,
-			OpsPerSec: ops[i],
+			TimeSec:        ts,
+			OpsPerSec:      ops[i],
 			LatencyNs:      make([]float64, topo.NumTiers()),
 			AppShare:       make([]float64, topo.NumTiers()),
 			AppBytesPerSec: make([]float64, topo.NumTiers()),

@@ -29,7 +29,7 @@ func spec(name string, wssPages int64) TenantSpec {
 	return TenantSpec{Name: name, WorkingSetBytes: wssPages * tPage, Profile: smallProfile(name)}
 }
 
-// installUniform gives every live page equal weight so the solver sees
+// installUniform gives every page equal weight so the solver sees
 // a well-formed share vector without a full workload install.
 func installUniform(as *pages.AddressSpace) {
 	ids := as.LiveIDs()

@@ -72,7 +72,7 @@ type Config struct {
 // the per-tenant interference and per-tier saturation summaries the
 // multi-tenant experiments report.
 type Cluster struct {
-	cfg     Config   // normalized: defaults resolved, tenants sorted
+	cfg     Config // normalized: defaults resolved, tenants sorted
 	eng     *sim.Engine
 	tenants []Tenant // name order, aligned with engine tenant indices
 	victims []int    // forced-demotion order: class weight asc, then name

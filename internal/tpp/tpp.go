@@ -111,10 +111,7 @@ func (s *System) Name() string {
 // Step implements sim.System.
 //
 // TPP's hot loop draws one RNG fault decision per marked page in
-// marking order, so it cannot shard without changing behavior; its
-// share of the per-quantum win comes from the sharded live-index
-// rebuild feeding the scanner's liveIDs cache (Config.Workers reaches
-// it through the address space).
+// marking order, so it cannot shard without changing behavior.
 func (s *System) Step(ctx *sim.Context) {
 	if s.scanner == nil {
 		s.scanner = access.NewHintFaultScanner(ctx.AS, ctx.RNG, s.cfg.ScanIntervalSec, 0)
@@ -197,7 +194,7 @@ func (s *System) onQuantum(ctx *sim.Context) {
 // onFaultVanilla promotes hot alternate-tier pages at fault time.
 func (s *System) onFaultVanilla(ctx *sim.Context, f access.Fault) {
 	p := ctx.AS.Get(f.Page)
-	if p.Dead || p.Tier == memsys.DefaultTier {
+	if p.Tier == memsys.DefaultTier {
 		return
 	}
 	if f.TimeToFaultSec > s.ttfThresh {
@@ -215,7 +212,7 @@ func (s *System) onFaultVanilla(ctx *sim.Context, f access.Fault) {
 // using p = 1/(ttf*r) as the page's access probability (Section 4.3).
 func (s *System) onFaultColloid(ctx *sim.Context, f access.Fault) {
 	p := ctx.AS.Get(f.Page)
-	if p.Dead || s.mode == core.Hold || s.deltaPLeft <= 0 {
+	if s.mode == core.Hold || s.deltaPLeft <= 0 {
 		return
 	}
 	prob := s.faultProbability(f, p.Tier)
@@ -362,7 +359,7 @@ func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.Pag
 	for probe := 0; probe < 64 && found < 16; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Dead || p.Tier != memsys.DefaultTier || exclude[id] {
+		if p.Tier != memsys.DefaultTier || exclude[id] {
 			continue
 		}
 		found++

@@ -162,7 +162,7 @@ func (h *HotCold) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 
 // FromWeights installs an explicit weight vector (normalized), used to
 // replay access profiles recorded from the real applications in
-// internal/apps. Weights are matched to live pages in ID order; if the
+// internal/apps. Weights are matched to pages in ID order; if the
 // profile has fewer entries than pages, remaining pages get zero
 // weight; excess entries are folded uniformly over all pages.
 type FromWeights struct {
@@ -215,7 +215,7 @@ func (f *FromWeights) Install(as *pages.AddressSpace, _ *stats.RNG) error {
 	return nil
 }
 
-// SortedPageWeights returns the live pages' weights in descending
+// SortedPageWeights returns the pages' weights in descending
 // order; useful for reporting skew in examples and tests.
 func SortedPageWeights(as *pages.AddressSpace) []float64 {
 	var ws []float64

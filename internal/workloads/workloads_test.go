@@ -226,7 +226,7 @@ func TestHotColdInstall(t *testing.T) {
 
 func TestFromWeights(t *testing.T) {
 	as := testSpace(t)
-	n := as.LivePages()
+	n := as.NumPages()
 	ws := make([]float64, n)
 	ws[0] = 3
 	ws[1] = 1
