@@ -7,10 +7,10 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat bench-check clean
 
 # Everything CI gates on.
-ci: verify fmt vet staticcheck lint race bench-smoke bench-tenants bench-heat
+ci: verify fmt vet staticcheck lint race bench-smoke bench-tenants bench-heat bench-check
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
@@ -101,6 +101,13 @@ bench-tenants:
 # (2^24-page scale arm).
 bench-heat:
 	$(GO) test -run '^$$' -bench='^BenchmarkHeat$$' -benchtime=1x .
+
+# The repository benchmark (perfbench/) is its own module, so `verify`
+# and `vet` never compile it; vet and test it here so an engine change
+# that breaks one of its call sites fails CI, not the next benchmark
+# run.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	rm -f BENCH_*.json

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"colloid/internal/core"
 	"colloid/internal/heat"
-	"colloid/internal/hemem"
-	"colloid/internal/memtis"
-	"colloid/internal/sim"
 	"colloid/internal/simtest"
-	"colloid/internal/tpp"
 	"colloid/internal/workloads"
 )
 
@@ -32,21 +27,9 @@ func TestGoldenRegionTrackerFidelity(t *testing.T) {
 		"memtis":         0x1b3e72cc001f543f,
 		"memtis+colloid": 0x251dbb62625142a0,
 	}
-	systems := map[string]func() sim.System{
-		"hemem":          func() sim.System { return hemem.New(hemem.Config{}) },
-		"hemem+colloid":  func() sim.System { return hemem.New(hemem.Config{Colloid: &core.Options{}}) },
-		"tpp":            func() sim.System { return tpp.New(tpp.Config{}) },
-		"tpp+colloid":    func() sim.System { return tpp.New(tpp.Config{Colloid: &core.Options{}}) },
-		"memtis":         func() sim.System { return memtis.New(memtis.Config{}) },
-		"memtis+colloid": func() sim.System { return memtis.New(memtis.Config{Colloid: &core.Options{}}) },
-	}
-	workerCounts := []int{1, 2, 4, 7}
-	if testing.Short() {
-		workerCounts = []int{1, 4}
-	}
-	for name, mk := range systems {
+	for name, mk := range goldenSystems {
 		name, mk := name, mk
-		for _, w := range workerCounts {
+		for _, w := range goldenWorkerCounts() {
 			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				e, _ := simtest.Run(t, mk(), simtest.Scenario{

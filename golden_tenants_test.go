@@ -111,13 +111,9 @@ func tenantsChecksum(c *tenant.Cluster) uint64 {
 // order), so neither the worker count nor the order tenants were
 // declared in may change a single bit.
 func TestGoldenTenantTraces(t *testing.T) {
-	workerCounts := []int{1, 2, 4, 7}
-	if testing.Short() {
-		workerCounts = []int{1, 4}
-	}
 	for policy, golden := range goldenTenantsChecksums {
 		policy, golden := policy, golden
-		for _, w := range workerCounts {
+		for _, w := range goldenWorkerCounts() {
 			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", policy, w), func(t *testing.T) {
 				c := goldenCluster(t, policy, w, false, heat.Spec{})
@@ -152,14 +148,10 @@ func TestGoldenTenantTraces(t *testing.T) {
 // pinned every tenant to exact tracking) or the region tracker's
 // degenerate case drifted from the exact one.
 func TestGoldenTenantTracesRegionOne(t *testing.T) {
-	workerCounts := []int{1, 2, 4, 7}
-	if testing.Short() {
-		workerCounts = []int{1, 4}
-	}
 	spec := heat.Spec{Kind: heat.Region, RegionPages: 1, Forecaster: heat.Passthrough{}}
 	for policy, golden := range goldenTenantsChecksums {
 		policy, golden := policy, golden
-		for _, w := range workerCounts {
+		for _, w := range goldenWorkerCounts() {
 			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", policy, w), func(t *testing.T) {
 				c := goldenCluster(t, policy, w, false, spec)

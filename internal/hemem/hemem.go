@@ -248,67 +248,7 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 // migrateVanilla is HeMem's placement: promote every hot page resident
 // in an alternate tier into the default tier, demoting cold pages when
 // the default tier is full, all under the migration rate limit.
-//
-// Promotions are accumulated and applied through MoveBatch, which
-// amortizes the per-move budget/obs bookkeeping. In the fault-free
-// path every move outcome is predictable from the budget and free-space
-// mirrors tracked below, so batching is decision-identical to the
-// sequential loop; under an active fault window outcomes are not
-// predictable and we fall back to per-page moves.
 func (s *System) migrateVanilla(ctx *sim.Context) {
-	if ctx.Migrator.FaultActive() {
-		s.migrateVanillaSeq(ctx)
-		return
-	}
-	budgetLeft := ctx.Migrator.Budget()
-	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		res := ctx.Migrator.MoveBatch(batch, nil)
-		batch = batch[:0]
-		return res.Err == nil
-	}
-	s.hotAlt.ForEach(func(id pages.PageID) access.Action {
-		p := ctx.AS.Get(id)
-		if p.Tier == memsys.DefaultTier {
-			return access.Drop
-		}
-		if pendingFree < p.Bytes {
-			// Demotions must happen now, after the promotions queued so
-			// far, to preserve the sequential budget-consumption order.
-			if !flush() {
-				return access.Stop
-			}
-			budgetLeft = ctx.Migrator.Budget()
-			if !s.ensureDefaultFree(ctx, p.Bytes) {
-				return access.Stop // out of cold victims or budget
-			}
-			budgetLeft = ctx.Migrator.Budget()
-			pendingFree = ctx.AS.FreeBytes(memsys.DefaultTier)
-		}
-		if budgetLeft < p.Bytes {
-			// The rejected request rides along so MoveBatch reproduces
-			// the throttle counter and trace event of the sequential
-			// loop's failing Move.
-			batch = append(batch, migrate.Request{ID: id, To: memsys.DefaultTier})
-			flush()
-			return access.Stop
-		}
-		batch = append(batch, migrate.Request{ID: id, To: memsys.DefaultTier})
-		budgetLeft -= p.Bytes
-		pendingFree -= p.Bytes
-		return access.Drop
-	})
-	flush()
-}
-
-// migrateVanillaSeq is the per-page fallback used while a migration
-// fault window is active: injected failures make move outcomes
-// unpredictable, so each must be applied before deciding the next.
-func (s *System) migrateVanillaSeq(ctx *sim.Context) {
 	s.hotAlt.ForEach(func(id pages.PageID) access.Action {
 		p := ctx.AS.Get(id)
 		if p.Tier == memsys.DefaultTier {
@@ -339,22 +279,11 @@ func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
 		if victim == pages.NoPage {
 			return false
 		}
-		if err := ctx.Migrator.Move(victim, s.spillTier(ctx)); err != nil {
+		if err := ctx.Migrator.Move(victim, ctx.AS.SpillTier()); err != nil {
 			return false
 		}
 	}
 	return true
-}
-
-// spillTier is where demotions land: the first alternate tier with
-// free space.
-func (s *System) spillTier(ctx *sim.Context) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t)) > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
 }
 
 // findColdVictim probes random pages for a cold page in the
@@ -391,67 +320,20 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 	if d.Mode == core.Promote {
 		fromTier, toTier = 1, memsys.DefaultTier
 	} else {
-		fromTier, toTier = memsys.DefaultTier, s.spillTier(ctx)
+		fromTier, toTier = memsys.DefaultTier, ctx.AS.SpillTier()
 	}
 	cands := s.candidates(ctx, fromTier)
 	picked := core.PickPages(cands, d.DeltaP, limitBytes, 4096)
-	if ctx.Migrator.FaultActive() {
-		for _, c := range picked {
-			if toTier == memsys.DefaultTier {
-				if !s.ensureDefaultFree(ctx, c.Bytes) {
-					return
-				}
-			}
-			err := ctx.Migrator.Move(c.ID, toTier)
-			if errors.Is(err, migrate.ErrLimit) {
-				return
-			}
-		}
-		return
-	}
-	if toTier != memsys.DefaultTier {
-		// Demotions need no free-space carving; apply the whole set in
-		// one batch (it stops at the budget the same way the loop did).
-		reqs := make([]migrate.Request, len(picked))
-		for i, c := range picked {
-			reqs[i] = migrate.Request{ID: c.ID, To: toTier}
-		}
-		ctx.Migrator.MoveBatch(reqs, nil)
-		return
-	}
-	// Promotions: accumulate while the mirrored free-space and budget
-	// say the moves will land, flushing before any needed demotion so
-	// the budget-consumption order matches the sequential loop.
-	budgetLeft := ctx.Migrator.Budget()
-	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
 	for _, c := range picked {
-		if pendingFree < c.Bytes {
-			if len(batch) > 0 {
-				if res := ctx.Migrator.MoveBatch(batch, nil); res.Err != nil {
-					return
-				}
-				batch = batch[:0]
-			}
+		if toTier == memsys.DefaultTier {
 			if !s.ensureDefaultFree(ctx, c.Bytes) {
 				return
 			}
-			budgetLeft = ctx.Migrator.Budget()
-			pendingFree = ctx.AS.FreeBytes(memsys.DefaultTier)
 		}
-		if budgetLeft < c.Bytes {
-			// Ride the rejected request along so the batch reproduces
-			// the sequential loop's throttle accounting, then stop.
-			batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
-			ctx.Migrator.MoveBatch(batch, nil)
+		err := ctx.Migrator.Move(c.ID, toTier)
+		if errors.Is(err, migrate.ErrLimit) {
 			return
 		}
-		batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
-		budgetLeft -= c.Bytes
-		pendingFree -= c.Bytes
-	}
-	if len(batch) > 0 {
-		ctx.Migrator.MoveBatch(batch, nil)
 	}
 }
 

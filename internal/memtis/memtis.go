@@ -122,11 +122,6 @@ type System struct {
 	started      bool
 	splitting    bool
 
-	// defaultKmigrated batching scratch, reused across quanta.
-	demoteReqs   []migrate.Request
-	demoteChosen map[pages.PageID]bool
-	demoteSpill  []int64
-
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
 	// queries, reused across quanta.
 	hist   []int64
@@ -329,7 +324,7 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	if d.Mode == core.Promote {
 		fromTier, toTier = 1, memsys.DefaultTier
 	} else {
-		fromTier, toTier = memsys.DefaultTier, s.spillTier(ctx)
+		fromTier, toTier = memsys.DefaultTier, ctx.AS.SpillTier()
 	}
 	// Scan the hot list for candidates in the source tier (Section 4.2:
 	// "we scan the corresponding tier's hot list and pick pages until
@@ -341,62 +336,15 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	const candCap = 8192
 	cands := s.collectCandidates(ctx, fromTier, candCap)
 	picked := core.PickPages(cands, d.DeltaP, limitBytes, 0)
-	if ctx.Migrator.FaultActive() {
-		// Injected failures make outcomes unpredictable; apply one move
-		// at a time as the original loop did.
-		for _, c := range picked {
-			if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < c.Bytes {
-				if !s.demoteColdFromDefault(ctx, c.Bytes) {
-					return
-				}
-			}
-			if err := ctx.Migrator.Move(c.ID, toTier); errors.Is(err, migrate.ErrLimit) {
-				return
-			}
-		}
-		return
-	}
-	if toTier != memsys.DefaultTier {
-		reqs := make([]migrate.Request, len(picked))
-		for i, c := range picked {
-			reqs[i] = migrate.Request{ID: c.ID, To: toTier}
-		}
-		ctx.Migrator.MoveBatch(reqs, nil)
-		return
-	}
-	// Promotions: accumulate while the mirrored free space and budget
-	// admit the moves, flushing before any cold demotion so budget
-	// consumption and victim probing happen in sequential order.
-	budgetLeft := ctx.Migrator.Budget()
-	pendingFree := ctx.AS.FreeBytes(memsys.DefaultTier)
-	var batch []migrate.Request
 	for _, c := range picked {
-		if pendingFree < c.Bytes {
-			if len(batch) > 0 {
-				if res := ctx.Migrator.MoveBatch(batch, nil); res.Err != nil {
-					return
-				}
-				batch = batch[:0]
-			}
+		if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < c.Bytes {
 			if !s.demoteColdFromDefault(ctx, c.Bytes) {
 				return
 			}
-			budgetLeft = ctx.Migrator.Budget()
-			pendingFree = ctx.AS.FreeBytes(memsys.DefaultTier)
 		}
-		if budgetLeft < c.Bytes {
-			// The rejected request rides along so the batch reproduces
-			// the sequential loop's throttle accounting, then stop.
-			batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
-			ctx.Migrator.MoveBatch(batch, nil)
+		if err := ctx.Migrator.Move(c.ID, toTier); errors.Is(err, migrate.ErrLimit) {
 			return
 		}
-		batch = append(batch, migrate.Request{ID: c.ID, To: toTier})
-		budgetLeft -= c.Bytes
-		pendingFree -= c.Bytes
-	}
-	if len(batch) > 0 {
-		ctx.Migrator.MoveBatch(batch, nil)
 	}
 }
 
@@ -404,71 +352,12 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 // the free watermark (and proactively pushes never-sampled pages out,
 // which is why MEMTIS has the whole working set already in the
 // alternate tier in the Figure 9 experiments).
-//
-// Victims are selected up front against pending-move mirrors of the
-// free and spill space and applied in one MoveBatchForced; chosen
-// victims are excluded from later probes at the same point the
-// sequential loop's tier check would skip them once moved. Fault
-// windows fall back to per-page forced moves.
 func (s *System) defaultKmigrated(ctx *sim.Context) {
-	if ctx.Migrator.FaultActive() {
-		for ctx.AS.FreeBytes(memsys.DefaultTier) < s.cfg.FreeWatermarkBytes {
-			if !s.demoteColdFromDefault(ctx, pages.HugePageBytes) {
-				return
-			}
-		}
-		return
-	}
-	free := ctx.AS.FreeBytes(memsys.DefaultTier)
-	if free >= s.cfg.FreeWatermarkBytes {
-		return
-	}
-	if s.demoteChosen == nil {
-		s.demoteChosen = make(map[pages.PageID]bool)
-	}
-	if len(s.demoteSpill) < ctx.Topo.NumTiers() {
-		s.demoteSpill = make([]int64, ctx.Topo.NumTiers())
-	}
-	spillPending := s.demoteSpill
-	for t := range spillPending {
-		spillPending[t] = 0
-	}
-	batch := s.demoteReqs[:0]
-	for free < s.cfg.FreeWatermarkBytes {
-		// One deferred demoteColdFromDefault(HugePageBytes) round.
-		freed := int64(0)
-		guard := 0
-		ok := true
-		for freed < pages.HugePageBytes && guard < 32 {
-			guard++
-			victim := s.findColdInDefaultExcluding(ctx, s.demoteChosen)
-			if victim == pages.NoPage {
-				ok = false
-				break
-			}
-			bytes := ctx.AS.Get(victim).Bytes
-			spill := s.spillTierPending(ctx, spillPending)
-			if ctx.AS.FreeBytes(spill)-spillPending[spill] < bytes {
-				ok = false // the forced move would fail on capacity
-				break
-			}
-			batch = append(batch, migrate.Request{ID: victim, To: spill})
-			s.demoteChosen[victim] = true
-			spillPending[spill] += bytes
-			freed += bytes
-			free += bytes
-		}
-		if !ok || freed < pages.HugePageBytes {
-			break
+	for ctx.AS.FreeBytes(memsys.DefaultTier) < s.cfg.FreeWatermarkBytes {
+		if !s.demoteColdFromDefault(ctx, pages.HugePageBytes) {
+			return
 		}
 	}
-	if len(batch) > 0 {
-		ctx.Migrator.MoveBatchForced(batch)
-		for id := range s.demoteChosen {
-			delete(s.demoteChosen, id)
-		}
-	}
-	s.demoteReqs = batch[:0]
 }
 
 // demoteColdFromDefault finds a default-tier page below the hot
@@ -484,7 +373,7 @@ func (s *System) demoteColdFromDefault(ctx *sim.Context, needBytes int64) bool {
 			return false
 		}
 		b := ctx.AS.Get(victim).Bytes
-		if err := ctx.Migrator.MoveForced(victim, s.spillTier(ctx)); err != nil {
+		if err := ctx.Migrator.MoveForced(victim, ctx.AS.SpillTier()); err != nil {
 			return false
 		}
 		freed += b
@@ -493,19 +382,11 @@ func (s *System) demoteColdFromDefault(ctx *sim.Context, needBytes int64) bool {
 }
 
 func (s *System) findColdInDefault(ctx *sim.Context) pages.PageID {
-	return s.findColdInDefaultExcluding(ctx, nil)
-}
-
-// findColdInDefaultExcluding is findColdInDefault with pages already
-// chosen for a pending batched demotion skipped; the skip sits with the
-// tier check, matching what the sequential loop sees after those pages
-// have actually moved off the default tier.
-func (s *System) findColdInDefaultExcluding(ctx *sim.Context, exclude map[pages.PageID]bool) pages.PageID {
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 128; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Tier != memsys.DefaultTier || exclude[id] {
+		if p.Tier != memsys.DefaultTier {
 			continue
 		}
 		if s.tracker.Count(id) >= s.hotThreshold {
@@ -514,26 +395,6 @@ func (s *System) findColdInDefaultExcluding(ctx *sim.Context, exclude map[pages.
 		return id
 	}
 	return pages.NoPage
-}
-
-func (s *System) spillTier(ctx *sim.Context) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t)) > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
-}
-
-// spillTierPending is spillTier with bytes queued for a pending batched
-// demotion already charged against each tier's free space.
-func (s *System) spillTierPending(ctx *sim.Context, pending []int64) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t))-pending[t] > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
 }
 
 // splitHotHugePages splits up to SplitsPerQuantum of the hottest huge

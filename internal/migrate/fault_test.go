@@ -109,8 +109,7 @@ func TestInjectFaultClearAndReplace(t *testing.T) {
 // Clearing a fault mid-quantum takes effect immediately: the rest of
 // the quantum migrates normally and FaultTotals stops growing. It used
 // to leave faultActive set until the next BeginQuantum, so a "cleared"
-// outage kept rejecting moves — and the rejects leaked into the next
-// batch's accounting.
+// outage kept rejecting moves — and the rejects inflated FaultTotals.
 func TestInjectFaultClearMidQuantum(t *testing.T) {
 	as := testSpace(t)
 	e := NewEngine(as, 2, 0)
@@ -141,36 +140,33 @@ func TestInjectFaultClearMidQuantum(t *testing.T) {
 }
 
 // A mid-quantum stall expiry must not leak into the next quantum's
-// batch accounting: the batch after the repair applies every request
-// and reports zero injected outcomes.
-func TestFaultExpiryDoesNotLeakIntoNextBatch(t *testing.T) {
+// accounting: after the repair every move applies, and FaultTotals
+// counts only the attempts made inside the fault window.
+func TestFaultExpiryDoesNotLeakIntoNextQuantum(t *testing.T) {
 	as := testSpace(t)
 	e := NewEngine(as, 2, 0)
-	var reqs []Request
+	var ids []pages.PageID
 	as.ForEachLive(func(p pages.Page) {
-		if p.Tier == 0 && len(reqs) < 4 {
-			reqs = append(reqs, Request{ID: p.ID, To: 1})
+		if p.Tier == 0 && len(ids) < 4 {
+			ids = append(ids, p.ID)
 		}
 	})
 	e.InjectFault(FaultStall, 1)
 	e.BeginQuantum(0.1)
-	outcomes := make([]error, len(reqs))
-	if res := e.MoveBatch(reqs, outcomes); res.Applied != 0 {
-		t.Fatalf("batch in fault window applied %d moves", res.Applied)
+	for _, id := range ids {
+		if err := e.Move(id, 1); !errors.Is(err, ErrInjected) {
+			t.Fatalf("move in fault window = %v, want ErrInjected", err)
+		}
 	}
 	e.InjectFault(FaultStall, 0) // repair mid-quantum
 	e.BeginQuantum(0.1)
-	res := e.MoveBatch(reqs, outcomes)
-	if res.Applied != len(reqs) || res.Err != nil {
-		t.Fatalf("post-repair batch = %+v, want all %d applied", res, len(reqs))
-	}
-	for i, err := range outcomes {
-		if err != nil {
-			t.Fatalf("post-repair outcome[%d] = %v", i, err)
+	for _, id := range ids {
+		if err := e.Move(id, 1); err != nil {
+			t.Fatalf("post-repair move of page %d: %v", id, err)
 		}
 	}
-	if failed, _ := e.FaultTotals(); failed != int64(len(reqs)) {
-		t.Fatalf("FaultTotals.failed = %d, want %d (only the faulted batch)", failed, len(reqs))
+	if failed, _ := e.FaultTotals(); failed != int64(len(ids)) {
+		t.Fatalf("FaultTotals.failed = %d, want %d (only the faulted quantum)", failed, len(ids))
 	}
 }
 
@@ -191,19 +187,12 @@ func TestFaultFailForcedMoveKeepsBudget(t *testing.T) {
 	if got := e.Budget(); got != budget {
 		t.Fatalf("aborted forced copy drained budget: %d -> %d", budget, got)
 	}
-	res := e.MoveBatchForced([]Request{{ID: id, To: 1}})
-	if !errors.Is(res.Err, ErrInjected) || res.Applied != 0 {
-		t.Fatalf("forced batch during FaultFail = %+v, want ErrInjected stop", res)
-	}
-	if got := e.Budget(); got != budget {
-		t.Fatalf("aborted forced batch drained budget: %d -> %d", budget, got)
-	}
 	failed, partial := e.FaultTotals()
-	if failed != 2 || partial != 2*pages.HugePageBytes {
-		t.Fatalf("FaultTotals = (%d, %d), want (2, %d)", failed, partial, 2*pages.HugePageBytes)
+	if failed != 1 || partial != pages.HugePageBytes {
+		t.Fatalf("FaultTotals = (%d, %d), want (1, %d)", failed, partial, pages.HugePageBytes)
 	}
 	if e.QuantumBytes() == 0 {
-		t.Fatal("aborted forced copies left no interconnect traffic")
+		t.Fatal("aborted forced copy left no interconnect traffic")
 	}
 }
 

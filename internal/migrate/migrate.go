@@ -117,8 +117,8 @@ type Engine struct {
 	// MEMTIS's migration rate limits.
 	staticLimitBytesPerSec float64
 	// quantumBudget is the remaining byte budget for this quantum.
-	// Only proactive moves (Move, MoveBatch) consume it; forced
-	// capacity-pressure demotions record traffic without draining it.
+	// Only proactive moves (Move) consume it; forced capacity-pressure
+	// demotions record traffic without draining it.
 	quantumBudget int64
 	// quantumSec is the duration of the current quantum, set by
 	// BeginQuantum; TrafficLoad divides by it.
@@ -283,8 +283,8 @@ func (e *Engine) Shared() *SharedBudget { return e.shared }
 
 // Budget returns the remaining migration byte budget for this quantum:
 // the engine's own bucket, further clamped by the shared bucket when
-// one is attached, so systems sizing batches off Budget see the
-// effective constraint.
+// one is attached, so systems sizing a quantum's moves off Budget see
+// the effective constraint.
 func (e *Engine) Budget() int64 {
 	b := e.quantumBudget
 	if e.shared != nil && e.shared.budget < b {
@@ -318,8 +318,6 @@ func (e *Engine) Move(id pages.PageID, to memsys.TierID) error {
 	}
 	e.consumeBudget(p.Bytes)
 	e.record(p.Tier, to, p.Bytes)
-	e.mBytes.Add(p.Bytes)
-	e.mMoves.Inc()
 	return nil
 }
 
@@ -340,8 +338,6 @@ func (e *Engine) MoveForced(id pages.PageID, to memsys.TierID) error {
 		return fmt.Errorf("%w (%v)", ErrCapacity, err)
 	}
 	e.record(p.Tier, to, p.Bytes)
-	e.mBytes.Add(p.Bytes)
-	e.mMoves.Inc()
 	return nil
 }
 
@@ -375,133 +371,22 @@ func (e *Engine) throttle(p pages.Page) {
 	}
 }
 
-// record accrues per-quantum traffic and cumulative totals for a
-// completed move. It deliberately does not touch the budget: forced
-// moves record traffic without consuming it, and MoveBatch drains the
-// budget separately so obs emission can be amortized.
+// record accrues per-quantum traffic, cumulative totals and obs
+// counters for a completed move. It deliberately does not touch the
+// budget: forced moves record traffic without consuming it.
 func (e *Engine) record(from, to memsys.TierID, bytes int64) {
 	e.movedFrom[from] += bytes
 	e.movedTo[to] += bytes
 	e.totalBytes += bytes
 	e.totalMoves++
+	e.mBytes.Add(bytes)
+	e.mMoves.Inc()
 	if to == memsys.DefaultTier {
 		e.totalPromoted += bytes
 	}
 	if from == memsys.DefaultTier {
 		e.totalDemoted += bytes
 	}
-}
-
-// Request names one desired migration within a batch.
-type Request struct {
-	ID pages.PageID
-	To memsys.TierID
-}
-
-// BatchResult summarizes a batch application. Err, when non-nil, is the
-// error that stopped the batch at StopIndex; requests after StopIndex
-// were not attempted.
-type BatchResult struct {
-	// Applied counts requests whose pages actually moved.
-	Applied int
-	// AppliedBytes is the total bytes those moves copied.
-	AppliedBytes int64
-	// StopIndex is the request index the batch stopped at (len(reqs)
-	// when it ran to completion).
-	StopIndex int
-	// Err is the stopping error: ErrLimit for a MoveBatch budget
-	// rejection, or the first failure of a MoveBatchForced.
-	Err error
-}
-
-// MoveBatch applies the requests in order with the exact semantics of
-// calling Move per request and stopping at the first budget rejection —
-// the pattern every proactive policy loop follows. Capacity failures
-// are recorded per request and skipped (as the loops do); a budget
-// rejection stops the batch, and the remaining requests get ErrLimit
-// outcomes without being attempted. outcomes, when non-nil, must have
-// len(reqs) entries and receives each request's error (nil for applied
-// or no-op moves).
-//
-// Versus a per-page Move loop, the batch amortizes the obs counter
-// traffic: one bytes/moves update per batch rather than per page.
-func (e *Engine) MoveBatch(reqs []Request, outcomes []error) BatchResult {
-	if outcomes != nil && len(outcomes) != len(reqs) {
-		panic("migrate: outcomes length does not match requests")
-	}
-	set := func(i int, err error) {
-		if outcomes != nil {
-			outcomes[i] = err
-		}
-	}
-	res := BatchResult{StopIndex: len(reqs)}
-	var batchMoves int64
-	for i, r := range reqs {
-		p := e.as.Get(r.ID)
-		if p.Tier == r.To {
-			set(i, nil)
-			continue
-		}
-		if e.faultActive {
-			set(i, e.injectFailure(p, r.To, false))
-			continue
-		}
-		if e.Budget() < p.Bytes {
-			e.throttle(p)
-			res.StopIndex, res.Err = i, ErrLimit
-			for j := i; j < len(reqs); j++ {
-				set(j, ErrLimit)
-			}
-			break
-		}
-		if err := e.as.Move(r.ID, r.To); err != nil {
-			set(i, fmt.Errorf("%w (%v)", ErrCapacity, err))
-			continue
-		}
-		e.consumeBudget(p.Bytes)
-		e.record(p.Tier, r.To, p.Bytes)
-		res.Applied++
-		res.AppliedBytes += p.Bytes
-		batchMoves++
-		set(i, nil)
-	}
-	e.mBytes.Add(res.AppliedBytes)
-	e.mMoves.Add(batchMoves)
-	return res
-}
-
-// MoveBatchForced applies forced moves in order, stopping at the first
-// failure — the exact semantics of a kswapd-style loop that gives up
-// when a demotion fails. No budget is consumed; traffic and totals are
-// recorded, with obs counter updates amortized across the batch.
-func (e *Engine) MoveBatchForced(reqs []Request) BatchResult {
-	res := BatchResult{StopIndex: len(reqs)}
-	var batchMoves int64
-	for i, r := range reqs {
-		p := e.as.Get(r.ID)
-		var err error
-		switch {
-		case p.Tier == r.To:
-			continue
-		case e.faultActive:
-			err = e.injectFailure(p, r.To, true)
-		default:
-			if mvErr := e.as.Move(r.ID, r.To); mvErr != nil {
-				err = fmt.Errorf("%w (%v)", ErrCapacity, mvErr)
-			}
-		}
-		if err != nil {
-			res.StopIndex, res.Err = i, err
-			break
-		}
-		e.record(p.Tier, r.To, p.Bytes)
-		res.Applied++
-		res.AppliedBytes += p.Bytes
-		batchMoves++
-	}
-	e.mBytes.Add(res.AppliedBytes)
-	e.mMoves.Add(batchMoves)
-	return res
 }
 
 // TrafficLoad returns the per-tier bandwidth consumed by this quantum's

@@ -164,144 +164,6 @@ func TestExactBudgetBoundary(t *testing.T) {
 	}
 }
 
-// sequentialMoves applies requests the way the policy loops do — Move
-// per request, stop at the first budget rejection — as the oracle for
-// MoveBatch equivalence.
-func sequentialMoves(e *Engine, reqs []Request) []error {
-	out := make([]error, len(reqs))
-	for i, r := range reqs {
-		err := e.Move(r.ID, r.To)
-		out[i] = err
-		if errors.Is(err, ErrLimit) {
-			for j := i + 1; j < len(reqs); j++ {
-				out[j] = ErrLimit
-			}
-			break
-		}
-	}
-	return out
-}
-
-func TestMoveBatchMatchesSequential(t *testing.T) {
-	mkReqs := func(as *pages.AddressSpace) []Request {
-		var reqs []Request
-		// A run of demotions, a no-op, and more demotions than the
-		// budget covers so the batch stops mid-way.
-		ids := as.LiveIDs()
-		for _, id := range ids[:6] {
-			reqs = append(reqs, Request{ID: id, To: 1})
-		}
-		reqs = append(reqs, Request{ID: ids[0], To: 1}) // no-op after move
-		return reqs
-	}
-	asA, asB := testSpace(t), testSpace(t)
-	limit := 3 * float64(pages.HugePageBytes) // covers 3 of the 6 moves
-	eA := NewEngine(asA, 2, limit)
-	eB := NewEngine(asB, 2, limit)
-	eA.BeginQuantum(1)
-	eB.BeginQuantum(1)
-	wantOut := sequentialMoves(eA, mkReqs(asA))
-	gotOut := make([]error, len(wantOut))
-	res := eB.MoveBatch(mkReqs(asB), gotOut)
-	for i := range wantOut {
-		if (wantOut[i] == nil) != (gotOut[i] == nil) || !errors.Is(gotOut[i], wantOut[i]) && wantOut[i] != nil && !errors.Is(wantOut[i], gotOut[i]) {
-			t.Fatalf("outcome[%d] = %v, sequential = %v", i, gotOut[i], wantOut[i])
-		}
-	}
-	if eA.Budget() != eB.Budget() {
-		t.Fatalf("budget diverged: sequential %d, batch %d", eA.Budget(), eB.Budget())
-	}
-	if eA.QuantumBytes() != eB.QuantumBytes() {
-		t.Fatalf("quantum bytes diverged: %d vs %d", eA.QuantumBytes(), eB.QuantumBytes())
-	}
-	aBytes, aMoves, aProm, aDem := eA.Totals()
-	bBytes, bMoves, bProm, bDem := eB.Totals()
-	if aBytes != bBytes || aMoves != bMoves || aProm != bProm || aDem != bDem {
-		t.Fatalf("totals diverged: %d/%d/%d/%d vs %d/%d/%d/%d",
-			aBytes, aMoves, aProm, aDem, bBytes, bMoves, bProm, bDem)
-	}
-	idsA, idsB := asA.LiveIDs(), asB.LiveIDs()
-	for i := range idsA {
-		if asA.Tier(idsA[i]) != asB.Tier(idsB[i]) {
-			t.Fatalf("placement diverged at page %d", idsA[i])
-		}
-	}
-	if res.Applied != 3 || res.AppliedBytes != 3*pages.HugePageBytes || !errors.Is(res.Err, ErrLimit) {
-		t.Fatalf("batch result = %+v", res)
-	}
-}
-
-func TestMoveBatchForcedStopsAtFirstError(t *testing.T) {
-	// Working set equal to total capacity: every tier is full, so the
-	// first forced move hits a capacity error and the rest must not be
-	// attempted.
-	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
-	as, err := pages.NewAddressSpace(topo, 128*memsys.GiB, pages.HugePageBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(as, 2, 1)
-	e.BeginQuantum(1)
-	a, b := pageIn(t, as, 0), pageIn(t, as, 0)
-	res := e.MoveBatchForced([]Request{{ID: a, To: 1}, {ID: b, To: 1}})
-	if !errors.Is(res.Err, ErrCapacity) || res.StopIndex != 0 || res.Applied != 0 {
-		t.Fatalf("batch result = %+v, want capacity stop at 0", res)
-	}
-	if as.Tier(a) != 0 || as.Tier(b) != 0 {
-		t.Fatal("forced batch moved pages despite capacity stop")
-	}
-}
-
-func TestMoveBatchForcedBypassesBudget(t *testing.T) {
-	as := testSpace(t)
-	e := NewEngine(as, 2, 1) // effectively zero budget
-	e.BeginQuantum(1)
-	reqs := []Request{
-		{ID: pageIn(t, as, 0), To: 1},
-	}
-	res := e.MoveBatchForced(reqs)
-	if res.Err != nil || res.Applied != 1 {
-		t.Fatalf("forced batch = %+v", res)
-	}
-	if as.Tier(reqs[0].ID) != 1 {
-		t.Fatal("forced batch did not move the page")
-	}
-}
-
-func TestMoveBatchUnderInjectedFault(t *testing.T) {
-	as := testSpace(t)
-	e := NewEngine(as, 2, 0)
-	e.InjectFault(FaultStall, 1)
-	e.BeginQuantum(1)
-	ids := as.LiveIDs()
-	reqs := []Request{{ID: ids[0], To: 1}, {ID: ids[1], To: 1}, {ID: ids[2], To: 1}}
-	out := make([]error, len(reqs))
-	res := e.MoveBatch(reqs, out)
-	// A proactive loop attempts every page under a fault window (the
-	// error is not ErrLimit), so all three must fail individually.
-	for i, err := range out {
-		if !errors.Is(err, ErrInjected) {
-			t.Fatalf("outcome[%d] = %v, want ErrInjected", i, err)
-		}
-	}
-	if res.Applied != 0 || res.Err != nil {
-		t.Fatalf("batch result = %+v", res)
-	}
-	failed, _ := e.FaultTotals()
-	if failed != 3 {
-		t.Fatalf("failedMoves = %d, want one per attempt", failed)
-	}
-	// A forced loop stops at its first error.
-	res = e.MoveBatchForced(reqs)
-	if !errors.Is(res.Err, ErrInjected) || res.StopIndex != 0 {
-		t.Fatalf("forced batch under fault = %+v", res)
-	}
-	failed, _ = e.FaultTotals()
-	if failed != 4 {
-		t.Fatalf("failedMoves = %d, want exactly one more", failed)
-	}
-}
-
 func TestTrafficLoadChargesBothTiers(t *testing.T) {
 	as := testSpace(t)
 	e := NewEngine(as, 2, 0)

@@ -178,6 +178,17 @@ func (as *AddressSpace) FreeBytes(t memsys.TierID) int64 {
 	return as.topo.Capacity(t) - as.tierBytes[t]
 }
 
+// SpillTier is where demotions land: the first alternate tier with
+// free space, else tier 1.
+func (as *AddressSpace) SpillTier() memsys.TierID {
+	for t := 1; t < as.NumTiers(); t++ {
+		if as.FreeBytes(memsys.TierID(t)) > 0 {
+			return memsys.TierID(t)
+		}
+	}
+	return 1
+}
+
 // TierShare returns, for each tier, the fraction of workload requests
 // served by pages resident there (the p vector). Returns zeros if no
 // page has weight.

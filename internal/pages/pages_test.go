@@ -109,6 +109,24 @@ func TestMoveRespectsCapacity(t *testing.T) {
 	}
 }
 
+// SpillTier picks the first alternate tier with free space and falls
+// back to tier 1 once every alternate tier is full.
+func TestSpillTier(t *testing.T) {
+	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote(), memsys.CXLTier(4*memsys.GiB))
+	for _, c := range []struct {
+		wsGiB int64
+		want  memsys.TierID
+	}{{64, 1}, {130, 2}, {132, 1}} {
+		as, err := NewAddressSpace(topo, c.wsGiB*memsys.GiB, HugePageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := as.SpillTier(); got != c.want {
+			t.Fatalf("%d GiB working set: SpillTier = %d, want %d", c.wsGiB, got, c.want)
+		}
+	}
+}
+
 func TestMoveNoopSameTier(t *testing.T) {
 	as := testSpace(t, 4)
 	id := as.LiveIDs()[0]

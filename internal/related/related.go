@@ -130,9 +130,9 @@ func (s *System) Step(ctx *sim.Context) {
 	target := s.targetShare(ctx)
 	switch {
 	case p > target+s.cfg.Deadband:
-		s.shift(ctx, memsys.DefaultTier, s.spillTier(ctx), p-target)
+		s.shift(ctx, memsys.DefaultTier, ctx.AS.SpillTier(), p-target)
 	case p < target-s.cfg.Deadband:
-		s.shift(ctx, s.spillTier(ctx), memsys.DefaultTier, target-p)
+		s.shift(ctx, ctx.AS.SpillTier(), memsys.DefaultTier, target-p)
 	}
 }
 
@@ -211,7 +211,7 @@ func (s *System) shift(ctx *sim.Context, from, to memsys.TierID, deficit float64
 func (s *System) evictCold(ctx *sim.Context, to memsys.TierID, bytes int64) bool {
 	dst := memsys.DefaultTier
 	if to == memsys.DefaultTier {
-		dst = s.spillTier(ctx)
+		dst = ctx.AS.SpillTier()
 	}
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 64; probe++ {
@@ -226,15 +226,6 @@ func (s *System) evictCold(ctx *sim.Context, to memsys.TierID, bytes int64) bool
 		return ctx.Migrator.MoveForced(id, dst) == nil && ctx.AS.FreeBytes(to) >= bytes
 	}
 	return false
-}
-
-func (s *System) spillTier(ctx *sim.Context) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t)) > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
 }
 
 func (s *System) samplePEBS(ctx *sim.Context) {

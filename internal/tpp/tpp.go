@@ -18,7 +18,6 @@ import (
 	"colloid/internal/access"
 	"colloid/internal/core"
 	"colloid/internal/memsys"
-	"colloid/internal/migrate"
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 )
@@ -82,11 +81,6 @@ type System struct {
 	lastQuantumSec  float64
 	promotedQuantum int64
 	started         bool
-
-	// kswapd batching scratch, reused across quanta.
-	kswapdReqs   []migrate.Request
-	kswapdChosen map[pages.PageID]bool
-	kswapdSpill  []int64
 }
 
 // New returns a TPP instance.
@@ -229,7 +223,7 @@ func (s *System) onFaultColloid(ctx *sim.Context, f access.Fault) {
 			s.promotedQuantum += p.Bytes
 		}
 	case s.mode == core.Demote && p.Tier == memsys.DefaultTier:
-		if err := ctx.Migrator.Move(f.Page, s.spillTier(ctx)); err == nil {
+		if err := ctx.Migrator.Move(f.Page, ctx.AS.SpillTier()); err == nil {
 			s.deltaPLeft -= prob
 		}
 	}
@@ -258,7 +252,7 @@ func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
 		if victim == pages.NoPage {
 			return false
 		}
-		if err := ctx.Migrator.MoveForced(victim, s.spillTier(ctx)); err != nil {
+		if err := ctx.Migrator.MoveForced(victim, ctx.AS.SpillTier()); err != nil {
 			return false
 		}
 	}
@@ -268,63 +262,8 @@ func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
 // kswapd demotes cold pages when the default tier crosses its free
 // watermark; these demotions are capacity-driven and bypass the
 // proactive migration rate limit, as in the kernel.
-//
-// Victims are selected up front with pending-move mirrors of the free
-// and spill space and applied in one MoveBatchForced. Already-chosen
-// victims are excluded from later probes exactly where the sequential
-// loop's tier check would have skipped them (the page had already moved
-// off the default tier), so RNG draws and victim choices are identical.
-// Fault windows make forced-move outcomes unpredictable, so they take
-// the sequential path.
 func (s *System) kswapd(ctx *sim.Context) {
 	watermark := int64(s.cfg.FreeWatermarkFrac * float64(ctx.Topo.Capacity(memsys.DefaultTier)))
-	if ctx.Migrator.FaultActive() {
-		s.kswapdSeq(ctx, watermark)
-		return
-	}
-	free := ctx.AS.FreeBytes(memsys.DefaultTier)
-	if free >= watermark {
-		return
-	}
-	if s.kswapdChosen == nil {
-		s.kswapdChosen = make(map[pages.PageID]bool)
-	}
-	if len(s.kswapdSpill) < ctx.Topo.NumTiers() {
-		s.kswapdSpill = make([]int64, ctx.Topo.NumTiers())
-	}
-	spillPending := s.kswapdSpill
-	for t := range spillPending {
-		spillPending[t] = 0
-	}
-	batch := s.kswapdReqs[:0]
-	for guard := 0; free < watermark && guard < 64; guard++ {
-		victim := s.findColdVictimExcluding(ctx, s.kswapdChosen)
-		if victim == pages.NoPage {
-			break
-		}
-		bytes := ctx.AS.Get(victim).Bytes
-		spill := s.spillTierPending(ctx, spillPending)
-		if ctx.AS.FreeBytes(spill)-spillPending[spill] < bytes {
-			break // the forced move would fail on capacity, as sequential would
-		}
-		batch = append(batch, migrate.Request{ID: victim, To: spill})
-		s.kswapdChosen[victim] = true
-		spillPending[spill] += bytes
-		free += bytes
-	}
-	if len(batch) > 0 {
-		res := ctx.Migrator.MoveBatchForced(batch)
-		ctx.Obs.Counter("tpp_kswapd_demotions").Add(int64(res.Applied))
-		for id := range s.kswapdChosen {
-			delete(s.kswapdChosen, id)
-		}
-	}
-	s.kswapdReqs = batch[:0]
-}
-
-// kswapdSeq is the per-page fallback used while a migration fault
-// window is active.
-func (s *System) kswapdSeq(ctx *sim.Context, watermark int64) {
 	guard := 0
 	for ctx.AS.FreeBytes(memsys.DefaultTier) < watermark && guard < 64 {
 		guard++
@@ -332,7 +271,7 @@ func (s *System) kswapdSeq(ctx *sim.Context, watermark int64) {
 		if victim == pages.NoPage {
 			return
 		}
-		if err := ctx.Migrator.MoveForced(victim, s.spillTier(ctx)); err != nil {
+		if err := ctx.Migrator.MoveForced(victim, ctx.AS.SpillTier()); err != nil {
 			return
 		}
 		ctx.Obs.Counter("tpp_kswapd_demotions").Inc()
@@ -344,14 +283,6 @@ func (s *System) kswapdSeq(ctx *sim.Context, watermark int64) {
 // time-to-fault. This is the inactive-list approximation — fault
 // latency is the same signal the promotion path classifies on.
 func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
-	return s.findColdVictimExcluding(ctx, nil)
-}
-
-// findColdVictimExcluding is findColdVictim with pages already chosen
-// for a pending batched demotion skipped; the skip sits with the tier
-// check and does not count toward the probe-set quota, matching what
-// the sequential loop sees after those pages have actually moved.
-func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.PageID]bool) pages.PageID {
 	n := ctx.AS.NumPages()
 	best := pages.NoPage
 	bestTTF := -1.0
@@ -359,7 +290,7 @@ func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.Pag
 	for probe := 0; probe < 64 && found < 16; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
 		p := ctx.AS.Get(id)
-		if p.Tier != memsys.DefaultTier || exclude[id] {
+		if p.Tier != memsys.DefaultTier {
 			continue
 		}
 		found++
@@ -374,26 +305,6 @@ func (s *System) findColdVictimExcluding(ctx *sim.Context, exclude map[pages.Pag
 		}
 	}
 	return best
-}
-
-func (s *System) spillTier(ctx *sim.Context) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t)) > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
-}
-
-// spillTierPending is spillTier with bytes queued for a pending batched
-// demotion already charged against each tier's free space.
-func (s *System) spillTierPending(ctx *sim.Context, pending []int64) memsys.TierID {
-	for t := 1; t < ctx.Topo.NumTiers(); t++ {
-		if ctx.AS.FreeBytes(memsys.TierID(t))-pending[t] > 0 {
-			return memsys.TierID(t)
-		}
-	}
-	return 1
 }
 
 // TTFThreshold exposes the adaptive threshold for tests.
