@@ -7,7 +7,7 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat bench-check clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat bench-check bench-diff clean
 
 # Everything CI gates on.
 ci: verify fmt vet staticcheck lint race bench-smoke bench-tenants bench-heat bench-check
@@ -108,6 +108,15 @@ bench-heat:
 # run.
 bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Compare perfbench outputs of the parent commit and a change, paired by
+# the workload and seed in each file's header (cmd/benchdiff): medians,
+# quartiles, wins and a verdict per end-to-end metric against the bounds
+# in BENCHMARK.json, plus check-digest equality. Fails on a metric worse
+# than its bound, a digest difference or an incorrect run. Example:
+#   make bench-diff PARENT='runs/parent-*.txt' CHANGE='runs/change-*.txt'
+bench-diff:
+	$(GO) run ./cmd/benchdiff -parent '$(PARENT)' -change '$(CHANGE)' -bench BENCHMARK.json
 
 clean:
 	rm -f BENCH_*.json

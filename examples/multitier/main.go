@@ -61,21 +61,22 @@ func (m *multiTierSystem) Step(ctx *sim.Context) {
 	if b := ctx.Migrator.Budget(); b < limit {
 		limit = b
 	}
-	// Move the hottest tracked pages of the slow tier toward the fast
-	// tier, within the deltaP and byte budgets.
-	var cands []core.Candidate
-	m.tracker.ForEach(func(id pages.PageID, count uint32) {
-		p := ctx.AS.Get(id)
-		if p.Tier != d.From {
-			return
-		}
-		cands = append(cands, core.Candidate{ID: id, Probability: m.tracker.Probability(id), Bytes: p.Bytes})
+	// Move tracked pages of the slow tier toward the fast tier, within
+	// the deltaP and byte budgets. ForEach cannot stop early, so once
+	// the budgets are spent the remaining offers are simply refused.
+	pageBytes := ctx.AS.LiveView().PageBytes
+	picked := core.PickPages(nil, d.DeltaP, limit, pageBytes, 4096, func(offer func(pages.PageID, float64) bool) {
+		m.tracker.ForEach(func(id pages.PageID, count uint32) {
+			if ctx.AS.Tier(id) == d.From {
+				offer(id, m.tracker.Probability(id))
+			}
+		})
 	})
-	for _, c := range core.PickPages(cands, d.DeltaP, limit, 4096) {
-		if ctx.AS.FreeBytes(d.To) < c.Bytes {
+	for _, id := range picked {
+		if ctx.AS.FreeBytes(d.To) < pageBytes {
 			break
 		}
-		if err := ctx.Migrator.Move(c.ID, d.To); err != nil {
+		if err := ctx.Migrator.Move(id, d.To); err != nil {
 			break
 		}
 	}

@@ -1,6 +1,10 @@
 package access
 
-import "colloid/internal/pages"
+import (
+	"fmt"
+
+	"colloid/internal/pages"
+)
 
 // OrderedSet is a set of page IDs with O(1) add/remove/contains and a
 // deterministic iteration order (insertion order, perturbed only by
@@ -8,58 +12,67 @@ import "colloid/internal/pages"
 // deterministic operation sequence). Go map iteration order is
 // randomized per run, which silently breaks simulation reproducibility
 // whenever a policy's migration cutoff depends on visit order; every
-// such worklist uses this instead.
+// such worklist uses this instead. The zero value is an empty set.
 type OrderedSet struct {
 	items []pages.PageID
-	idx   map[pages.PageID]int
+	// pos[id] is id's index in items plus one; 0 means absent. It is
+	// indexed by page ID and grows on Add, so a set that is never
+	// filled allocates nothing.
+	pos []int32
 }
 
 // NewOrderedSet returns an empty set.
-func NewOrderedSet() *OrderedSet {
-	return &OrderedSet{idx: make(map[pages.PageID]int)}
-}
+func NewOrderedSet() *OrderedSet { return &OrderedSet{} }
 
 // Len returns the element count.
 func (s *OrderedSet) Len() int { return len(s.items) }
 
-// Contains reports membership.
+// Contains reports membership; any ID, NoPage included, may be probed.
 func (s *OrderedSet) Contains(id pages.PageID) bool {
-	_, ok := s.idx[id]
-	return ok
+	return id >= 0 && int(id) < len(s.pos) && s.pos[id] != 0
 }
 
 // Add inserts id; no-op if present.
 func (s *OrderedSet) Add(id pages.PageID) {
-	if _, ok := s.idx[id]; ok {
+	if id < 0 {
+		panic(fmt.Sprintf("access: OrderedSet.Add of invalid page id %d", id))
+	}
+	if int(id) >= len(s.pos) {
+		n := int(id) + 1
+		if n < 2*len(s.pos) {
+			n = 2 * len(s.pos)
+		}
+		grown := make([]int32, n)
+		copy(grown, s.pos)
+		s.pos = grown
+	} else if s.pos[id] != 0 {
 		return
 	}
-	s.idx[id] = len(s.items)
 	s.items = append(s.items, id)
+	s.pos[id] = int32(len(s.items))
 }
 
 // Remove deletes id via swap-remove; no-op if absent.
 func (s *OrderedSet) Remove(id pages.PageID) {
-	pos, ok := s.idx[id]
-	if !ok {
+	if !s.Contains(id) {
 		return
 	}
+	i := s.pos[id] - 1
 	last := len(s.items) - 1
 	moved := s.items[last]
-	s.items[pos] = moved
-	s.idx[moved] = pos
+	s.items[i] = moved
+	s.pos[moved] = i + 1
 	s.items = s.items[:last]
-	delete(s.idx, id)
-	if moved == id {
-		return
-	}
+	s.pos[id] = 0
 }
 
-// Clear empties the set, retaining capacity.
+// Clear empties the set, retaining capacity; only the members' index
+// slots are reset.
 func (s *OrderedSet) Clear() {
-	s.items = s.items[:0]
-	for id := range s.idx {
-		delete(s.idx, id)
+	for _, id := range s.items {
+		s.pos[id] = 0
 	}
+	s.items = s.items[:0]
 }
 
 // Action is a visitor's verdict on the current element.

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -114,20 +115,59 @@ func TestOrderedSetClear(t *testing.T) {
 	}
 }
 
-// Property: set semantics match a reference map under random op
-// sequences, and iteration visits each member exactly once.
+// Swap-remove moves the last element into the hole, so visit order
+// after a removal is part of the policy-visible contract.
+func TestOrderedSetSwapRemoveOrder(t *testing.T) {
+	s := NewOrderedSet()
+	for i := pages.PageID(0); i < 5; i++ {
+		s.Add(i)
+	}
+	s.Remove(1)
+	var order []pages.PageID
+	s.ForEach(func(id pages.PageID) Action {
+		order = append(order, id)
+		return Keep
+	})
+	if fmt.Sprint(order) != "[0 4 2 3]" {
+		t.Fatalf("order = %v, want [0 4 2 3]", order)
+	}
+}
+
+// Property: set semantics match a reference map under random sequences
+// of adds, removes and clears over IDs up to 0x3fff (so the dense index
+// grows several times), iteration visits each member exactly once, and
+// Contains agrees with the reference for every ID in [-1, max+2),
+// NoPage included.
 func TestOrderedSetMatchesReference(t *testing.T) {
-	f := func(ops []int16) bool {
+	f := func(ops []uint16) bool {
 		s := NewOrderedSet()
 		ref := map[pages.PageID]bool{}
+		maxID := pages.PageID(0)
 		for _, op := range ops {
-			id := pages.PageID(op & 0x3f)
-			if op < 0 {
-				s.Remove(id)
-				delete(ref, id)
-			} else {
+			id := pages.PageID(op & 0x3fff)
+			switch op >> 14 {
+			case 0, 1:
 				s.Add(id)
 				ref[id] = true
+			case 2:
+				// Remove a member when there is one, so swap-removes
+				// actually move elements.
+				if s.Len() > 0 {
+					id = s.At(int(id) % s.Len())
+				}
+				s.Remove(id)
+				delete(ref, id)
+			default:
+				if id&7 == 0 {
+					s.Clear()
+					clear(ref)
+				} else {
+					s.Remove(id)
+					delete(ref, id)
+				}
+			}
+			if id > maxID {
+				maxID = id
 			}
 		}
 		if s.Len() != len(ref) {
@@ -143,6 +183,11 @@ func TestOrderedSetMatchesReference(t *testing.T) {
 		}
 		for id, n := range seen {
 			if n != 1 || !ref[id] {
+				return false
+			}
+		}
+		for id := pages.NoPage; id < maxID+2; id++ {
+			if s.Contains(id) != ref[id] {
 				return false
 			}
 		}

@@ -4,45 +4,38 @@ import (
 	"colloid/internal/pages"
 )
 
-// Candidate is a page eligible for migration, with the access
-// probability the underlying system attributes to it.
-type Candidate struct {
-	ID pages.PageID
-	// Probability is the page's estimated access probability.
-	Probability float64
-	// Bytes is the page size.
-	Bytes int64
-}
-
 // PickPages implements the page-finding contract of Section 3.2: choose
-// a set of candidates whose summed access probability does not exceed
-// deltaP and whose summed size does not exceed limitBytes. Candidates
-// are consumed in the order given (systems order them hottest-first so
-// the set is small); a candidate that would overshoot either bound is
-// skipped, and scanning stops once the remaining probability budget is
-// negligible or maxScan candidates have been examined.
-func PickPages(candidates []Candidate, deltaP float64, limitBytes int64, maxScan int) []Candidate {
-	if deltaP <= 0 || limitBytes <= 0 {
-		return nil
+// pages whose summed access probability does not exceed deltaP and
+// whose summed size does not exceed limitBytes, and append their IDs to
+// dst. scan offers candidates (ID and estimated access probability) in
+// the order the system ranks them, hottest first so the set is small;
+// every candidate is one page of pageBytes, the space's page size. A
+// candidate hotter than the probability budget left is skipped. offer
+// returns false, and refuses every later offer, once the byte budget
+// left cannot hold another page, the probability budget left is
+// negligible, or maxScan candidates (0: unlimited) have been examined,
+// so the scan stops as soon as no further candidate could be picked.
+func PickPages(dst []pages.PageID, deltaP float64, limitBytes, pageBytes int64, maxScan int,
+	scan func(offer func(id pages.PageID, prob float64) bool)) []pages.PageID {
+	probLeft, bytesLeft, scanned := deltaP, limitBytes, 0
+	full := func() bool {
+		return probLeft <= deltaP*1e-3 || bytesLeft < pageBytes || (maxScan > 0 && scanned >= maxScan)
 	}
-	var picked []Candidate
-	probLeft := deltaP
-	bytesLeft := limitBytes
-	scanned := 0
-	for _, c := range candidates {
-		if maxScan > 0 && scanned >= maxScan {
-			break
+	if deltaP <= 0 || limitBytes <= 0 || full() {
+		return dst
+	}
+	scan(func(id pages.PageID, prob float64) bool {
+		if full() {
+			return false
 		}
 		scanned++
-		if probLeft <= deltaP*1e-3 || bytesLeft <= 0 {
-			break
+		// Not prob <= probLeft: a NaN probability is picked, not skipped.
+		if !(prob > probLeft) {
+			dst = append(dst, id)
+			probLeft -= prob
+			bytesLeft -= pageBytes
 		}
-		if c.Probability > probLeft || c.Bytes > bytesLeft {
-			continue
-		}
-		picked = append(picked, c)
-		probLeft -= c.Probability
-		bytesLeft -= c.Bytes
-	}
-	return picked
+		return !full()
+	})
+	return dst
 }

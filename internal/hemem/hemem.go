@@ -36,8 +36,6 @@ type Config struct {
 	HotThreshold uint32
 	// QuantumSec is the migration thread quantum (default 10 ms).
 	QuantumSec float64
-	// NumBins is the Colloid extension's bin count (default 5).
-	NumBins int
 	// Colloid enables the Colloid placement algorithm with the given
 	// options; nil runs vanilla HeMem.
 	Colloid *core.Options
@@ -56,11 +54,11 @@ func (c Config) withDefaults() Config {
 	if c.QuantumSec == 0 {
 		c.QuantumSec = 0.01
 	}
-	if c.NumBins == 0 {
-		c.NumBins = 5
-	}
 	return c
 }
+
+// numBins is the Colloid extension's bin count (Section 4.1).
+const numBins = 5
 
 // System is one HeMem instance managing one address space.
 type System struct {
@@ -73,18 +71,21 @@ type System struct {
 
 	// hot holds pages classified hot; tier is looked up on use
 	// (membership moves are cheaper than per-migration updates).
-	hot *access.OrderedSet
+	hot access.OrderedSet
 	// hotAlt holds hot pages believed to reside outside the default
 	// tier — the vanilla promotion worklist. Kept incrementally so the
 	// steady-state migration pass is O(|hotAlt|), not O(|hot|), and
 	// insertion-ordered so runs are reproducible.
-	hotAlt *access.OrderedSet
+	hotAlt access.OrderedSet
 	// bins[b] holds pages whose count falls in frequency bin b
 	// (Colloid extension; maintained even for vanilla HeMem at
 	// negligible cost so tests can inspect it).
-	bins []*access.OrderedSet
-	// binOf tracks each page's current bin to make moves O(1).
-	binOf map[pages.PageID]int
+	bins [numBins]access.OrderedSet
+	// binOf[id] is one plus the bin holding page id, 0 for none; it
+	// makes moves between bins O(1).
+	binOf []uint8
+	// picked is the page finder's output, reused across quanta.
+	picked []pages.PageID
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -94,18 +95,7 @@ type System struct {
 
 // New returns a HeMem instance.
 func New(cfg Config) *System {
-	cfg = cfg.withDefaults()
-	s := &System{
-		cfg:    cfg,
-		hot:    access.NewOrderedSet(),
-		hotAlt: access.NewOrderedSet(),
-		bins:   make([]*access.OrderedSet, cfg.NumBins),
-		binOf:  make(map[pages.PageID]int),
-	}
-	for i := range s.bins {
-		s.bins[i] = access.NewOrderedSet()
-	}
-	return s
+	return &System{cfg: cfg.withDefaults()}
 }
 
 // Name identifies the system.
@@ -150,11 +140,13 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 }
 
-// ensureTracker builds the heat tracker from the engine's spec on the
-// first step and keeps its worker count in sync with the context.
+// ensureTracker builds the heat tracker from the engine's spec, and the
+// bin index over the space's pages, on the first step and keeps the
+// tracker's worker count in sync with the context.
 func (s *System) ensureTracker(ctx *sim.Context) {
 	if s.tracker == nil {
 		s.tracker = ctx.Heat.NewTracker(s.cfg.CoolThreshold)
+		s.binOf = make([]uint8, ctx.AS.NumPages())
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 }
@@ -198,24 +190,24 @@ func (s *System) classify(ctx *sim.Context, id pages.PageID) {
 		s.hotAlt.Remove(id)
 	}
 	b := s.binIndex(c)
-	if prev, ok := s.binOf[id]; ok {
-		if prev == b {
+	if prev := s.binOf[id]; prev != 0 {
+		if int(prev)-1 == b {
 			return
 		}
-		s.bins[prev].Remove(id)
+		s.bins[prev-1].Remove(id)
 	}
 	if c == 0 {
-		delete(s.binOf, id)
+		s.binOf[id] = 0
 		return
 	}
 	s.bins[b].Add(id)
-	s.binOf[id] = b
+	s.binOf[id] = uint8(b) + 1
 }
 
 func (s *System) binIndex(count uint32) int {
-	b := int(count) * s.cfg.NumBins / int(s.cfg.CoolThreshold)
-	if b >= s.cfg.NumBins {
-		b = s.cfg.NumBins - 1
+	b := int(count) * numBins / int(s.cfg.CoolThreshold)
+	if b >= numBins {
+		b = numBins - 1
 	}
 	return b
 }
@@ -226,12 +218,10 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 	ctx.Obs.Counter("hemem_cools").Inc()
 	s.hot.Clear()
 	s.hotAlt.Clear()
-	for _, b := range s.bins {
-		b.Clear()
+	for b := range s.bins {
+		s.bins[b].Clear()
 	}
-	for id := range s.binOf {
-		delete(s.binOf, id)
-	}
+	clear(s.binOf)
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
 		if count >= s.cfg.HotThreshold {
 			s.hot.Add(id)
@@ -241,7 +231,7 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 		}
 		b := s.binIndex(count)
 		s.bins[b].Add(id)
-		s.binOf[id] = b
+		s.binOf[id] = uint8(b) + 1
 	})
 }
 
@@ -322,51 +312,43 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 	} else {
 		fromTier, toTier = memsys.DefaultTier, ctx.AS.SpillTier()
 	}
-	cands := s.candidates(ctx, fromTier)
-	picked := core.PickPages(cands, d.DeltaP, limitBytes, 4096)
-	for _, c := range picked {
-		if toTier == memsys.DefaultTier {
-			if !s.ensureDefaultFree(ctx, c.Bytes) {
-				return
-			}
+	// Pick first, move after: ensureDefaultFree demotes random cold
+	// pages, which would change the tiers a running scan reads.
+	pageBytes := ctx.AS.LiveView().PageBytes
+	s.picked = core.PickPages(s.picked[:0], d.DeltaP, limitBytes, pageBytes, 4096,
+		func(offer func(pages.PageID, float64) bool) { s.candidates(ctx, fromTier, offer) })
+	for _, id := range s.picked {
+		if toTier == memsys.DefaultTier && !s.ensureDefaultFree(ctx, pageBytes) {
+			return
 		}
-		err := ctx.Migrator.Move(c.ID, toTier)
-		if errors.Is(err, migrate.ErrLimit) {
+		if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
 			return
 		}
 	}
 }
 
-// candidates lists pages in fromTier ordered hottest bin first, with
-// their estimated access probabilities. Collection is capped: the
-// migration limit bounds how many pages one quantum can move anyway,
-// so scanning the entire bin structure would be wasted work.
-func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID) []core.Candidate {
-	const maxCollect, maxScan = 4096, 32768
-	var out []core.Candidate
+// candidates offers the pages in fromTier, hottest bin first, with
+// their estimated access probabilities, until offer refuses. The walk
+// is capped: the migration limit bounds how many pages one quantum can
+// move anyway, so walking the entire bin structure would be wasted
+// work.
+func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID, offer func(pages.PageID, float64) bool) {
+	const maxScan = 32768
+	tier := ctx.AS.LiveView().Tier
 	scanned := 0
-	for b := s.cfg.NumBins - 1; b >= 0; b-- {
-		s.bins[b].ForEach(func(id pages.PageID) access.Action {
+	for b := numBins - 1; b >= 0; b-- {
+		bin := &s.bins[b]
+		for i := 0; i < bin.Len(); i++ {
 			scanned++
-			if scanned > maxScan || len(out) >= maxCollect {
-				return access.Stop
+			if scanned > maxScan {
+				return
 			}
-			p := ctx.AS.Get(id)
-			if p.Tier != fromTier {
-				return access.Keep
+			id := bin.At(i)
+			if tier[id] == fromTier && !offer(id, s.tracker.Probability(id)) {
+				return
 			}
-			out = append(out, core.Candidate{
-				ID:          id,
-				Probability: s.tracker.Probability(id),
-				Bytes:       p.Bytes,
-			})
-			return access.Keep
-		})
-		if scanned > maxScan || len(out) >= maxCollect {
-			break
 		}
 	}
-	return out
 }
 
 // Stats exposes internals for tests and traces.

@@ -32,7 +32,7 @@ func unitContext(t *testing.T) *sim.Context {
 }
 
 func TestBinIndexBoundaries(t *testing.T) {
-	s := New(Config{CoolThreshold: 16, NumBins: 5})
+	s := New(Config{CoolThreshold: 16})
 	cases := map[uint32]int{1: 0, 3: 0, 4: 1, 7: 2, 12: 3, 15: 4, 16: 4, 100: 4}
 	for count, want := range cases {
 		if got := s.binIndex(count); got != want {
@@ -55,8 +55,8 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	if s.hot.Contains(id) {
 		t.Fatal("count 3 classified hot")
 	}
-	if s.binOf[id] != 0 {
-		t.Fatalf("bin = %d, want 0", s.binOf[id])
+	if bin := int(s.binOf[id]) - 1; bin != 0 {
+		t.Fatalf("bin = %d, want 0", bin)
 	}
 
 	// Crossing the threshold in the default tier: hot, not in hotAlt.
@@ -93,16 +93,16 @@ func TestRebuildAfterCooling(t *testing.T) {
 		s.tracker.Touch(id)
 	}
 	s.classify(ctx, id)
-	if s.binOf[id] != 2 {
-		t.Fatalf("bin before cool = %d", s.binOf[id])
+	if bin := int(s.binOf[id]) - 1; bin != 2 {
+		t.Fatalf("bin before cool = %d", bin)
 	}
 	s.tracker.Cool() // 7 -> 3: below hot threshold
 	s.rebuildLists(ctx)
 	if s.hot.Contains(id) {
 		t.Fatal("cooled page still hot")
 	}
-	if s.binOf[id] != 0 {
-		t.Fatalf("bin after cool = %d, want 0", s.binOf[id])
+	if bin := int(s.binOf[id]) - 1; bin != 0 {
+		t.Fatalf("bin after cool = %d, want 0", bin)
 	}
 	if s.cools != 1 {
 		t.Fatalf("cools = %d", s.cools)
@@ -121,15 +121,21 @@ func TestCandidatesOrderedHottestFirst(t *testing.T) {
 		}
 		s.classify(ctx, ids[i])
 	}
-	cands := s.candidates(ctx, memsys.DefaultTier)
-	if len(cands) != 3 {
-		t.Fatalf("candidates = %d", len(cands))
+	var got []pages.PageID
+	var probs []float64
+	s.candidates(ctx, memsys.DefaultTier, func(id pages.PageID, prob float64) bool {
+		got = append(got, id)
+		probs = append(probs, prob)
+		return true
+	})
+	if len(got) != 3 {
+		t.Fatalf("candidates = %d", len(got))
 	}
 	// Bins iterate high to low, so the count-12 page comes first.
-	if cands[0].ID != ids[0] {
-		t.Fatalf("first candidate = %d, want hottest %d", cands[0].ID, ids[0])
+	if got[0] != ids[0] {
+		t.Fatalf("first candidate = %d, want hottest %d", got[0], ids[0])
 	}
-	if cands[0].Probability <= cands[2].Probability {
+	if probs[0] <= probs[2] {
 		t.Fatal("probabilities not descending across bins")
 	}
 }

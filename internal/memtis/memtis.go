@@ -123,9 +123,10 @@ type System struct {
 	splitting    bool
 
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
-	// queries, reused across quanta.
+	// queries, and the page finder's output, reused across quanta.
 	hist   []int64
 	hotBuf []pages.PageID
+	picked []pages.PageID
 }
 
 // New returns a MEMTIS instance.
@@ -291,23 +292,6 @@ func (s *System) collectHotIDs(ctx *sim.Context) []pages.PageID {
 	return s.hotBuf
 }
 
-// collectCandidates assembles the Colloid hot-list candidates resident
-// in fromTier, in ascending ID order, capped at limit entries — the
-// tracker's sharded AppendHot with a placement filter yields the serial
-// scan's "first limit hot pages by ID" at any worker count; the
-// probability/bytes lookups then run serially over that stable list.
-func (s *System) collectCandidates(ctx *sim.Context, fromTier memsys.TierID, limit int) []core.Candidate {
-	v := ctx.AS.LiveView()
-	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return v.Tier[id] == fromTier
-	}, limit)
-	cands := make([]core.Candidate, len(s.hotBuf))
-	for i, id := range s.hotBuf {
-		cands[i] = core.Candidate{ID: id, Probability: s.tracker.Probability(id), Bytes: v.PageBytes}
-	}
-	return cands
-}
-
 // alternateKmigratedColloid runs Algorithm 1 on the alternate tier's
 // kmigrated thread, scanning the hot list for pages to realize deltaP.
 func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
@@ -329,20 +313,31 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	// Scan the hot list for candidates in the source tier (Section 4.2:
 	// "we scan the corresponding tier's hot list and pick pages until
 	// either deltaP is satisfied or the migration limit is hit"). The
-	// scan is pure reads (counts, placement, probabilities), so it
-	// shards by ID range; per-shard buffers concatenate in shard index
-	// order and truncate to the serial scan's 8192 cap, yielding the
-	// same first-8192-by-ID candidate list at any worker count.
+	// hot-list scan is pure reads (counts, placement), so the tracker's
+	// AppendHot shards it by ID range; per-shard buffers concatenate in
+	// shard index order and truncate to the serial scan's 8192 cap,
+	// yielding the same first-8192-by-ID hot pages at any worker count.
+	// They are offered in that order; the moves follow the pick.
 	const candCap = 8192
-	cands := s.collectCandidates(ctx, fromTier, candCap)
-	picked := core.PickPages(cands, d.DeltaP, limitBytes, 0)
-	for _, c := range picked {
-		if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < c.Bytes {
-			if !s.demoteColdFromDefault(ctx, c.Bytes) {
+	v := ctx.AS.LiveView()
+	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
+		return v.Tier[id] == fromTier
+	}, candCap)
+	s.picked = core.PickPages(s.picked[:0], d.DeltaP, limitBytes, v.PageBytes, 0,
+		func(offer func(pages.PageID, float64) bool) {
+			for _, id := range s.hotBuf {
+				if !offer(id, s.tracker.Probability(id)) {
+					return
+				}
+			}
+		})
+	for _, id := range s.picked {
+		if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < v.PageBytes {
+			if !s.demoteColdFromDefault(ctx, v.PageBytes) {
 				return
 			}
 		}
-		if err := ctx.Migrator.Move(c.ID, toTier); errors.Is(err, migrate.ErrLimit) {
+		if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
 			return
 		}
 	}
