@@ -195,7 +195,7 @@ func run(s settings) error {
 		defer f.Close()
 		w = f
 	}
-	return trace.WriteSamplesCSV(w, engine.Samples(), topo.NumTiers())
+	return trace.WriteSamplesCSV(w, engine.Tenant(0).Samples(), topo.NumTiers())
 }
 
 // writeMetrics dumps the event trace (-metrics) and the counter/gauge

@@ -49,7 +49,7 @@ func trace(withColloid bool) ([]sim.Sample, error) {
 	if err := engine.Run(75); err != nil {
 		return nil, err
 	}
-	return engine.Samples(), nil
+	return engine.Tenant(0).Samples(), nil
 }
 
 func main() {

@@ -113,7 +113,8 @@ func main() {
 		if err := engine.Run(5); err != nil {
 			log.Fatal(err)
 		}
-		s := engine.Samples()[len(engine.Samples())-1]
+		samples := engine.Tenant(0).Samples()
+		s := samples[len(samples)-1]
 		fmt.Printf("%4.0fs  %6.0fns %7.0fns %6.0fns %7.1f   %.2f/%.2f/%.2f\n",
 			s.TimeSec, s.LatencyNs[0], s.LatencyNs[1], s.LatencyNs[2],
 			s.OpsPerSec/1e6, s.AppShare[0], s.AppShare[1], s.AppShare[2])

@@ -46,7 +46,7 @@ func run(withColloid bool) (sim.Steady, error) {
 	if err := engine.Run(40); err != nil {
 		return sim.Steady{}, err
 	}
-	return engine.SteadyState(15), nil
+	return engine.Tenant(0).SteadyState(15), nil
 }
 
 func main() {

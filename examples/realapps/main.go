@@ -145,7 +145,7 @@ func simulate(a app, withColloid bool) (float64, error) {
 	if err := engine.Run(40); err != nil {
 		return 0, err
 	}
-	return engine.SteadyState(15).OpsPerSec, nil
+	return engine.Tenant(0).SteadyState(15).OpsPerSec, nil
 }
 
 func main() {

@@ -144,8 +144,8 @@ func TestGoldenTenantTraces(t *testing.T) {
 // {Kind: Region, RegionPages: 1} must reproduce the exact goldens for
 // both policies at every worker count. A divergence means the tenant
 // layer is no longer threading Config.Heat faithfully into each
-// tenant's simulation (the bug this PR fixed: cluster mode silently
-// pinned every tenant to exact tracking) or the region tracker's
+// tenant's simulation (an earlier version silently pinned every
+// tenant to exact tracking) or the region tracker's
 // degenerate case drifted from the exact one.
 func TestGoldenTenantTracesRegionOne(t *testing.T) {
 	spec := heat.Spec{Kind: heat.Region, RegionPages: 1, Forecaster: heat.Passthrough{}}

@@ -123,13 +123,13 @@ func TestGoldenFaultWindowTraces(t *testing.T) {
 				if err := e.Run(5); err != nil {
 					t.Fatal(err)
 				}
-				failed, partial := e.Migrator().FaultTotals()
-				bytes, moves, _, _ := e.Migrator().Totals()
+				failed, partial := e.Tenant(0).Migrator().FaultTotals()
+				bytes, moves, _, _ := e.Tenant(0).Migrator().Totals()
 				if failed == 0 || moves == 0 {
 					t.Fatalf("%d failed and %d applied moves: the arm must migrate both inside and outside the fault windows", failed, moves)
 				}
 				d := simtest.NewDigest()
-				d.Samples(e.Samples())
+				d.Samples(e.Tenant(0).Samples())
 				d.Placement(e.AS())
 				for _, v := range []int64{failed, partial, bytes, moves} {
 					d.I64(v)
@@ -147,7 +147,7 @@ func TestGoldenFaultWindowTraces(t *testing.T) {
 // difference in the run's observable behaviour changes it.
 func traceChecksum(e *sim.Engine) uint64 {
 	d := simtest.NewDigest()
-	d.Samples(e.Samples())
+	d.Samples(e.Tenant(0).Samples())
 	d.Placement(e.AS())
 	return d.Sum()
 }

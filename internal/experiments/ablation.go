@@ -106,11 +106,11 @@ func runAblationArm(arm ablationArm, o Options, seed uint64, reg *obs.Registry) 
 	if err := e.Run(phase1); err != nil {
 		return res, err
 	}
-	st := e.SteadyState(phase1 / 3)
+	st := e.Tenant(0).SteadyState(phase1 / 3)
 	res.steadyOps = st.OpsPerSec
 	// Placement stability: std-dev of the default share over the tail.
 	var w stats.Welford
-	for _, s := range e.Samples() {
+	for _, s := range e.Tenant(0).Samples() {
 		if s.TimeSec > phase1*2/3 {
 			w.Observe(s.AppShare[0])
 		}
@@ -122,7 +122,7 @@ func runAblationArm(arm ablationArm, o Options, seed uint64, reg *obs.Registry) 
 	if err := e.Run(phase2); err != nil {
 		return res, err
 	}
-	after := e.SteadyState(phase2 / 3)
+	after := e.Tenant(0).SteadyState(phase2 / 3)
 	res.afterOps = after.OpsPerSec
 	// Recovery criterion: most of the hot set back in the default tier
 	// (packed placement is optimal at 0x).

@@ -162,7 +162,7 @@ func runSteadyOn(topo *memsys.Topology, g *workloads.GUPS, system string, withCo
 	if err := e.Run(secs); err != nil {
 		return nil, sim.Steady{}, err
 	}
-	return e, e.SteadyState(secs / 3), nil
+	return e, e.Tenant(0).SteadyState(secs / 3), nil
 }
 
 // bestCache memoizes oracle sweeps across figures (mutex-guarded like

@@ -225,7 +225,7 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 					if err := e.Run(secs); err != nil {
 						return nil, err
 					}
-					return e.SteadyState(secs / 3), nil
+					return e.Tenant(0).SteadyState(secs / 3), nil
 				}})
 			}
 		}

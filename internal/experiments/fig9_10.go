@@ -76,7 +76,7 @@ func runDynamic(system string, withColloid bool, sc dynamicScenario, o Options, 
 	if err := e.Run(total); err != nil {
 		return nil, err
 	}
-	return e.Samples(), nil
+	return e.Tenant(0).Samples(), nil
 }
 
 // dynamicArm wraps one (scenario, system, colloid) dynamic run.

@@ -114,7 +114,7 @@ func runHeatFidelity(spec heat.Spec, ctx ArmContext) (any, error) {
 	if err := e.Run(secs); err != nil {
 		return nil, err
 	}
-	st := e.SteadyState(secs / 3)
+	st := e.Tenant(0).SteadyState(secs / 3)
 	hs := sys.Stats()
 	return heatFidelityResult{
 		spec:         spec.String(),

@@ -94,7 +94,7 @@ func sensArms(Options) ([]Arm, error) {
 				if err := e.Run(secs); err != nil {
 					return nil, err
 				}
-				return e.SteadyState(secs / 3), nil
+				return e.Tenant(0).SteadyState(secs / 3), nil
 			}})
 		}
 	}

@@ -30,7 +30,7 @@ func relatedArm(policy related.Policy, name string, intensity workloads.Intensit
 		if err := e.Run(secs); err != nil {
 			return nil, err
 		}
-		return e.SteadyState(secs / 3), nil
+		return e.Tenant(0).SteadyState(secs / 3), nil
 	}}
 }
 

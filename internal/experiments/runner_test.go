@@ -82,7 +82,7 @@ func init() {
 						if err := e.Run(1.5); err != nil {
 							return nil, err
 						}
-						return e.SteadyState(1), nil
+						return e.Tenant(0).SteadyState(1), nil
 					},
 				})
 			}

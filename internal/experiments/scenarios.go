@@ -96,8 +96,8 @@ func runScenarioArm(name, system string, o Options, seed uint64, reg *obs.Regist
 	if err := e.Run(secs); err != nil {
 		return res, err
 	}
-	res.steady = e.SteadyState(secs / 6)
-	samples := e.Samples()
+	res.steady = e.Tenant(0).SteadyState(secs / 6)
+	samples := e.Tenant(0).Samples()
 	res.worstOps = samples[0].OpsPerSec
 	for _, s := range samples {
 		res.meanOps += s.OpsPerSec

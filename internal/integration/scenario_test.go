@@ -123,14 +123,14 @@ func TestTierDegradeColloidBeatsStatic(t *testing.T) {
 	static, _ := runScenario(t, nil, s(), 60, 32)
 	colloid, _ := runScenario(t, hemem.New(hemem.Config{Colloid: &core.Options{}}), s(), 60, 32)
 
-	sLat := appLatency(static.SteadyState(15))
-	cLat := appLatency(colloid.SteadyState(15))
+	sLat := appLatency(static.Tenant(0).SteadyState(15))
+	cLat := appLatency(colloid.Tenant(0).SteadyState(15))
 	if cLat >= sLat {
 		t.Fatalf("colloid steady app latency %.0f ns not below static %.0f ns under brownout", cLat, sLat)
 	}
 	// And the throughput story matches: lower latency, higher ops.
-	if colloid.SteadyState(15).OpsPerSec <= static.SteadyState(15).OpsPerSec {
+	if colloid.Tenant(0).SteadyState(15).OpsPerSec <= static.Tenant(0).SteadyState(15).OpsPerSec {
 		t.Fatalf("colloid ops %.0f not above static %.0f despite lower latency",
-			colloid.SteadyState(15).OpsPerSec, static.SteadyState(15).OpsPerSec)
+			colloid.Tenant(0).SteadyState(15).OpsPerSec, static.Tenant(0).SteadyState(15).OpsPerSec)
 	}
 }

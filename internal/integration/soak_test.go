@@ -55,52 +55,69 @@ func soakScenarios() []scenario {
 	}
 }
 
+// checkInvariants asserts, for every tenant of e, the capacity, byte,
+// weight and trace invariants, plus the ledger: each tenant's row
+// equals its address space's tier bytes, and no tier holds more than
+// its physical capacity. wsBytes is the combined working set.
 func checkInvariants(t *testing.T, label string, e *sim.Engine, wsBytes int64) {
 	t.Helper()
-	as := e.AS()
 	topo := e.Topology()
+	led := e.Ledger()
 	var totalBytes int64
-	var totalWeight float64
-	for tier := 0; tier < topo.NumTiers(); tier++ {
-		tb := as.TierBytes(memsys.TierID(tier))
-		if tb < 0 {
-			t.Fatalf("%s: negative tier bytes on tier %d", label, tier)
+	for i := 0; i < e.NumTenants(); i++ {
+		h := e.Tenant(i)
+		as := h.AS()
+		for tier := 0; tier < topo.NumTiers(); tier++ {
+			id := memsys.TierID(tier)
+			tb := as.TierBytes(id)
+			if tb < 0 {
+				t.Fatalf("%s: tenant %d: negative tier bytes on tier %d", label, i, tier)
+			}
+			if c := h.Topology().Capacity(id); tb > c {
+				t.Fatalf("%s: tenant %d: tier %d over capacity: %d > %d", label, i, tier, tb, c)
+			}
+			if u := led.Usage(i, id); u != tb {
+				t.Fatalf("%s: tenant %d: ledger tier %d = %d, address space holds %d", label, i, tier, u, tb)
+			}
+			totalBytes += tb
 		}
-		if tb > topo.Capacity(memsys.TierID(tier)) {
-			t.Fatalf("%s: tier %d over capacity: %d > %d", label, tier, tb, topo.Capacity(memsys.TierID(tier)))
+		var totalWeight float64
+		as.ForEachLive(func(p pages.Page) { totalWeight += p.Weight })
+		if math.Abs(totalWeight-1) > 1e-6 {
+			t.Fatalf("%s: tenant %d: weights sum to %v", label, i, totalWeight)
 		}
-		totalBytes += tb
+		var shareSum float64
+		for _, s := range as.TierShare() {
+			if s < -1e-9 {
+				t.Fatalf("%s: tenant %d: negative tier share %v", label, i, s)
+			}
+			shareSum += s
+		}
+		if math.Abs(shareSum-1) > 1e-6 {
+			t.Fatalf("%s: tenant %d: tier shares sum to %v", label, i, shareSum)
+		}
+		for _, s := range h.Samples() {
+			if s.OpsPerSec <= 0 || math.IsNaN(s.OpsPerSec) {
+				t.Fatalf("%s: tenant %d: bad throughput sample %v at t=%v", label, i, s.OpsPerSec, s.TimeSec)
+			}
+			for tier, l := range s.LatencyNs {
+				unloaded := topo.Tier(memsys.TierID(tier)).Config().UnloadedLatencyNs
+				if l < unloaded-1e-9 || math.IsNaN(l) {
+					t.Fatalf("%s: tenant %d: latency %v below unloaded %v at t=%v", label, i, l, unloaded, s.TimeSec)
+				}
+			}
+			if s.MigrationBytesPerSec < 0 {
+				t.Fatalf("%s: tenant %d: negative migration rate at t=%v", label, i, s.TimeSec)
+			}
+		}
 	}
 	if totalBytes != wsBytes {
 		t.Fatalf("%s: working set changed size: %d != %d", label, totalBytes, wsBytes)
 	}
-	as.ForEachLive(func(p pages.Page) { totalWeight += p.Weight })
-	if math.Abs(totalWeight-1) > 1e-6 {
-		t.Fatalf("%s: weights sum to %v", label, totalWeight)
-	}
-	share := as.TierShare()
-	var shareSum float64
-	for _, s := range share {
-		if s < -1e-9 {
-			t.Fatalf("%s: negative tier share %v", label, s)
-		}
-		shareSum += s
-	}
-	if math.Abs(shareSum-1) > 1e-6 {
-		t.Fatalf("%s: tier shares sum to %v", label, shareSum)
-	}
-	for _, s := range e.Samples() {
-		if s.OpsPerSec <= 0 || math.IsNaN(s.OpsPerSec) {
-			t.Fatalf("%s: bad throughput sample %v at t=%v", label, s.OpsPerSec, s.TimeSec)
-		}
-		for tier, l := range s.LatencyNs {
-			unloaded := topo.Tier(memsys.TierID(tier)).Config().UnloadedLatencyNs
-			if l < unloaded-1e-9 || math.IsNaN(l) {
-				t.Fatalf("%s: latency %v below unloaded %v at t=%v", label, l, unloaded, s.TimeSec)
-			}
-		}
-		if s.MigrationBytesPerSec < 0 {
-			t.Fatalf("%s: negative migration rate at t=%v", label, s.TimeSec)
+	for tier := 0; tier < topo.NumTiers(); tier++ {
+		id := memsys.TierID(tier)
+		if total, c := led.Total(id), topo.Capacity(id); total > c {
+			t.Fatalf("%s: ledger tier %d holds %d bytes > physical %d", label, tier, total, c)
 		}
 	}
 }
@@ -180,7 +197,7 @@ func TestSoakDeterminism(t *testing.T) {
 					Seconds:    8,
 					Seed:       99,
 				})
-				return e.Samples()
+				return e.Tenant(0).Samples()
 			}
 			a, b := run(), run()
 			if len(a) != len(b) {

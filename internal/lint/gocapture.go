@@ -197,7 +197,7 @@ func checkCapturedBody(p *Package, lit *ast.FuncLit, loopVars map[string]bool) [
 				}
 				flaggedRNG[id.Name] = true
 				out = append(out, p.finding("gocapture", arg,
-					fmt.Sprintf("RNG stream %q, captured from outside the concurrent body, is handed to a callee; derive a per-shard stream (shard.Streams) and pass that instead", id.Name)))
+					fmt.Sprintf("RNG stream %q, captured from outside the concurrent body, is handed to a callee; derive per-shard streams with stats.RNG.Split by shard index before the fan-out and pass the shard's own", id.Name)))
 			}
 		}
 		return true

@@ -116,7 +116,7 @@ func checkConcurrentBody(p *Package, lit *ast.FuncLit) []Finding {
 			}
 			if base := rootIdent(sel.X); base != "" && !locals[base] {
 				out = append(out, p.finding("shardrng", v,
-					fmt.Sprintf("%s draws from %q, an RNG stream captured from outside the concurrent body; derive a per-shard stream (shard.Streams) and bind it locally by shard index", sel.Sel.Name, base)))
+					fmt.Sprintf("%s draws from %q, an RNG stream captured from outside the concurrent body; derive per-shard streams with stats.RNG.Split by shard index before the fan-out and bind the shard's own locally", sel.Sel.Name, base)))
 			}
 		case *ast.AssignStmt:
 			if v.Tok == token.DEFINE {

@@ -2,15 +2,15 @@ package memsys
 
 import "fmt"
 
-// Ledger tracks per-tenant, per-tier byte usage when several tenants
+// Ledger tracks per-tenant, per-tier byte usage for the tenants that
 // share one physical topology. It is the contention-accounting half of
 // multi-tenant capacity arbitration: a tenant's view of a tier's
 // capacity (see Topology.TenantView) is the physical capacity minus
 // what every other tenant currently holds there, optionally further
-// clamped by a static quota. The ledger is plain bookkeeping — the
-// cluster engine is responsible for keeping it in sync with the
-// tenants' address spaces (it updates rows sequentially, so no
-// locking).
+// clamped by a static quota (so a lone tenant's view is the physical
+// capacity). The ledger is plain bookkeeping — the simulation engine
+// is responsible for keeping it in sync with the tenants' address
+// spaces (it updates rows sequentially, so no locking).
 type Ledger struct {
 	used   [][]int64 // [tenant][tier] bytes resident
 	totals []int64   // [tier] sum over tenants
@@ -92,7 +92,3 @@ func (tp *Topology) TenantView(l *Ledger, tenant int, quota []int64) (*Topology,
 	}
 	return &Topology{tiers: tp.tiers, view: &tenantView{ledger: l, tenant: tenant, quota: q}}, nil
 }
-
-// IsTenantView reports whether this topology is a per-tenant capacity
-// view (see TenantView).
-func (tp *Topology) IsTenantView() bool { return tp.view != nil }

@@ -59,7 +59,7 @@ func (k FaultKind) String() string {
 // per-tenant Engines drain it in addition to their own budgets, so the
 // sum of all tenants' proactive traffic respects one machine-wide rate
 // limit (the migration path — DMA engines, kernel copy threads — is a
-// shared resource). The cluster engine calls BeginQuantum once per
+// shared resource). The simulation engine calls BeginQuantum once per
 // quantum, before the per-tenant engines begin theirs; tenants then
 // contend in their deterministic step order.
 type SharedBudget struct {
@@ -93,13 +93,6 @@ func (b *SharedBudget) BeginQuantum(quantumSec float64) {
 		b.budget = cap
 	}
 }
-
-// Remaining returns the shared budget left this quantum.
-func (b *SharedBudget) Remaining() int64 { return b.budget }
-
-// LimitBytesPerSec returns the configured shared rate limit (0 =
-// unlimited).
-func (b *SharedBudget) LimitBytesPerSec() float64 { return b.limitBytesPerSec }
 
 func (b *SharedBudget) consume(bytes int64) {
 	if b.budget > bytes {
@@ -277,9 +270,6 @@ func (e *Engine) injectFailure(p pages.Page, to memsys.TierID, forced bool) erro
 // need room in both the engine's own bucket and the shared one. Nil
 // detaches.
 func (e *Engine) SetShared(b *SharedBudget) { e.shared = b }
-
-// Shared returns the attached shared budget (nil when standalone).
-func (e *Engine) Shared() *SharedBudget { return e.shared }
 
 // Budget returns the remaining migration byte budget for this quantum:
 // the engine's own bucket, further clamped by the shared bucket when

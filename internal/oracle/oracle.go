@@ -107,7 +107,7 @@ func runArm(cfg Config, hotFraction, settle float64) (Point, error) {
 	if err := e.Run(settle); err != nil {
 		return Point{}, err
 	}
-	st := e.SteadyState(settle / 2)
+	st := e.Tenant(0).SteadyState(settle / 2)
 	return Point{
 		HotFraction:    hotFraction,
 		OpsPerSec:      st.OpsPerSec,

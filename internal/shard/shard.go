@@ -9,9 +9,9 @@
 //   - Results are merged with an ordered reduce: callers combine
 //     per-shard partials strictly in shard index order, so floating
 //     point sums associate the same way at every worker count.
-//   - Randomness is per-shard: a shard that needs draws derives its own
-//     stream via Streams (SplitString("shard").Split(i)), never sharing
-//     a parent RNG across goroutines.
+//   - Randomness is per-shard: a shard that needs draws uses its own
+//     stream, derived with stats.RNG.Split by shard index before the
+//     fan-out, never sharing a parent RNG across goroutines.
 //
 // Under those three rules, a pipeline stage produces bit-identical
 // output for W = 1 and W = N, which is what golden_trace_test.go pins.
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"colloid/internal/stats"
 )
 
 // DefaultShards is the fixed logical shard count. It is deliberately a
@@ -110,18 +108,4 @@ func Run(workers, shards int, fn func(s int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// Streams derives n independent RNG streams for per-shard draws,
-// following the repo's seed discipline: child i is
-// parent.SplitString("shard").Split(i). The split order is fixed, so
-// the streams do not depend on worker count or scheduling; each shard
-// must draw only from its own stream.
-func Streams(parent *stats.RNG, n int) []*stats.RNG {
-	base := parent.SplitString("shard")
-	out := make([]*stats.RNG, n)
-	for i := range out {
-		out[i] = base.Split(uint64(i))
-	}
-	return out
 }

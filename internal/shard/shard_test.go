@@ -98,18 +98,3 @@ func TestOrderedReduceIsWorkerCountInvariant(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamsAreStableAndIndependent(t *testing.T) {
-	a := Streams(stats.NewRNG(42), 4)
-	b := Streams(stats.NewRNG(42), 4)
-	for i := range a {
-		if a[i].Uint64() != b[i].Uint64() {
-			t.Fatalf("stream %d not reproducible across identical parents", i)
-		}
-	}
-	// Distinct shards must get distinct streams.
-	c := Streams(stats.NewRNG(42), 2)
-	if c[0].Uint64() == c[1].Uint64() {
-		t.Fatal("adjacent shard streams emitted identical first draws")
-	}
-}

@@ -37,11 +37,11 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 	}
 	run := func(e *Engine) (pre, post Engine0State) {
 		t.Helper()
-		pre = Engine0State{Profile: e.CurrentProfile().Name, Cores: e.AntagonistCores()}
+		pre = Engine0State{Profile: e.Tenant(0).Profile().Name, Cores: e.AntagonistCores()}
 		if err := e.Run(1.0); err != nil {
 			t.Fatal(err)
 		}
-		post = Engine0State{Profile: e.CurrentProfile().Name, Cores: e.AntagonistCores()}
+		post = Engine0State{Profile: e.Tenant(0).Profile().Name, Cores: e.AntagonistCores()}
 		return pre, post
 	}
 	orders := map[string][]Option{
@@ -60,7 +60,7 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 		if post.Profile != "switched" || post.Cores != workloads.Intensity2x.Cores() {
 			t.Errorf("%s: post-scenario state %+v, want profile \"switched\" and %d cores", name, post, workloads.Intensity2x.Cores())
 		}
-		ops := e.SteadyState(0.3).OpsPerSec
+		ops := e.Tenant(0).SteadyState(0.3).OpsPerSec
 		if first {
 			wantOps, first = ops, false
 		} else if math.Abs(ops-wantOps) != 0 {

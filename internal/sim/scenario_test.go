@@ -93,7 +93,7 @@ func TestScenarioMatchesHandWrittenSchedule(t *testing.T) {
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
-		return e.Samples()
+		return e.Tenant(0).Samples()
 	}
 	handRun := func() []Sample {
 		e, _ := gupsEngineOpts(t, 13, nil)
@@ -101,7 +101,7 @@ func TestScenarioMatchesHandWrittenSchedule(t *testing.T) {
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
-		return e.Samples()
+		return e.Tenant(0).Samples()
 	}
 	a, b := scenarioRun(), handRun()
 	if !reflect.DeepEqual(a, b) {
@@ -130,7 +130,7 @@ func TestScenarioWorkloadShiftMatchesHandWritten(t *testing.T) {
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
-		return e.Samples()
+		return e.Tenant(0).Samples()
 	}
 	handRun := func() []Sample {
 		e, g := gupsEngine(t, 0, 14)
@@ -138,7 +138,7 @@ func TestScenarioWorkloadShiftMatchesHandWritten(t *testing.T) {
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
-		return e.Samples()
+		return e.Tenant(0).Samples()
 	}
 	if !reflect.DeepEqual(scenarioRun(), handRun()) {
 		t.Fatal("workload-shift scenario samples differ from hand-scheduled equivalent")
@@ -156,7 +156,7 @@ func TestScenarioRunBitIdentical(t *testing.T) {
 		if err := e.Run(25); err != nil {
 			t.Fatal(err)
 		}
-		return e.Samples()
+		return e.Tenant(0).Samples()
 	}
 	if !reflect.DeepEqual(run(), run()) {
 		t.Fatal("scenario run not bit-identical across repeats")
@@ -175,7 +175,7 @@ func TestScenarioTierDegradeShowsInSamplesAndRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before, during, after float64
-	for _, smp := range e.Samples() {
+	for _, smp := range e.Tenant(0).Samples() {
 		switch {
 		case smp.TimeSec <= 1:
 			before = smp.LatencyNs[0]
@@ -237,8 +237,8 @@ func TestScenarioDegradeDoesNotLeakAcrossEngines(t *testing.T) {
 	if err := clean.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	f := faulty.Samples()[len(faulty.Samples())-1].LatencyNs[0]
-	c := clean.Samples()[len(clean.Samples())-1].LatencyNs[0]
+	f := faulty.Tenant(0).Samples()[len(faulty.Tenant(0).Samples())-1].LatencyNs[0]
+	c := clean.Tenant(0).Samples()[len(clean.Tenant(0).Samples())-1].LatencyNs[0]
 	if f <= c {
 		t.Fatalf("degraded engine latency %v not above clean %v", f, c)
 	}
@@ -293,7 +293,7 @@ func TestScenarioMigrationStallBlocksSystemMoves(t *testing.T) {
 		if err := e.Run(1); err != nil {
 			t.Fatal(err)
 		}
-		f, _ := e.Migrator().FaultTotals()
+		f, _ := e.Tenant(0).Migrator().FaultTotals()
 		return d.moved, f
 	}
 	healthyMoves, healthyFailed := run()
@@ -336,8 +336,8 @@ func TestOptionsOverrideConfig(t *testing.T) {
 	if got := e.antagonist.Cores; got != workloads.Intensity2x.Cores() {
 		t.Fatalf("WithAntagonist installed %d cores, want %d", got, workloads.Intensity2x.Cores())
 	}
-	if e.CurrentProfile().Name != "alt-profile" {
-		t.Fatalf("WithProfile did not replace the profile: %q", e.CurrentProfile().Name)
+	if e.Tenant(0).Profile().Name != "alt-profile" {
+		t.Fatalf("WithProfile did not replace the profile: %q", e.Tenant(0).Profile().Name)
 	}
 }
 

@@ -8,13 +8,15 @@
 //
 // The engine is collection-shaped: it steps N tenants — each with its
 // own address space, traffic profile, tiering system, migrator and
-// sampler — against one shared physical topology. The classic
-// single-workload configuration is the one-tenant case and keeps its
-// exact construction and stepping semantics (bit-identical traces);
-// WithTenant/WithTenants switch on cluster mode, where tier capacity is
-// arbitrated through a memsys.Ledger, proactive migration bandwidth
-// through a migrate.SharedBudget, and per-tenant metrics land under
-// "tenant.<name>." namespaces in the shared obs registry.
+// sampler — against one shared physical topology. New is the one
+// constructor. Tier capacity is always arbitrated through a
+// memsys.Ledger and proactive migration bandwidth through a
+// migrate.SharedBudget. Named tenants (WithTenant/WithTenants) fork
+// their RNG streams from their names and report under "tenant.<name>."
+// namespaces in the shared obs registry. Without them the engine holds
+// one unnamed tenant — the paper's single workload — with a one-row
+// ledger and a shared budget equal to its own cap; its streams split
+// from the root and its metrics go to the unscoped registry.
 //
 // The tiering systems observe the machine only through the sanctioned
 // interfaces — CHA counter snapshots and access-tracking samples — never
@@ -47,20 +49,20 @@ type Context struct {
 	TimeSec float64
 	// QuantumSec is the quantum duration.
 	QuantumSec float64
-	// Tenant names the tenant this system serves ("" in single-workload
-	// mode).
+	// Tenant names the tenant this system serves ("" for the unnamed
+	// tenant).
 	Tenant string
 	// AS is the application address space (placement + page sizes).
 	// Systems read placement and weights only via their trackers; the
 	// true Weight field is the PMU's sampling ground truth.
 	AS *pages.AddressSpace
-	// Topo describes the tiers. In cluster mode it is the tenant's
-	// capacity view of the shared physical topology: latencies and
-	// bandwidths are machine-wide, capacities are the tenant's slice.
+	// Topo is the tenant's capacity view of the shared physical
+	// topology: latencies and bandwidths are machine-wide, capacities
+	// are the tenant's slice (the whole tier for a lone tenant).
 	Topo *memsys.Topology
 	// CHA is a cumulative counter snapshot taken after this quantum.
-	// The counters are machine-wide (one socket's CHAs), so in cluster
-	// mode every tenant sees the same interference-bearing snapshot.
+	// The counters are machine-wide (one socket's CHAs), so every
+	// tenant sees the same interference-bearing snapshot.
 	CHA cha.Snapshot
 	// Migrator executes migrations under rate limits.
 	Migrator *migrate.Engine
@@ -77,7 +79,7 @@ type Context struct {
 	// RNG is the system's private randomness stream.
 	RNG *stats.RNG
 	// Heat selects the access-tracking fidelity (Config.Heat, or this
-	// tenant's TenantSpec.Heat override in cluster mode). Systems that
+	// tenant's TenantSpec.Heat override). Systems that
 	// keep a frequency tracker build it with Heat.NewTracker instead of
 	// constructing access.FreqTracker directly, so one config knob moves
 	// every system between exact and region tracking.
@@ -88,9 +90,9 @@ type Context struct {
 	// ordered reduce, per-shard RNG streams).
 	Workers int
 	// Obs records the system's decisions; nil when instrumentation is
-	// off (all obs handles are nil-safe, so systems never check). In
-	// cluster mode this is the tenant's scoped view of the shared
-	// registry.
+	// off (all obs handles are nil-safe, so systems never check). A
+	// named tenant gets its scoped view of the shared registry; the
+	// unnamed tenant gets the registry itself.
 	Obs *obs.Registry
 }
 
@@ -109,13 +111,13 @@ type System interface {
 type Config struct {
 	// Topology is the tier set (required).
 	Topology *memsys.Topology
-	// WorkingSetBytes sizes the application address space (required in
-	// single-workload mode; must be unset when tenants are given).
+	// WorkingSetBytes sizes the unnamed tenant's address space
+	// (required without tenants; must be unset when tenants are given).
 	WorkingSetBytes int64
 	// PageBytes is the placement granularity (default 2 MB).
 	PageBytes int64
-	// Profile is the application traffic profile (required in
-	// single-workload mode; must be unset when tenants are given).
+	// Profile is the unnamed tenant's traffic profile (required without
+	// tenants; must be unset when tenants are given).
 	Profile workloads.Profile
 	// Antagonist seeds the contention generator on the paper's 0x-3x
 	// intensity scale (0 = none); mid-run steps are expressed as
@@ -140,8 +142,9 @@ type Config struct {
 	CHANoiseStdDev float64
 	// MigrationLimitBytesPerSec caps proactive migration traffic
 	// (default 2.5 GB/s; 0 keeps the default, use NoMigrationLimit for
-	// unlimited). In cluster mode this is the machine-wide shared limit
-	// all tenants drain together; per-tenant caps live on TenantSpec.
+	// unlimited). This is the machine-wide shared limit all tenants
+	// drain together; per-tenant caps live on TenantSpec, and the
+	// unnamed tenant's own cap is this limit.
 	MigrationLimitBytesPerSec float64
 	// SampleEverySec is the trace recording interval (default 1 s).
 	SampleEverySec float64
@@ -202,8 +205,8 @@ func (c Config) validateAntagonist() []error {
 	return errs
 }
 
-// validateShared checks the fields that apply in both single-workload
-// and cluster mode.
+// validateShared checks the fields that apply with or without named
+// tenants.
 func (c Config) validateShared() []error {
 	var errs []error
 	if c.Topology == nil {
@@ -236,10 +239,11 @@ func (c Config) validateShared() []error {
 	return errs
 }
 
-// Validate reports every problem with the configuration, joined into a
-// single error, so a bad invocation fails with the full list rather
-// than one complaint per retry. It checks the raw config — sentinels
-// (NoMigrationLimit, NoCHANoise) and zeros-meaning-default are fine.
+// Validate reports every problem with a configuration for the unnamed
+// tenant, joined into a single error, so a bad invocation fails with
+// the full list rather than one complaint per retry. It checks the raw
+// config — sentinels (NoMigrationLimit, NoCHANoise) and
+// zeros-meaning-default are fine.
 func (c Config) Validate() error {
 	errs := c.validateShared()
 	if c.WorkingSetBytes <= 0 {
@@ -279,7 +283,7 @@ type event struct {
 	fn func(*Engine)
 }
 
-// TenantSpec declares one tenant of a cluster-mode engine. Tenants are
+// TenantSpec declares one named tenant (see WithTenant). Tenants are
 // ordered by Name internally, so the set of specs — not the order they
 // were registered in — determines every result bit.
 type TenantSpec struct {
@@ -319,7 +323,7 @@ type TenantSpec struct {
 	// Heat, when non-nil, overrides Config.Heat for this tenant alone:
 	// its system sees the override through Context.Heat, so QoS classes
 	// can buy tracking fidelity (premium exact, best-effort coarse
-	// regions) on one cluster. Nil inherits the cluster-wide spec.
+	// regions) on one cluster. Nil inherits Config.Heat.
 	Heat *heat.Spec
 }
 
@@ -359,7 +363,7 @@ func (s TenantSpec) validate() []error {
 type tenantState struct {
 	name     string
 	as       *pages.AddressSpace
-	topo     *memsys.Topology // capacity view (the physical topology in single mode)
+	topo     *memsys.Topology // capacity view over the engine's ledger
 	migrator *migrate.Engine
 	sampler  *access.Sampler
 	system   System
@@ -377,15 +381,14 @@ type tenantState struct {
 }
 
 // Engine drives one simulation: N tenants stepping against one shared
-// physical topology (one tenant in the classic single-workload mode).
+// physical topology (one unnamed tenant when built without tenants).
 type Engine struct {
-	cfg       Config
-	topo      *memsys.Topology // physical topology (shared by all tenants)
-	counters  *cha.Counters
-	tenants   []*tenantState
-	clustered bool
-	ledger    *memsys.Ledger
-	shared    *migrate.SharedBudget
+	cfg      Config
+	topo     *memsys.Topology // physical topology (shared by all tenants)
+	counters *cha.Counters
+	tenants  []*tenantState
+	ledger   *memsys.Ledger
+	shared   *migrate.SharedBudget
 
 	antagonist workloads.Antagonist
 
@@ -420,24 +423,23 @@ type buildOptions struct {
 	heat       *heat.Spec
 }
 
-// WithSystem installs the tiering system under test (nil for a
-// static-placement arm is the default and needs no option). Cluster
-// mode rejects it: each TenantSpec carries its own System.
+// WithSystem installs the unnamed tenant's tiering system (nil for a
+// static-placement arm is the default and needs no option). It
+// conflicts with named tenants: each TenantSpec carries its own System.
 func WithSystem(s System) Option {
 	return func(o *buildOptions) { o.system = s }
 }
 
-// WithProfile sets the application traffic profile, overriding
-// Config.Profile. Cluster mode rejects it: each TenantSpec carries its
-// own Profile.
+// WithProfile sets the unnamed tenant's traffic profile, overriding
+// Config.Profile. It conflicts with named tenants: each TenantSpec
+// carries its own Profile.
 func WithProfile(p workloads.Profile) Option {
 	return func(o *buildOptions) { o.profile = &p }
 }
 
 // WithAntagonist seeds the contention generator from the paper's 0x-3x
 // intensity scale, overriding Config.Antagonist. The antagonist is
-// machine-wide in every mode
-// (it models co-located streaming traffic, not a tenant).
+// machine-wide (it models co-located streaming traffic, not a tenant).
 func WithAntagonist(intensity workloads.Intensity) Option {
 	return func(o *buildOptions) {
 		v := intensity
@@ -448,9 +450,9 @@ func WithAntagonist(intensity workloads.Intensity) Option {
 // WithHeat selects the access-tracking fidelity, overriding
 // Config.Heat: the zero spec is exact per-page counting, Kind
 // heat.Region tracks at region granularity with optional forecasting.
-// This is the machine-wide default in every mode — systems read it from
-// Context.Heat when building their trackers; in cluster mode a
-// TenantSpec.Heat override takes precedence for that tenant alone.
+// This is the machine-wide default — systems read it from Context.Heat
+// when building their trackers; a TenantSpec.Heat override takes
+// precedence for that tenant alone.
 func WithHeat(spec heat.Spec) Option {
 	return func(o *buildOptions) { o.heat = &spec }
 }
@@ -462,185 +464,105 @@ func WithHeat(spec heat.Spec) Option {
 // never mutated. A scenario-driven run is bit-identical to a run that
 // hand-schedules the equivalent ScheduleAt calls.
 //
-// In cluster mode this is the cluster-level timeline: machine-wide
-// events only (AntagonistStep, TierDegrade, TierRestore, CHADropout).
-// Per-tenant events (ProfileSwitch, WorkloadShift, MigrationStall)
-// belong on TenantSpec.Scenario and are rejected here.
+// Per-tenant events (ProfileSwitch, WorkloadShift, MigrationStall) act
+// on the unnamed tenant. With named tenants this is the machine-wide
+// timeline: those events belong on TenantSpec.Scenario and are
+// rejected here.
 func WithScenario(sc *scenario.Scenario) Option {
 	return func(o *buildOptions) { o.scenario = sc }
 }
 
-// WithTenant adds one tenant, switching the engine into cluster mode.
-// See TenantSpec; may be repeated and mixed with WithTenants.
+// WithTenant adds one named tenant; an engine with named tenants has
+// no unnamed one. See TenantSpec; may be repeated and mixed with
+// WithTenants.
 func WithTenant(spec TenantSpec) Option {
 	return func(o *buildOptions) { o.tenants = append(o.tenants, spec) }
 }
 
-// WithTenants adds several tenants, switching the engine into cluster
-// mode. Registration order never matters: tenants are ordered by name.
+// WithTenants adds several named tenants (see WithTenant).
+// Registration order never matters: tenants are ordered by name.
 func WithTenants(specs ...TenantSpec) Option {
 	return func(o *buildOptions) { o.tenants = append(o.tenants, specs...) }
 }
 
-// New builds an engine from the config plus options. The working set is
-// placed first-fit (default tier fills first); install a workload's
-// weights before running. With WithTenant/WithTenants the engine comes
-// up in cluster mode: tenant address spaces are placed first-fit in
-// name order against per-tenant capacity views, and each tenant's
-// workload weights are installed by the caller through Tenant(i).
+// New builds an engine from the config plus options, every tenant
+// through one loop: in name order, each tenant gets a capacity view over
+// the engine's ledger, an address space placed first-fit against that
+// view (default tier first, so earlier tenants shape where later ones
+// land), a migrator draining the engine's shared budget, a sampler and
+// RNG streams. Install each tenant's workload weights through Tenant(i)
+// before running.
+//
+// Without WithTenant/WithTenants the engine holds one unnamed tenant
+// built from Config.WorkingSetBytes, Config.Profile (or WithProfile),
+// the WithSystem system and Config's migration limit as its own cap.
+// Its one-row ledger always reports physical capacity and its two
+// migration buckets accrue and drain together, so it behaves as the
+// paper's single workload. It differs from a named tenant in three
+// ways: its streams split from the root instead of forking from a
+// name, it reports into the unscoped obs registry, and WithScenario's
+// tenant-targeted events act on it.
 func New(cfg Config, opts ...Option) (*Engine, error) {
 	var bo buildOptions
 	for _, opt := range opts {
 		opt(&bo)
 	}
-	if len(bo.tenants) > 0 {
-		return newCluster(cfg, &bo)
-	}
-	if bo.profile != nil {
-		cfg.Profile = *bo.profile
-	}
 	if bo.antagonist != nil {
 		cfg.Antagonist = *bo.antagonist
 	}
 	if bo.heat != nil {
 		cfg.Heat = *bo.heat
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	unnamed := len(bo.tenants) == 0
+	var specs []TenantSpec
+	if unnamed {
+		if bo.profile != nil {
+			cfg.Profile = *bo.profile
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		specs = []TenantSpec{{WorkingSetBytes: cfg.WorkingSetBytes, Profile: cfg.Profile, System: bo.system}}
+	} else {
+		var err error
+		if specs, err = namedSpecs(cfg, &bo); err != nil {
+			return nil, err
+		}
 	}
 	cfg = cfg.withDefaults()
+	if unnamed {
+		specs[0].MigrationLimitBytesPerSec = cfg.MigrationLimitBytesPerSec
+	}
 	if bo.scenario != nil {
 		if err := bo.scenario.Validate(cfg.Topology.NumTiers()); err != nil {
 			return nil, err
 		}
+		if !unnamed {
+			if err := clusterScenarioOK(bo.scenario); err != nil {
+				return nil, err
+			}
+		}
 		if bo.scenario.MutatesTopology() {
-			// Clone before the address space is built: the address space
-			// holds the topology reference, and experiment arms routinely
+			// Clone before the tenant views and address spaces are built
+			// so they share the clone's tiers: experiment arms routinely
 			// share one Topology value read-only.
-			cfg.Topology = cfg.Topology.Clone()
-		}
-	}
-	as, err := pages.NewAddressSpace(cfg.Topology, cfg.WorkingSetBytes, cfg.PageBytes)
-	if err != nil {
-		return nil, err
-	}
-	root := stats.NewRNG(cfg.Seed)
-	chaRNG := root.Split(1)
-	ts := &tenantState{
-		as:            as,
-		topo:          cfg.Topology,
-		migrator:      migrate.NewEngine(as, cfg.Topology.NumTiers(), cfg.MigrationLimitBytesPerSec),
-		profile:       cfg.Profile,
-		heat:          cfg.Heat,
-		rngWorkload:   root.Split(2),
-		rngSystem:     root.Split(3),
-		obs:           cfg.Obs,
-		inflightScale: 1,
-	}
-	e := &Engine{
-		cfg:        cfg,
-		topo:       cfg.Topology,
-		counters:   cha.NewCounters(cfg.Topology.NumTiers(), cfg.CHANoiseStdDev, chaRNG),
-		tenants:    []*tenantState{ts},
-		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
-	}
-	ts.sampler = access.NewSampler(as, root.Split(4))
-	ts.sampler.SetWorkers(cfg.Workers)
-	ts.system = bo.system
-	ts.migrator.SetObs(cfg.Obs)
-	e.counters.SetObs(cfg.Obs)
-	ts.sampler.SetObs(cfg.Obs)
-	e.mQuanta = cfg.Obs.Counter("sim_quanta")
-	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
-	if bo.scenario != nil {
-		e.installScenario(ts, bo.scenario)
-	}
-	return e, nil
-}
-
-// clusterRejects lists the cluster-level scenario event types that
-// target a single tenant and so are ambiguous machine-wide.
-func clusterScenarioOK(sc *scenario.Scenario) error {
-	for _, ev := range sc.Sorted() {
-		switch ev.(type) {
-		case scenario.ProfileSwitch, scenario.WorkloadShift, scenario.MigrationStall:
-			return fmt.Errorf("sim: cluster-level scenario event %T targets a single tenant; put it on that TenantSpec.Scenario", ev)
-		}
-	}
-	return nil
-}
-
-// newCluster assembles a cluster-mode engine: tenants sorted by name,
-// per-tenant capacity views over one ledger, per-tenant migrators
-// draining one shared budget, per-tenant RNG streams forked from the
-// tenant name, and per-tenant obs namespaces on the shared registry.
-func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
-	var errs []error
-	if bo.system != nil {
-		errs = append(errs, fmt.Errorf("sim: WithSystem conflicts with tenants (set System per TenantSpec)"))
-	}
-	if bo.profile != nil {
-		errs = append(errs, fmt.Errorf("sim: WithProfile conflicts with tenants (set Profile per TenantSpec)"))
-	}
-	if cfg.WorkingSetBytes != 0 {
-		errs = append(errs, fmt.Errorf("sim: Config.WorkingSetBytes must be unset with tenants (size each TenantSpec)"))
-	}
-	if cfg.Profile != (workloads.Profile{}) {
-		errs = append(errs, fmt.Errorf("sim: Config.Profile must be unset with tenants (set it per TenantSpec)"))
-	}
-	if bo.antagonist != nil {
-		cfg.Antagonist = *bo.antagonist
-	}
-	if bo.heat != nil {
-		cfg.Heat = *bo.heat
-	}
-	errs = append(errs, cfg.validateShared()...)
-
-	// Order tenants by name: the spec set, not registration order,
-	// determines every downstream bit (ledger rows, solver source
-	// order, event scheduling, step order).
-	specs := append([]TenantSpec(nil), bo.tenants...)
-	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
-	seen := make(map[string]bool, len(specs))
-	var totalWSS int64
-	for _, s := range specs {
-		errs = append(errs, s.validate()...)
-		if s.Name != "" && seen[s.Name] {
-			errs = append(errs, fmt.Errorf("sim: duplicate tenant name %q", s.Name))
-		}
-		seen[s.Name] = true
-		totalWSS += s.WorkingSetBytes
-	}
-	if cfg.Topology != nil && totalWSS > cfg.Topology.TotalCapacity() {
-		errs = append(errs, fmt.Errorf("sim: tenants' working sets total %d bytes, exceeding topology capacity %d bytes",
-			totalWSS, cfg.Topology.TotalCapacity()))
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if bo.scenario != nil {
-		if err := bo.scenario.Validate(cfg.Topology.NumTiers()); err != nil {
-			return nil, err
-		}
-		if err := clusterScenarioOK(bo.scenario); err != nil {
-			return nil, err
-		}
-		if bo.scenario.MutatesTopology() {
-			// Clone before the tenant views are built so they share the
-			// clone's tiers, not the caller's.
 			cfg.Topology = cfg.Topology.Clone()
 		}
 	}
 	numTiers := cfg.Topology.NumTiers()
 	root := stats.NewRNG(cfg.Seed)
 	chaRNG := root.Split(1)
-	tenantRoot := root.Split(2)
+	// Named tenants fork from one tenant root by name; the unnamed
+	// tenant splits straight from the root (Split consumes a parent
+	// draw, so no tenant root is drawn for it).
+	tenantRoot := root
+	if !unnamed {
+		tenantRoot = root.Split(2)
+	}
 	e := &Engine{
 		cfg:        cfg,
 		topo:       cfg.Topology,
 		counters:   cha.NewCounters(numTiers, cfg.CHANoiseStdDev, chaRNG),
-		clustered:  true,
 		ledger:     memsys.NewLedger(len(specs), numTiers),
 		shared:     migrate.NewSharedBudget(cfg.MigrationLimitBytesPerSec),
 		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
@@ -655,21 +577,19 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		}
 		view, err := cfg.Topology.TenantView(e.ledger, i, spec.CapacityQuota)
 		if err != nil {
-			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+			return nil, spec.wrap(err)
 		}
-		// First-fit placement happens against the view, so earlier
-		// tenants' ledger rows (synced below) shape where this tenant
-		// lands — exactly the sequential-arrival admission a cluster
-		// performs.
 		as, err := pages.NewAddressSpace(view, spec.WorkingSetBytes, pageBytes)
 		if err != nil {
-			return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+			return nil, spec.wrap(err)
 		}
-		// Per-tenant streams are forked from the tenant's name, so they
-		// depend on (seed, name) alone — never on how many tenants came
-		// before this one.
-		base := tenantRoot.Fork("tenant:" + spec.Name)
-		scoped := cfg.Obs.Scoped("tenant." + spec.Name + ".")
+		// A named tenant's streams depend on (seed, name) alone — never
+		// on how many tenants came before it.
+		base, scoped := tenantRoot, cfg.Obs
+		if spec.Name != "" {
+			base = tenantRoot.Fork("tenant:" + spec.Name)
+			scoped = cfg.Obs.Scoped("tenant." + spec.Name + ".")
+		}
 		tenantHeat := cfg.Heat
 		if spec.Heat != nil {
 			tenantHeat = *spec.Heat
@@ -696,7 +616,7 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		e.syncLedger(i)
 		if spec.Scenario != nil {
 			if err := spec.Scenario.Validate(numTiers); err != nil {
-				return nil, fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+				return nil, spec.wrap(err)
 			}
 			if spec.Scenario.MutatesTopology() {
 				return nil, fmt.Errorf("sim: tenant %q: scenario mutates the shared topology; machine-wide faults belong on the cluster-level WithScenario", spec.Name)
@@ -705,16 +625,76 @@ func newCluster(cfg Config, bo *buildOptions) (*Engine, error) {
 		}
 	}
 	if bo.scenario != nil {
-		e.installScenario(nil, bo.scenario)
+		var target *tenantState
+		if unnamed {
+			target = e.tenants[0]
+		}
+		e.installScenario(target, bo.scenario)
 	}
 	return e, nil
 }
 
+// clusterScenarioOK rejects the cluster-level scenario event types
+// that target a single tenant and so are ambiguous machine-wide.
+func clusterScenarioOK(sc *scenario.Scenario) error {
+	for _, ev := range sc.Sorted() {
+		switch ev.(type) {
+		case scenario.ProfileSwitch, scenario.WorkloadShift, scenario.MigrationStall:
+			return fmt.Errorf("sim: cluster-level scenario event %T targets a single tenant; put it on that TenantSpec.Scenario", ev)
+		}
+	}
+	return nil
+}
+
+// namedSpecs validates a build with named tenants and returns their
+// specs in name order: the spec set, not registration order, determines
+// every downstream bit (ledger rows, solver source order, event
+// scheduling, step order).
+func namedSpecs(cfg Config, bo *buildOptions) ([]TenantSpec, error) {
+	var errs []error
+	if bo.system != nil {
+		errs = append(errs, fmt.Errorf("sim: WithSystem conflicts with tenants (set System per TenantSpec)"))
+	}
+	if bo.profile != nil {
+		errs = append(errs, fmt.Errorf("sim: WithProfile conflicts with tenants (set Profile per TenantSpec)"))
+	}
+	if cfg.WorkingSetBytes != 0 {
+		errs = append(errs, fmt.Errorf("sim: Config.WorkingSetBytes must be unset with tenants (size each TenantSpec)"))
+	}
+	if cfg.Profile != (workloads.Profile{}) {
+		errs = append(errs, fmt.Errorf("sim: Config.Profile must be unset with tenants (set it per TenantSpec)"))
+	}
+	errs = append(errs, cfg.validateShared()...)
+	specs := append([]TenantSpec(nil), bo.tenants...)
+	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
+	seen := make(map[string]bool, len(specs))
+	var totalWSS int64
+	for _, s := range specs {
+		errs = append(errs, s.validate()...)
+		if s.Name != "" && seen[s.Name] {
+			errs = append(errs, fmt.Errorf("sim: duplicate tenant name %q", s.Name))
+		}
+		seen[s.Name] = true
+		totalWSS += s.WorkingSetBytes
+	}
+	if cfg.Topology != nil && totalWSS > cfg.Topology.TotalCapacity() {
+		errs = append(errs, fmt.Errorf("sim: tenants' working sets total %d bytes, exceeding topology capacity %d bytes",
+			totalWSS, cfg.Topology.TotalCapacity()))
+	}
+	return specs, errors.Join(errs...)
+}
+
+// wrap prefixes a construction error with the tenant's name. The
+// unnamed tenant's errors pass through as engine errors.
+func (s TenantSpec) wrap(err error) error {
+	if s.Name == "" {
+		return err
+	}
+	return fmt.Errorf("sim: tenant %q: %w", s.Name, err)
+}
+
 // syncLedger refreshes tenant i's ledger row from its address space.
 func (e *Engine) syncLedger(i int) {
-	if e.ledger == nil {
-		return
-	}
 	n := e.topo.NumTiers()
 	if cap(e.usageBuf) < n {
 		e.usageBuf = make([]int64, n)
@@ -799,38 +779,26 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 	}
 }
 
-// AS exposes the first tenant's address space for workload installation
-// and inspection (the only tenant in single-workload mode).
+// AS returns tenant 0's address space, as Tenant(0).AS() does.
 func (e *Engine) AS() *pages.AddressSpace { return e.tenants[0].as }
 
 // Topology returns the shared physical tier set.
 func (e *Engine) Topology() *memsys.Topology { return e.topo }
 
-// Migrator returns the first tenant's migration engine (for direct
-// manipulation in oracle sweeps).
-func (e *Engine) Migrator() *migrate.Engine { return e.tenants[0].migrator }
-
-// WorkloadRNG returns the first tenant's workload stream so installs
-// and shifts are reproducible per seed.
+// WorkloadRNG returns tenant 0's workload stream, as
+// Tenant(0).WorkloadRNG() does.
 func (e *Engine) WorkloadRNG() *stats.RNG { return e.tenants[0].rngWorkload }
-
-// CurrentProfile returns the first tenant's active traffic profile —
-// the configured one until a ProfileSwitch event replaces it.
-func (e *Engine) CurrentProfile() workloads.Profile { return e.tenants[0].profile }
 
 // AntagonistCores returns the contention generator's current core
 // count — the configured value until an AntagonistStep event replaces
 // it.
 func (e *Engine) AntagonistCores() int { return e.antagonist.Cores }
 
-// Clustered reports whether the engine was built with tenants.
-func (e *Engine) Clustered() bool { return e.clustered }
-
-// NumTenants returns the tenant count (1 in single-workload mode).
+// NumTenants returns the tenant count (1 for the unnamed tenant).
 func (e *Engine) NumTenants() int { return len(e.tenants) }
 
-// Ledger returns the cluster capacity ledger (nil in single-workload
-// mode).
+// Ledger returns the capacity ledger: one row per tenant, in name
+// order.
 func (e *Engine) Ledger() *memsys.Ledger { return e.ledger }
 
 // TenantHandle is a read-mostly view of one tenant's slice of the
@@ -853,10 +821,7 @@ func (e *Engine) TenantByName(name string) (TenantHandle, bool) {
 	return TenantHandle{}, false
 }
 
-// Index returns the tenant's position in name order (its ledger row).
-func (h TenantHandle) Index() int { return h.i }
-
-// Name returns the tenant's name ("" in single-workload mode).
+// Name returns the tenant's name ("" for the unnamed tenant).
 func (h TenantHandle) Name() string { return h.e.tenants[h.i].name }
 
 // AS returns the tenant's address space (install workload weights
@@ -873,27 +838,63 @@ func (h TenantHandle) Migrator() *migrate.Engine { return h.e.tenants[h.i].migra
 // tenant name, so installs are registration-order independent).
 func (h TenantHandle) WorkloadRNG() *stats.RNG { return h.e.tenants[h.i].rngWorkload }
 
-// System returns the tenant's tiering system (nil = static placement).
-func (h TenantHandle) System() System { return h.e.tenants[h.i].system }
-
-// Profile returns the tenant's active traffic profile.
+// Profile returns the tenant's active traffic profile — the configured
+// one until a ProfileSwitch event replaces it.
 func (h TenantHandle) Profile() workloads.Profile { return h.e.tenants[h.i].profile }
 
-// Heat returns the tenant's resolved tracking-fidelity spec: the
-// TenantSpec override when one was set, Config.Heat otherwise.
-func (h TenantHandle) Heat() heat.Spec { return h.e.tenants[h.i].heat }
-
-// Obs returns the tenant's scoped obs view (the root registry in
-// single-workload mode; nil when instrumentation is off).
+// Obs returns the tenant's scoped obs view (the unscoped registry for
+// the unnamed tenant; nil when instrumentation is off).
 func (h TenantHandle) Obs() *obs.Registry { return h.e.tenants[h.i].obs }
 
 // Samples returns the tenant's recorded trace.
 func (h TenantHandle) Samples() []Sample { return h.e.tenants[h.i].samples }
 
-// SteadyState averages the tenant's trace over the final lastSeconds
-// (see Engine.SteadyState for the window semantics).
+// SteadyState averages the tenant's trace over the final lastSeconds.
+// The window is clamped to the elapsed simulation time: asking for more
+// than has run averages the whole trace, warm-up included — callers
+// that care about settling must run long enough first. A sample lying
+// exactly on the window boundary (TimeSec == timeSec - lastSeconds) is
+// included. A non-positive window is a programmer error and panics:
+// before the clamp was added it silently shifted the cutoff and
+// averaged an unintended sample set.
 func (h TenantHandle) SteadyState(lastSeconds float64) Steady {
-	return h.e.steadyOver(h.e.tenants[h.i].samples, lastSeconds)
+	e := h.e
+	if !(lastSeconds > 0) { // negation also catches NaN
+		panic(fmt.Sprintf("sim: SteadyState window %v s is not positive", lastSeconds))
+	}
+	if lastSeconds > e.timeSec {
+		lastSeconds = e.timeSec
+	}
+	n := e.topo.NumTiers()
+	out := Steady{
+		LatencyNs:      make([]float64, n),
+		AppShare:       make([]float64, n),
+		AppBytesPerSec: make([]float64, n),
+	}
+	cutoff := e.timeSec - lastSeconds
+	count := 0
+	for _, s := range e.tenants[h.i].samples {
+		if s.TimeSec < cutoff {
+			continue
+		}
+		count++
+		out.OpsPerSec += s.OpsPerSec
+		for t := 0; t < n; t++ {
+			out.LatencyNs[t] += s.LatencyNs[t]
+			out.AppShare[t] += s.AppShare[t]
+			out.AppBytesPerSec[t] += s.AppBytesPerSec[t]
+		}
+	}
+	if count == 0 {
+		return out
+	}
+	out.OpsPerSec /= float64(count)
+	for t := 0; t < n; t++ {
+		out.LatencyNs[t] /= float64(count)
+		out.AppShare[t] /= float64(count)
+		out.AppBytesPerSec[t] /= float64(count)
+	}
+	return out
 }
 
 // ScheduleAt registers fn to run at simulation time atSec, before the
@@ -972,9 +973,7 @@ func (e *Engine) Step() error {
 	// Let the systems observe and react; their migrations apply to the
 	// next quantum's placement and traffic. The shared budget accrues
 	// once, then tenants contend in name order.
-	if e.shared != nil {
-		e.shared.BeginQuantum(e.cfg.QuantumSec)
-	}
+	e.shared.BeginQuantum(e.cfg.QuantumSec)
 	for _, ts := range e.tenants {
 		ts.migrator.BeginQuantum(e.cfg.QuantumSec)
 	}
@@ -1043,10 +1042,6 @@ func (e *Engine) Run(seconds float64) error {
 	return nil
 }
 
-// Samples returns the first tenant's recorded trace (the only trace in
-// single-workload mode).
-func (e *Engine) Samples() []Sample { return e.tenants[0].samples }
-
 // LastEquilibrium returns the most recent solved quantum (nil before
 // the first step). Sources are index-aligned with tenants (name
 // order), with the antagonist last.
@@ -1060,55 +1055,4 @@ type Steady struct {
 	LatencyNs      []float64
 	AppShare       []float64
 	AppBytesPerSec []float64
-}
-
-// SteadyState averages the first tenant's trace over the final
-// lastSeconds. The window is clamped to the elapsed simulation time:
-// asking for more than has run averages the whole trace, warm-up
-// included — callers that care about settling must run long enough
-// first. A sample lying exactly on the window boundary (TimeSec ==
-// timeSec - lastSeconds) is included. A non-positive window is a
-// programmer error and panics: before the clamp was added it silently
-// shifted the cutoff and averaged an unintended sample set.
-func (e *Engine) SteadyState(lastSeconds float64) Steady {
-	return e.steadyOver(e.tenants[0].samples, lastSeconds)
-}
-
-func (e *Engine) steadyOver(samples []Sample, lastSeconds float64) Steady {
-	if !(lastSeconds > 0) { // negation also catches NaN
-		panic(fmt.Sprintf("sim: SteadyState window %v s is not positive", lastSeconds))
-	}
-	if lastSeconds > e.timeSec {
-		lastSeconds = e.timeSec
-	}
-	n := e.topo.NumTiers()
-	out := Steady{
-		LatencyNs:      make([]float64, n),
-		AppShare:       make([]float64, n),
-		AppBytesPerSec: make([]float64, n),
-	}
-	cutoff := e.timeSec - lastSeconds
-	count := 0
-	for _, s := range samples {
-		if s.TimeSec < cutoff {
-			continue
-		}
-		count++
-		out.OpsPerSec += s.OpsPerSec
-		for t := 0; t < n; t++ {
-			out.LatencyNs[t] += s.LatencyNs[t]
-			out.AppShare[t] += s.AppShare[t]
-			out.AppBytesPerSec[t] += s.AppBytesPerSec[t]
-		}
-	}
-	if count == 0 {
-		return out
-	}
-	out.OpsPerSec /= float64(count)
-	for t := 0; t < n; t++ {
-		out.LatencyNs[t] /= float64(count)
-		out.AppShare[t] /= float64(count)
-		out.AppBytesPerSec[t] /= float64(count)
-	}
-	return out
 }

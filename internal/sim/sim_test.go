@@ -35,14 +35,14 @@ func TestEngineRunsWithoutSystem(t *testing.T) {
 	if err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	st := e.SteadyState(3)
+	st := e.Tenant(0).SteadyState(3)
 	if st.OpsPerSec <= 0 {
 		t.Fatal("no throughput")
 	}
 	if st.LatencyNs[0] < 70 || st.LatencyNs[1] < 135 {
 		t.Fatalf("latencies below unloaded: %v", st.LatencyNs)
 	}
-	if len(e.Samples()) == 0 {
+	if len(e.Tenant(0).Samples()) == 0 {
 		t.Fatal("no samples recorded")
 	}
 }
@@ -82,7 +82,7 @@ func TestContentionReducesThroughput(t *testing.T) {
 		if err := e.Run(5); err != nil {
 			t.Fatal(err)
 		}
-		return e.SteadyState(3).OpsPerSec
+		return e.Tenant(0).SteadyState(3).OpsPerSec
 	}
 	t0 := run(0)
 	t3 := run(workloads.Intensity3x)
@@ -121,7 +121,7 @@ func TestAntagonistChangeShowsInLatency(t *testing.T) {
 	if err := e.Run(4); err != nil {
 		t.Fatal(err)
 	}
-	samples := e.Samples()
+	samples := e.Tenant(0).Samples()
 	var before, after float64
 	for _, s := range samples {
 		if s.TimeSec <= 2 {
@@ -175,7 +175,7 @@ func TestMigrationTrafficAppearsInLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawMigration bool
-	for _, s := range e.Samples() {
+	for _, s := range e.Tenant(0).Samples() {
 		if s.MigrationBytesPerSec > 0 {
 			sawMigration = true
 		}
@@ -192,7 +192,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ops []float64
-		for _, s := range e.Samples() {
+		for _, s := range e.Tenant(0).Samples() {
 			ops = append(ops, s.OpsPerSec)
 		}
 		return ops
@@ -281,7 +281,7 @@ func TestSteadyStateEmptyTrace(t *testing.T) {
 	// SteadyState on an engine that has never stepped (no samples) must
 	// return the zero summary, not NaN from a 0/0 average.
 	e, _ := gupsEngine(t, 0, 9)
-	st := e.SteadyState(10)
+	st := e.Tenant(0).SteadyState(10)
 	if st.OpsPerSec != 0 {
 		t.Fatalf("empty trace OpsPerSec = %v, want 0", st.OpsPerSec)
 	}
@@ -296,7 +296,7 @@ func TestSteadyStateEmptyTrace(t *testing.T) {
 	}
 	future := *e
 	future.timeSec += 1000
-	if st := future.SteadyState(1); st.OpsPerSec != 0 || math.IsNaN(st.OpsPerSec) {
+	if st := future.Tenant(0).SteadyState(1); st.OpsPerSec != 0 || math.IsNaN(st.OpsPerSec) {
 		t.Fatalf("out-of-window steady = %+v, want zero", st)
 	}
 }
@@ -306,9 +306,9 @@ func TestSteadyStateAveraging(t *testing.T) {
 	if err := e.Run(6); err != nil {
 		t.Fatal(err)
 	}
-	st := e.SteadyState(3)
+	st := e.Tenant(0).SteadyState(3)
 	// Steady throughput should match individual tail samples closely.
-	for _, s := range e.Samples() {
+	for _, s := range e.Tenant(0).Samples() {
 		if s.TimeSec > 3 {
 			if math.Abs(s.OpsPerSec-st.OpsPerSec)/st.OpsPerSec > 0.05 {
 				t.Fatalf("tail sample %v deviates from steady mean %v", s.OpsPerSec, st.OpsPerSec)

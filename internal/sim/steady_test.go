@@ -31,11 +31,11 @@ func steadyEngine(t *testing.T, times []float64, ops []float64, now float64) *En
 func TestSteadyStateIncludesExactCutoffSample(t *testing.T) {
 	e := steadyEngine(t, []float64{1, 2, 3, 4, 5}, []float64{100, 100, 100, 40, 60}, 5)
 	// cutoff = 5 - 2 = 3: samples at 3, 4, 5 → mean (100+40+60)/3.
-	if got, want := e.SteadyState(2).OpsPerSec, (100.0+40+60)/3; got != want {
+	if got, want := e.Tenant(0).SteadyState(2).OpsPerSec, (100.0+40+60)/3; got != want {
 		t.Fatalf("window 2: ops = %v, want %v (boundary sample at t=3 must be included)", got, want)
 	}
 	// Shrink the window past the boundary sample: only 4 and 5 remain.
-	if got, want := e.SteadyState(1.5).OpsPerSec, (40.0+60)/2; got != want {
+	if got, want := e.Tenant(0).SteadyState(1.5).OpsPerSec, (40.0+60)/2; got != want {
 		t.Fatalf("window 1.5: ops = %v, want %v", got, want)
 	}
 }
@@ -46,10 +46,10 @@ func TestSteadyStateIncludesExactCutoffSample(t *testing.T) {
 func TestSteadyStateClampsOversizedWindow(t *testing.T) {
 	e := steadyEngine(t, []float64{1, 2, 3}, []float64{10, 20, 30}, 3)
 	want := (10.0 + 20 + 30) / 3
-	if got := e.SteadyState(3).OpsPerSec; got != want {
+	if got := e.Tenant(0).SteadyState(3).OpsPerSec; got != want {
 		t.Fatalf("window == elapsed: ops = %v, want %v", got, want)
 	}
-	if got := e.SteadyState(1e9).OpsPerSec; got != want {
+	if got := e.Tenant(0).SteadyState(1e9).OpsPerSec; got != want {
 		t.Fatalf("oversized window: ops = %v, want %v (must clamp to elapsed)", got, want)
 	}
 }
@@ -66,7 +66,7 @@ func TestSteadyStateRejectsNonPositiveWindow(t *testing.T) {
 					t.Fatalf("SteadyState(%v) did not panic", w)
 				}
 			}()
-			e.SteadyState(w)
+			e.Tenant(0).SteadyState(w)
 		}()
 	}
 }

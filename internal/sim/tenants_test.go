@@ -56,8 +56,8 @@ func clusterEngine(t *testing.T, cfg Config, opts ...Option) *Engine {
 func TestClusterStepsAndSamplesAllTenants(t *testing.T) {
 	e := clusterEngine(t, Config{Topology: smallTopo(), PageBytes: tPage, Seed: 7, SampleEverySec: 0.1},
 		WithTenants(spec("b", 40), spec("a", 60)))
-	if !e.Clustered() || e.NumTenants() != 2 {
-		t.Fatalf("clustered = %v, tenants = %d", e.Clustered(), e.NumTenants())
+	if e.NumTenants() != 2 {
+		t.Fatalf("tenants = %d, want 2", e.NumTenants())
 	}
 	// Name order, not registration order.
 	if got := e.Tenant(0).Name(); got != "a" {
@@ -132,8 +132,9 @@ func TestClusterObsNamespaces(t *testing.T) {
 	}
 }
 
-// Cluster construction must reject the single-workload knobs and the
-// structurally impossible tenant sets, each with a pointed error.
+// Construction with named tenants must reject the unnamed tenant's
+// knobs and the structurally impossible tenant sets, each with a
+// pointed error.
 func TestClusterConstructionRejections(t *testing.T) {
 	topo := smallTopo()
 	ok := []TenantSpec{spec("a", 40), spec("b", 40)}
@@ -227,5 +228,56 @@ func TestClusterCapacityQuota(t *testing.T) {
 	// The unquota'd tenant still sees the remaining physical capacity.
 	if got := e.Tenant(1).AS().TierBytes(memsys.DefaultTier); got == 0 {
 		t.Error("tenant b was starved out of the default tier")
+	}
+}
+
+// Without named tenants the engine holds one unnamed tenant on the
+// same ledger and shared-budget path as a cluster: a one-row ledger
+// whose view reports physical capacity, the unscoped obs registry, and
+// Config's migration limit as the tenant's own cap.
+func TestSingleWorkloadIsUnnamedTenant(t *testing.T) {
+	build := func(limit float64) (*Engine, *obs.Registry) {
+		reg := obs.NewRegistry()
+		cfg := Config{Topology: smallTopo(), WorkingSetBytes: 200 * tPage, PageBytes: tPage,
+			Profile: smallProfile("w"), Seed: 5, MigrationLimitBytesPerSec: limit, Obs: reg}
+		return clusterEngine(t, cfg, WithSystem(nopSystem{})), reg
+	}
+	e, reg := build(0)
+	h := e.Tenant(0)
+	if e.NumTenants() != 1 || h.Name() != "" {
+		t.Fatalf("tenants = %d, tenant 0 = %q; want one unnamed tenant", e.NumTenants(), h.Name())
+	}
+	if got := e.Ledger().NumTenants(); got != 1 {
+		t.Fatalf("ledger rows = %d, want 1", got)
+	}
+	if h.Obs() != reg {
+		t.Fatal("unnamed tenant does not report into the unscoped registry")
+	}
+	if err := e.Run(0.1); err != nil {
+		t.Fatal(err)
+	}
+	for tier := 0; tier < e.Topology().NumTiers(); tier++ {
+		id := memsys.TierID(tier)
+		if got, want := h.Topology().Capacity(id), e.Topology().Capacity(id); got != want {
+			t.Errorf("tier %d: view capacity %d, physical %d", tier, got, want)
+		}
+		if got, want := e.Ledger().Usage(0, id), h.AS().TierBytes(id); got != want {
+			t.Errorf("tier %d: ledger %d, address space %d", tier, got, want)
+		}
+	}
+	vals := reg.Values()
+	if _, ok := vals["migrate_moves"]; !ok {
+		t.Error("migrate_moves missing from the unscoped registry")
+	}
+	for name := range vals {
+		if strings.HasPrefix(name, "tenant.") {
+			t.Errorf("unnamed tenant reported a scoped metric %q", name)
+		}
+	}
+	if got := h.Migrator().StaticLimitBytesPerSec(); got != DefaultMigrationLimit {
+		t.Errorf("default limit = %v, want %v", got, DefaultMigrationLimit)
+	}
+	if e, _ = build(NoMigrationLimit); e.Tenant(0).Migrator().StaticLimitBytesPerSec() != 0 {
+		t.Errorf("NoMigrationLimit gave limit %v, want 0 (unlimited)", e.Tenant(0).Migrator().StaticLimitBytesPerSec())
 	}
 }

@@ -87,7 +87,7 @@ func Run(tb testing.TB, sys sim.System, sc Scenario) (*sim.Engine, sim.Steady) {
 	if err := e.Run(sc.Seconds); err != nil {
 		tb.Fatal(err)
 	}
-	return e, e.SteadyState(sc.Seconds / 3)
+	return e, e.Tenant(0).SteadyState(sc.Seconds / 3)
 }
 
 // RunGUPS runs the standard testbed — the signature every system test

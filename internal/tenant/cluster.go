@@ -92,8 +92,9 @@ type Cluster struct {
 }
 
 // New builds a cluster: it partitions capacity per the policy, builds
-// the underlying cluster-mode sim engine, and installs each tenant's
-// workload weights from the tenant's name-forked stream.
+// the underlying sim engine with one named tenant per Tenant, and
+// installs each tenant's workload weights from the tenant's
+// name-forked stream.
 func New(cfg Config) (*Cluster, error) {
 	var errs []error
 	if cfg.Topology == nil {
@@ -278,7 +279,7 @@ func partitionIsolated(cfg Config, specs []sim.TenantSpec) error {
 	return errors.Join(errs...)
 }
 
-// Engine exposes the underlying cluster-mode sim engine.
+// Engine exposes the underlying sim engine.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // NumTenants returns the tenant count.
