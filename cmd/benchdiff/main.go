@@ -5,10 +5,12 @@
 //	benchdiff -parent 'runs/parent-*.txt' -change 'runs/change-*.txt' -bench BENCHMARK.json
 //
 // Files pair by the workload, seed and trace flag in their "perfbench:"
-// header. For every workload and end-to-end metric that the benchmark
-// declares, benchdiff prints each side's median with its quartiles, the
-// change in the median, how many pairs the change won (ties count for
-// neither side), the metric's bound and a verdict:
+// header. Every file must name the same host in its "host:" line, and
+// the report opens with that line. For every workload and end-to-end
+// metric that the benchmark declares, benchdiff prints each side's
+// median with its quartiles, the change in the median, how many pairs
+// the change won (ties count for neither side), the metric's bound and
+// a verdict:
 //
 //	gain        the change won at least 9 in 10 pairs and the medians
 //	            differ by more than the parent's interquartile range
@@ -217,6 +219,10 @@ func compareGlobs(out io.Writer, benchPath, parentGlob, changeGlob string) (bool
 	if parentHost != changeHost {
 		return false, fmt.Errorf("the two sides ran on different hosts (%q and %q)", parentHost, changeHost)
 	}
+	if parentHost == "" {
+		parentHost = "host: not recorded"
+	}
+	fmt.Fprintf(out, "%s\n\n", parentHost)
 	return compare(out, spec, parent, change)
 }
 

@@ -85,6 +85,11 @@ func TestReportGainAndWithin(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0:\n%s", code, out)
 	}
+	// The report names the host its runs came from before anything else.
+	host := `host: cpu="Test CPU" nproc=2 gomaxprocs=1 go=go1.24.0 linux/amd64 workers=1`
+	if first, _, _ := strings.Cut(out, "\n"); first != host {
+		t.Errorf("first line %q, want %q", first, host)
+	}
 	for _, want := range []string{
 		"paper-gups trace=0: 10 pairs, seeds 11 12 13 14 15 16 17 18 19 20",
 		"check digests: equal in 10/10 pairs",

@@ -4,10 +4,13 @@
 // frequency tracker with HeMem-style cooling, and a page-table
 // scan / hint-fault model for TPP.
 //
-// The two per-quantum hot paths here — the sampler's CDF rebuild and
+// The two page-count hot paths here — the sampler's CDF rebuild and
 // the tracker's cooling pass — shard by contiguous range over a fixed
 // shard count (shard.DefaultShards) with partials reduced in shard
-// index order, so their results are identical at every worker count.
+// index order, so their results are identical at every worker count. A
+// serial clamp at the shard seams keeps the CDF non-decreasing, and a
+// guide table of n/8 buckets over it lets each draw search one bucket
+// instead of the whole CDF, with the same result.
 package access
 
 import (
@@ -24,12 +27,22 @@ import (
 // true page weights — exactly what PEBS sampling of memory accesses
 // observes. The cumulative distribution is cached and rebuilt only when
 // the weight distribution changes (AddressSpace.Version). The rebuild
-// is the dominant cost of a quantum at 10^6 pages, so it runs in three
-// sharded passes: per-shard nonzero counts and weight totals, a serial
-// ordered reduce into per-shard offsets, then a parallel fill of the
-// flat cum/ids arrays. The per-shard prefix sums seed from the reduced
-// offsets in shard index order, making the CDF bytes independent of the
-// worker count.
+// walks every page, so it runs in three sharded passes: per-shard
+// nonzero counts and weight totals, a serial ordered reduce into
+// per-shard offsets, then a parallel fill of the flat cum/ids arrays.
+// The per-shard prefix sums seed from the reduced offsets in shard
+// index order, making the CDF bytes independent of the worker count.
+//
+// A shard's seed is a reduced total, which can round a few ULP below
+// the previous shard's last running sum. A serial seam clamp then
+// raises the shard's leading entries to that sum, so cum never
+// decreases. A draw finds its page through a guide table over cum
+// (Chen and Asau's indexed search): k = max(1, n/8) buckets of equal
+// weight, bucket(v) = int(v*k/total) capped at k-1, and guide[j] the
+// first index whose entry falls in bucket j or later. bucket is
+// monotone, so on a non-decreasing cum the search within one bucket
+// returns the index a binary search over the whole CDF would, and the
+// table leaves the sampled sequence unchanged.
 type Sampler struct {
 	as      *pages.AddressSpace
 	rng     *stats.RNG
@@ -39,6 +52,8 @@ type Sampler struct {
 	cum     []float64
 	ids     []pages.PageID
 	total   float64
+	guide   []int32 // k+1 entries, guide[k] = len(cum); PageID is int32, so indices fit
+	scale   float64 // k/total
 
 	mSamples  *obs.Counter
 	mRebuilds *obs.Counter
@@ -116,12 +131,80 @@ func (s *Sampler) rebuild() {
 			k++
 		}
 	})
+	// Seam clamp: raise each shard's leading entries that sit below the
+	// entry before the shard to that entry's value. Serial and in shard
+	// order, so the result is the same at every worker count.
+	for sh := 1; sh < plan.Shards; sh++ {
+		a := offs[sh]
+		if a == 0 {
+			continue
+		}
+		prev := s.cum[a-1]
+		for i := a; i < a+counts[sh] && s.cum[i] < prev; i++ {
+			s.cum[i] = prev
+		}
+	}
 	s.total = 0
 	if n > 0 {
 		s.total = s.cum[n-1]
 	}
+	s.fillGuide()
 	s.version = s.as.Version()
 	s.built = true
+}
+
+// fillGuide rebuilds the guide table over cum serially, reusing its
+// storage. n/8 buckets keep the table at half a byte per CDF entry;
+// more buckets cost heap without making draws faster. Walking cum
+// backwards with one store per entry leaves each bucket holding its
+// first entry's index; an empty bucket then takes the next bucket's
+// value, the first entry above it.
+func (s *Sampler) fillGuide() {
+	n := len(s.cum)
+	k := n / 8
+	if k < 1 {
+		k = 1
+	}
+	if cap(s.guide) < k+1 {
+		s.guide = make([]int32, k+1)
+	}
+	s.guide = s.guide[:k+1]
+	s.scale = float64(k) / s.total
+	for j := range s.guide {
+		s.guide[j] = int32(n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		s.guide[s.bucket(s.cum[i])] = int32(i)
+	}
+	for j := k - 1; j >= 0; j-- {
+		if s.guide[j] == int32(n) {
+			s.guide[j] = s.guide[j+1]
+		}
+	}
+}
+
+// bucket maps a CDF value to its guide bucket, int(v*k/total) capped
+// at k-1; it is monotone in v. The comparison also sends an infinite
+// product (k/total overflows when every weight is subnormal) to the
+// last bucket, so the conversion to int only sees finite values.
+func (s *Sampler) bucket(v float64) int {
+	last := len(s.guide) - 2
+	if f := v * s.scale; f < float64(last) {
+		return int(f)
+	}
+	return last
+}
+
+// search returns the first index i with cum[i] >= x, or len(cum) if
+// there is none: what sort.SearchFloat64s(s.cum, x) returns. Entries
+// before guide[j] lie in lower buckets than x's bucket j, so below x,
+// and the entry at guide[j+1] lies in a higher one, so above x. The
+// answer is therefore in [guide[j], guide[j+1]], and a search of
+// cum[guide[j]:guide[j+1]] that runs off its end returns guide[j+1].
+func (s *Sampler) search(x float64) int {
+	j := s.bucket(x)
+	lo, hi := int(s.guide[j]), int(s.guide[j+1])
+	return lo + sort.SearchFloat64s(s.cum[lo:hi], x)
 }
 
 // Sample returns one page drawn with probability proportional to its
@@ -134,8 +217,7 @@ func (s *Sampler) Sample() pages.PageID {
 	if s.total <= 0 {
 		return pages.NoPage
 	}
-	x := s.rng.Float64() * s.total
-	i := sort.SearchFloat64s(s.cum, x)
+	i := s.search(s.rng.Float64() * s.total)
 	if i >= len(s.ids) {
 		i = len(s.ids) - 1
 	}

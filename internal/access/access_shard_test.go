@@ -1,6 +1,8 @@
 package access
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"colloid/internal/memsys"
@@ -48,6 +50,103 @@ func TestSamplerWorkerInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seamSampler builds a sampler over n 4 KiB pages (four per shard at
+// n = 64): a fifth of them weightless, a fifth at 1e-300 and the rest
+// spread over 12 decades. Added to a larger running sum, 1e-300 leaves
+// it unchanged, so cum holds runs of equal entries; right after a shard
+// seam, such a weight exposes any rounding gap between the shard's
+// seed and the previous shard's last sum.
+func seamSampler(t *testing.T, n int, seed uint64) *Sampler {
+	t.Helper()
+	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
+	as, err := pages.NewAddressSpace(topo, int64(n)*pages.BasePageBytes, pages.BasePageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(seed)
+	for id := 0; id < n; id++ {
+		switch r := rng.Float64(); {
+		case r < 0.2:
+		case r < 0.4:
+			as.SetWeight(pages.PageID(id), 1e-300)
+		default:
+			as.SetWeight(pages.PageID(id), math.Pow(10, -12*rng.Float64()))
+		}
+	}
+	s := NewSampler(as, stats.NewRNG(seed))
+	s.Sample() // builds the CDF
+	return s
+}
+
+// A shard's running sum starts from a reduced total that can round
+// below the previous shard's last sum; the seam clamp must keep the CDF
+// non-decreasing, or the binary search runs on an unsorted slice.
+func TestSamplerCDFNonDecreasing(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		s := seamSampler(t, 64, seed)
+		for i := 1; i < len(s.cum); i++ {
+			if s.cum[i] < s.cum[i-1] {
+				t.Errorf("seed %d: cum[%d] = %v < cum[%d] = %v", seed, i, s.cum[i], i-1, s.cum[i-1])
+			}
+		}
+	}
+}
+
+// The guide-table search must return exactly the full binary search's
+// index: on random draws, on and beside every CDF entry and bucket
+// edge, and at both ends.
+func TestSamplerGuideMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 9, 64, 1000, 5000} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			checkGuide(t, seamSampler(t, n, seed), seed)
+		}
+	}
+	// Subnormal weights overflow k/total to +Inf: every draw then lands
+	// in the last bucket, which must still search the whole CDF.
+	as := shardTestSpace(t)
+	for _, id := range as.LiveIDs()[:100] {
+		as.SetWeight(id, math.SmallestNonzeroFloat64)
+	}
+	s := NewSampler(as, stats.NewRNG(1))
+	s.Sample()
+	if !math.IsInf(s.scale, 1) {
+		t.Fatalf("scale = %v, want +Inf", s.scale)
+	}
+	checkGuide(t, s, 1)
+}
+
+func checkGuide(t *testing.T, s *Sampler, seed uint64) {
+	t.Helper()
+	if len(s.cum) == 0 {
+		return
+	}
+	check := func(x float64) {
+		if x < 0 { // draws are never negative
+			return
+		}
+		if got, want := s.search(x), sort.SearchFloat64s(s.cum, x); got != want {
+			t.Fatalf("%d-entry CDF, seed %d: search(%v) = %d, full search %d", len(s.cum), seed, x, got, want)
+		}
+	}
+	near := func(x float64) {
+		check(math.Nextafter(x, math.Inf(-1)))
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	rng := stats.NewRNG(seed)
+	for i := 0; i < 20000; i++ {
+		check(rng.Float64() * s.total)
+	}
+	for _, c := range s.cum {
+		near(c)
+	}
+	for j := range s.guide {
+		near(float64(j) / s.scale)
+	}
+	check(0)
+	check(s.total)
 }
 
 // Cooling is integer arithmetic: the sharded pass must match the serial

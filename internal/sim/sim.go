@@ -41,7 +41,10 @@ import (
 	"colloid/internal/workloads"
 )
 
-// Context is the per-quantum view handed to a tiering system.
+// Context is the per-quantum view handed to a tiering system. It is
+// valid only during System.Step: the engine keeps one Context per
+// tenant and refills every field of it each quantum, so a system must
+// not retain it, or any pointer into it, after Step returns.
 type Context struct {
 	// QuantumIndex counts quanta from 0.
 	QuantumIndex int
@@ -375,6 +378,8 @@ type tenantState struct {
 
 	obs           *obs.Registry
 	inflightScale float64
+	setScale      func(scale float64) // ctx.SetInflightScale, built once
+	ctx           Context             // refilled and handed to system each quantum
 	samples       []Sample
 	shareBuf      []float64
 	migBytes      int64 // this quantum's migration bytes, read before BeginQuantum
@@ -606,6 +611,12 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 			rngSystem:     base.Split(3),
 			obs:           scoped,
 			inflightScale: 1,
+		}
+		ts.setScale = func(scale float64) {
+			if scale <= 0 || scale > 1 {
+				return
+			}
+			ts.inflightScale = scale
 		}
 		ts.sampler = access.NewSampler(as, base.Split(4))
 		ts.sampler.SetWorkers(cfg.Workers)
@@ -979,30 +990,27 @@ func (e *Engine) Step() error {
 	}
 	for i, ts := range e.tenants {
 		if ts.system != nil {
-			ts := ts
-			ctx := &Context{
-				QuantumIndex:   e.quantum,
-				TimeSec:        e.timeSec,
-				QuantumSec:     e.cfg.QuantumSec,
-				Tenant:         ts.name,
-				AS:             ts.as,
-				Topo:           ts.topo,
-				CHA:            e.counters.Read(),
-				Migrator:       ts.migrator,
-				Sampler:        ts.sampler,
-				AppRequestRate: eq.Sources[i].RequestRate,
-				SetInflightScale: func(scale float64) {
-					if scale <= 0 || scale > 1 {
-						return
-					}
-					ts.inflightScale = scale
-				},
-				RNG:     ts.rngSystem,
-				Heat:    ts.heat,
-				Obs:     ts.obs,
-				Workers: e.cfg.Workers,
+			// Every field is refilled, the setter included: a wrapping
+			// system may swap in a relay that calls the setter it found,
+			// and must find the engine's own again next quantum.
+			ts.ctx = Context{
+				QuantumIndex:     e.quantum,
+				TimeSec:          e.timeSec,
+				QuantumSec:       e.cfg.QuantumSec,
+				Tenant:           ts.name,
+				AS:               ts.as,
+				Topo:             ts.topo,
+				CHA:              e.counters.Read(),
+				Migrator:         ts.migrator,
+				Sampler:          ts.sampler,
+				AppRequestRate:   eq.Sources[i].RequestRate,
+				SetInflightScale: ts.setScale,
+				RNG:              ts.rngSystem,
+				Heat:             ts.heat,
+				Obs:              ts.obs,
+				Workers:          e.cfg.Workers,
 			}
-			ts.system.Step(ctx)
+			ts.system.Step(&ts.ctx)
 		}
 		// Keep the ledger current tenant-by-tenant: the next tenant's
 		// capacity view must see this tenant's moves, exactly as a

@@ -169,6 +169,63 @@ func TestSystemReceivesContextAndMigrates(t *testing.T) {
 	}
 }
 
+// scaler sets a different inflight scale every quantum. With relay on
+// it first swaps its own relay into the Context, around the setter it
+// found there, as a timing wrapper does; looped records the relay
+// being handed back to itself.
+type scaler struct {
+	relay     bool
+	set, wrap func(float64)
+	inRelay   bool
+	looped    bool
+}
+
+func newScaler(relay bool) *scaler {
+	s := &scaler{relay: relay}
+	s.wrap = func(scale float64) {
+		if s.inRelay {
+			s.looped = true
+			return
+		}
+		s.inRelay = true
+		s.set(scale)
+		s.inRelay = false
+	}
+	return s
+}
+
+func (s *scaler) Name() string { return "scaler" }
+
+func (s *scaler) Step(ctx *Context) {
+	if s.relay {
+		s.set, ctx.SetInflightScale = ctx.SetInflightScale, s.wrap
+	}
+	ctx.SetInflightScale(0.5 + 0.1*float64(ctx.QuantumIndex%4))
+}
+
+// The engine reuses one Context per tenant, so it must hand out its own
+// setter every quantum even after a system replaced it with a relay.
+func TestSetInflightScaleSurvivesRelay(t *testing.T) {
+	relayed, direct := newScaler(true), newScaler(false)
+	a, _ := gupsEngine(t, workloads.Intensity1x, 8, WithSystem(relayed))
+	b, _ := gupsEngine(t, workloads.Intensity1x, 8, WithSystem(direct))
+	for q := 0; q < 6; q++ {
+		if err := a.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+		ra, rb := a.LastEquilibrium().Sources[0].RequestRate, b.LastEquilibrium().Sources[0].RequestRate
+		if ra != rb {
+			t.Fatalf("quantum %d: request rate %v through the relay, %v direct", q, ra, rb)
+		}
+	}
+	if relayed.looped {
+		t.Fatal("the relay was handed back to itself as the engine's setter")
+	}
+}
+
 func TestMigrationTrafficAppearsInLoad(t *testing.T) {
 	e, _ := gupsEngine(t, 0, 6, WithSystem(&demoter{}))
 	if err := e.Run(2); err != nil {

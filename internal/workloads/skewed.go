@@ -102,7 +102,7 @@ type HotCold struct {
 	// WriteFraction is writebacks per read (GET/UPDATE 90/10 -> 0.1).
 	WriteFraction float64
 
-	hot map[pages.PageID]bool
+	hot []bool // indexed by page ID
 }
 
 // DefaultCacheLib returns the paper's CacheLib configuration: 64 B keys
@@ -135,26 +135,22 @@ func (h *HotCold) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 	if h.HotFrac <= 0 || h.HotFrac >= 1 || h.HotProb < 0 || h.HotProb > 1 {
 		return fmt.Errorf("workloads: invalid HotCold config")
 	}
-	ids := as.LiveIDs()
-	if len(ids) == 0 {
+	n := as.NumPages()
+	if n == 0 {
 		return fmt.Errorf("workloads: empty address space")
 	}
-	nHot := int(h.HotFrac * float64(len(ids)))
+	nHot := int(h.HotFrac * float64(n))
 	if nHot == 0 {
 		nHot = 1
 	}
-	perm := rng.Perm(len(ids))
-	h.hot = make(map[pages.PageID]bool, nHot)
-	for i := 0; i < nHot; i++ {
-		h.hot[ids[perm[i]]] = true
-	}
+	h.hot, _ = markHot(h.hot, rng.Perm(n), nHot)
 	hotW := h.HotProb / float64(nHot)
-	coldW := (1 - h.HotProb) / float64(len(ids)-nHot)
-	for _, id := range ids {
-		if h.hot[id] {
-			as.SetWeight(id, hotW)
+	coldW := (1 - h.HotProb) / float64(n-nHot)
+	for id, hot := range h.hot {
+		if hot {
+			as.SetWeight(pages.PageID(id), hotW)
 		} else {
-			as.SetWeight(id, coldW)
+			as.SetWeight(pages.PageID(id), coldW)
 		}
 	}
 	return nil

@@ -99,7 +99,8 @@ type GUPS struct {
 	// Cores running application threads (15 in the paper).
 	Cores int
 
-	hot map[pages.PageID]bool
+	hot  []bool // indexed by page ID
+	nHot int
 }
 
 // DefaultGUPS returns the Section 2.1 configuration.
@@ -149,21 +150,16 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	ids := as.LiveIDs()
-	if len(ids) == 0 {
+	n := as.NumPages()
+	if n == 0 {
 		return fmt.Errorf("workloads: empty address space")
 	}
-	pageBytes := as.Get(ids[0]).Bytes
-	nHot := int(g.HotSetBytes / pageBytes)
-	if nHot <= 0 || nHot > len(ids) {
-		return fmt.Errorf("workloads: hot set of %d pages infeasible over %d pages", nHot, len(ids))
+	nHot := int(g.HotSetBytes / as.Get(0).Bytes)
+	if nHot <= 0 || nHot > n {
+		return fmt.Errorf("workloads: hot set of %d pages infeasible over %d pages", nHot, n)
 	}
-	perm := rng.Perm(len(ids))
-	g.hot = make(map[pages.PageID]bool, nHot)
-	for i := 0; i < nHot; i++ {
-		g.hot[ids[perm[i]]] = true
-	}
-	g.applyWeights(as, ids)
+	g.hot, g.nHot = markHot(g.hot, rng.Perm(n), nHot)
+	g.applyWeights(as)
 	return nil
 }
 
@@ -171,36 +167,49 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 // one (the Figure 9 access-pattern dynamism: old hot pages become cold,
 // a different random set becomes hot).
 func (g *GUPS) ShiftHotSet(as *pages.AddressSpace, rng *stats.RNG) {
-	ids := as.LiveIDs()
-	pageBytes := as.Get(ids[0]).Bytes
-	nHot := int(g.HotSetBytes / pageBytes)
-	perm := rng.Perm(len(ids))
-	g.hot = make(map[pages.PageID]bool, nHot)
-	for i := 0; i < nHot && i < len(ids); i++ {
-		g.hot[ids[perm[i]]] = true
-	}
-	g.applyWeights(as, ids)
+	nHot := int(g.HotSetBytes / as.Get(0).Bytes)
+	g.hot, g.nHot = markHot(g.hot, rng.Perm(as.NumPages()), nHot)
+	g.applyWeights(as)
 }
 
-func (g *GUPS) applyWeights(as *pages.AddressSpace, ids []pages.PageID) {
-	nHot := len(g.hot)
-	nAll := len(ids)
-	hotW := g.HotProb/float64(nHot) + (1-g.HotProb)/float64(nAll)
+// markHot returns a dense hot set over len(perm) pages, reusing hot's
+// storage: hot[id] is true exactly for the first nHot page IDs of perm
+// (page IDs run 0..n-1, so a permutation of n indices is one of page
+// IDs). It also returns how many pages it marked.
+func markHot(hot []bool, perm []int, nHot int) ([]bool, int) {
+	if cap(hot) < len(perm) {
+		hot = make([]bool, len(perm))
+	} else {
+		hot = hot[:len(perm)]
+		clear(hot)
+	}
+	marked := 0
+	for ; marked < nHot && marked < len(perm); marked++ {
+		hot[perm[marked]] = true
+	}
+	return hot, marked
+}
+
+func (g *GUPS) applyWeights(as *pages.AddressSpace) {
+	nAll := len(g.hot)
+	hotW := g.HotProb/float64(g.nHot) + (1-g.HotProb)/float64(nAll)
 	coldW := (1 - g.HotProb) / float64(nAll)
-	for _, id := range ids {
-		if g.hot[id] {
-			as.SetWeight(id, hotW)
+	for id, hot := range g.hot {
+		if hot {
+			as.SetWeight(pages.PageID(id), hotW)
 		} else {
-			as.SetWeight(id, coldW)
+			as.SetWeight(pages.PageID(id), coldW)
 		}
 	}
 }
 
 // IsHot reports whether the page is currently in the hot set.
-func (g *GUPS) IsHot(id pages.PageID) bool { return g.hot[id] }
+func (g *GUPS) IsHot(id pages.PageID) bool {
+	return id >= 0 && int(id) < len(g.hot) && g.hot[id]
+}
 
 // HotPages returns the current number of hot pages.
-func (g *GUPS) HotPages() int { return len(g.hot) }
+func (g *GUPS) HotPages() int { return g.nHot }
 
 // Antagonist models the memory antagonist of Section 2.1: cores
 // streaming 1:1 read/write traffic to a small buffer pinned in the

@@ -50,6 +50,12 @@ func TestGUPSInstall(t *testing.T) {
 	if hotW <= 10*coldW {
 		t.Fatalf("hot weight %v not much larger than cold %v", hotW, coldW)
 	}
+	// IsHot answers for any ID: outside the address space nothing is hot.
+	for _, id := range []pages.PageID{pages.NoPage, pages.PageID(as.NumPages())} {
+		if g.IsHot(id) {
+			t.Fatalf("IsHot(%d) = true outside the address space", id)
+		}
+	}
 }
 
 func TestGUPSHotSetMassFractions(t *testing.T) {
@@ -94,6 +100,15 @@ func TestGUPSShiftHotSet(t *testing.T) {
 	// Random re-draw: expected overlap is |hot|^2/|all| = 1/3 of hot.
 	if overlap == len(before) {
 		t.Fatal("hot set unchanged after shift")
+	}
+	after := 0
+	as.ForEachLive(func(p pages.Page) {
+		if g.IsHot(p.ID) {
+			after++
+		}
+	})
+	if after != len(before) || g.HotPages() != after {
+		t.Fatalf("after shift: %d hot pages, HotPages %d, want %d", after, g.HotPages(), len(before))
 	}
 	if got := sumWeights(as); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("weights sum to %v after shift", got)
