@@ -7,15 +7,18 @@
 // The two page-count hot paths here — the sampler's CDF rebuild and
 // the tracker's cooling pass — shard by contiguous range over a fixed
 // shard count (shard.DefaultShards) with partials reduced in shard
-// index order, so their results are identical at every worker count. A
-// serial clamp at the shard seams keeps the CDF non-decreasing, and a
-// guide table of n/8 buckets over it lets each draw search one bucket
-// instead of the whole CDF, with the same result.
+// index order, so their results are identical at every worker count.
+// The sampler's CDF has one entry per page, a weightless page repeating
+// the entry before it, so a draw's index is its page ID. A serial clamp
+// at the shard seams gives a shard's leading weightless pages the
+// previous shard's last sum and keeps the CDF non-decreasing, and a
+// guide table of one bucket per weighted page lets each draw scan one
+// bucket, usually empty, instead of searching the whole CDF: 12 bytes
+// per weighted page and 8 per weightless one.
 package access
 
 import (
 	"fmt"
-	"sort"
 
 	"colloid/internal/obs"
 	"colloid/internal/pages"
@@ -26,32 +29,47 @@ import (
 // Sampler draws page IDs distributed according to the address space's
 // true page weights — exactly what PEBS sampling of memory accesses
 // observes. The cumulative distribution is cached and rebuilt only when
-// the weight distribution changes (AddressSpace.Version). The rebuild
-// walks every page, so it runs in three sharded passes: per-shard
-// nonzero counts and weight totals, a serial ordered reduce into
-// per-shard offsets, then a parallel fill of the flat cum/ids arrays.
-// The per-shard prefix sums seed from the reduced offsets in shard
-// index order, making the CDF bytes independent of the worker count.
+// the weight distribution changes (AddressSpace.Version).
 //
-// A shard's seed is a reduced total, which can round a few ULP below
-// the previous shard's last running sum. A serial seam clamp then
-// raises the shard's leading entries to that sum, so cum never
-// decreases. A draw finds its page through a guide table over cum
-// (Chen and Asau's indexed search): k = max(1, n/8) buckets of equal
-// weight, bucket(v) = int(v*k/total) capped at k-1, and guide[j] the
-// first index whose entry falls in bucket j or later. bucket is
-// monotone, so on a non-decreasing cum the search within one bucket
-// returns the index a binary search over the whole CDF would, and the
-// table leaves the sampled sequence unchanged.
+// cum has one entry per page, indexed by page ID. A weightless page's
+// entry repeats the one before it, so no draw lands on it and a draw's
+// CDF index is its page. The rebuild walks every page, so it runs in
+// three sharded passes: per-shard weighted-page counts, weight totals
+// and first and last weighted index, a serial ordered reduce into
+// per-shard starting sums, then a parallel fill of cum. The prefix sums
+// seed from the reduced sums in shard index order, making the CDF bytes
+// independent of the worker count.
+//
+// A shard's seed is a reduced total, which can round a few ULP either
+// side of the previous shard's last running sum. A serial seam clamp
+// sets the shard's leading weightless entries to that sum, so they own
+// no interval when the seed rounded up, then raises the shard's leading
+// entries below it to it, so cum never decreases.
+//
+// A draw finds its page through a guide table over cum (Chen and
+// Asau's indexed search): k buckets of equal weight, one per weighted
+// page, bucket(v) = int(v*k/total) capped at k-1, and guide[j] the
+// first index, from the first weighted page on, whose entry falls in
+// bucket j or later. A linear scan of the draw's bucket, usually empty,
+// returns the page a binary search over the weighted pages' CDF would,
+// so the sampled sequence is the one that search gives.
+//
+// Storage is 8 bytes of cum per page plus 4 bytes of guide per weighted
+// page: 12 bytes per weighted page and 8 per weightless one. A CDF over
+// weighted pages only needs a page ID per entry beside it, and with that
+// array more buckets than n/8 cost heap without making the bisection of
+// a bucket faster; dropping it pays for one bucket per page, which
+// leaves about one entry to read per draw.
 type Sampler struct {
 	as      *pages.AddressSpace
 	rng     *stats.RNG
 	workers int
 	version uint64
 	built   bool
-	cum     []float64
-	ids     []pages.PageID
+	cum     []float64 // indexed by page ID
 	total   float64
+	first   int     // first weighted page, len(cum) when there is none
+	last    int     // last weighted page
 	guide   []int32 // k+1 entries, guide[k] = len(cum); PageID is int32, so indices fit
 	scale   float64 // k/total
 
@@ -82,65 +100,77 @@ func (s *Sampler) SetWorkers(w int) {
 func (s *Sampler) rebuild() {
 	s.mRebuilds.Inc()
 	v := s.as.LiveView()
-	plan := shard.NewPlan(len(v.Weight))
-	// Pass 1: per-shard count of weighted pages and local weight total.
+	n := len(v.Weight)
+	plan := shard.NewPlan(n)
+	// Pass 1: per-shard count of weighted pages, local weight total and
+	// first and last weighted index (hi and -1 when there is none).
 	var counts [shard.DefaultShards]int
 	var totals [shard.DefaultShards]float64
+	var firsts, lasts [shard.DefaultShards]int
 	shard.Run(s.workers, plan.Shards, func(sh int) {
 		lo, hi := plan.Range(sh)
-		n := 0
+		c := 0
 		acc := 0.0
-		for _, w := range v.Weight[lo:hi] {
+		first, last := hi, -1
+		for i, w := range v.Weight[lo:hi] {
 			if w > 0 {
-				n++
+				if c == 0 {
+					first = lo + i
+				}
+				c++
 				acc += w
+				last = lo + i
 			}
 		}
-		counts[sh] = n
+		counts[sh] = c
 		totals[sh] = acc
+		firsts[sh], lasts[sh] = first, last
 	})
-	// Ordered reduce: per-shard start index and starting prefix weight.
-	var offs [shard.DefaultShards]int
+	// Ordered reduce: per-shard starting prefix weight.
 	var base [shard.DefaultShards]float64
-	n := 0
+	weighted := 0
 	acc := 0.0
+	s.first, s.last = n, -1
 	for sh := 0; sh < plan.Shards; sh++ {
-		offs[sh] = n
 		base[sh] = acc
-		n += counts[sh]
 		acc += totals[sh]
+		weighted += counts[sh]
+		if counts[sh] > 0 {
+			s.first = min(s.first, firsts[sh])
+			s.last = lasts[sh]
+		}
 	}
 	if cap(s.cum) < n {
 		s.cum = make([]float64, n)
-		s.ids = make([]pages.PageID, n)
 	}
 	s.cum = s.cum[:n]
-	s.ids = s.ids[:n]
-	// Pass 2: fill each shard's slice of the CDF from its own offset.
+	// Pass 2: fill each shard's slice of the CDF from its own seed.
 	shard.Run(s.workers, plan.Shards, func(sh int) {
 		lo, hi := plan.Range(sh)
-		k := offs[sh]
+		cum := s.cum[lo:hi]
 		acc := base[sh]
 		for i, w := range v.Weight[lo:hi] {
-			if w <= 0 {
-				continue
+			if w > 0 {
+				acc += w
 			}
-			acc += w
-			s.cum[k] = acc
-			s.ids[k] = pages.PageID(lo + i)
-			k++
+			cum[i] = acc
 		}
 	})
-	// Seam clamp: raise each shard's leading entries that sit below the
-	// entry before the shard to that entry's value. Serial and in shard
-	// order, so the result is the same at every worker count.
+	// Seam clamp: set each shard's leading weightless entries to the
+	// entry before the shard, then raise its leading entries below that
+	// entry to it. Serial and in shard order, so the result is the same
+	// at every worker count.
 	for sh := 1; sh < plan.Shards; sh++ {
-		a := offs[sh]
-		if a == 0 {
+		lo, hi := plan.Range(sh)
+		if lo == 0 {
 			continue
 		}
-		prev := s.cum[a-1]
-		for i := a; i < a+counts[sh] && s.cum[i] < prev; i++ {
+		prev := s.cum[lo-1]
+		i := lo
+		for ; i < firsts[sh]; i++ {
+			s.cum[i] = prev
+		}
+		for ; i < hi && s.cum[i] < prev; i++ {
 			s.cum[i] = prev
 		}
 	}
@@ -148,23 +178,21 @@ func (s *Sampler) rebuild() {
 	if n > 0 {
 		s.total = s.cum[n-1]
 	}
-	s.fillGuide()
+	s.fillGuide(weighted)
 	s.version = s.as.Version()
 	s.built = true
 }
 
-// fillGuide rebuilds the guide table over cum serially, reusing its
-// storage. n/8 buckets keep the table at half a byte per CDF entry;
-// more buckets cost heap without making draws faster. Walking cum
-// backwards with one store per entry leaves each bucket holding its
-// first entry's index; an empty bucket then takes the next bucket's
-// value, the first entry above it.
-func (s *Sampler) fillGuide() {
+// fillGuide rebuilds the guide table of max(1, weighted) buckets over
+// cum serially, reusing its storage. Walking cum backwards from the
+// last page to the first weighted one, with one store per entry, leaves
+// each bucket holding its first entry's index; a weightless entry
+// shares its predecessor's value and bucket, so the predecessor
+// overwrites it. An empty bucket then takes the next bucket's value,
+// the first entry above it.
+func (s *Sampler) fillGuide(weighted int) {
 	n := len(s.cum)
-	k := n / 8
-	if k < 1 {
-		k = 1
-	}
+	k := max(1, weighted)
 	if cap(s.guide) < k+1 {
 		s.guide = make([]int32, k+1)
 	}
@@ -173,7 +201,7 @@ func (s *Sampler) fillGuide() {
 	for j := range s.guide {
 		s.guide[j] = int32(n)
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= s.first; i-- {
 		s.guide[s.bucket(s.cum[i])] = int32(i)
 	}
 	for j := k - 1; j >= 0; j-- {
@@ -195,16 +223,25 @@ func (s *Sampler) bucket(v float64) int {
 	return last
 }
 
-// search returns the first index i with cum[i] >= x, or len(cum) if
-// there is none: what sort.SearchFloat64s(s.cum, x) returns. Entries
-// before guide[j] lie in lower buckets than x's bucket j, so below x,
-// and the entry at guide[j+1] lies in a higher one, so above x. The
-// answer is therefore in [guide[j], guide[j+1]], and a search of
-// cum[guide[j]:guide[j+1]] that runs off its end returns guide[j+1].
-func (s *Sampler) search(x float64) int {
+// find returns the page a draw x in [0, total] selects: the first
+// weighted page whose entry is at least x. Weighted entries before
+// guide[j] lie in lower buckets than x's bucket j, so below x, and the
+// entry at guide[j+1] lies in a higher one, so above x. The answer is
+// therefore in [guide[j], guide[j+1]], and a scan that runs off the end
+// of the bucket returns guide[j+1]; an empty bucket reads no entry.
+// Every weightless entry past the first weighted page repeats its
+// predecessor, so the scan stops at a weighted page. The last weighted
+// page stands in should x exceed every entry.
+func (s *Sampler) find(x float64) pages.PageID {
 	j := s.bucket(x)
-	lo, hi := int(s.guide[j]), int(s.guide[j+1])
-	return lo + sort.SearchFloat64s(s.cum[lo:hi], x)
+	i, end := int(s.guide[j]), int(s.guide[j+1])
+	for i < end && s.cum[i] < x {
+		i++
+	}
+	if i >= len(s.cum) {
+		i = s.last
+	}
+	return pages.PageID(i)
 }
 
 // Sample returns one page drawn with probability proportional to its
@@ -217,11 +254,7 @@ func (s *Sampler) Sample() pages.PageID {
 	if s.total <= 0 {
 		return pages.NoPage
 	}
-	i := s.search(s.rng.Float64() * s.total)
-	if i >= len(s.ids) {
-		i = len(s.ids) - 1
-	}
-	return s.ids[i]
+	return s.find(s.rng.Float64() * s.total)
 }
 
 // SampleN draws n pages with replacement, appending to dst.

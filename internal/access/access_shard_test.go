@@ -7,6 +7,7 @@ import (
 
 	"colloid/internal/memsys"
 	"colloid/internal/pages"
+	"colloid/internal/shard"
 	"colloid/internal/stats"
 )
 
@@ -94,13 +95,16 @@ func TestSamplerCDFNonDecreasing(t *testing.T) {
 	}
 }
 
-// The guide-table search must return exactly the full binary search's
-// index: on random draws, on and beside every CDF entry and bucket
-// edge, and at both ends.
+// The guide-table scan must return the page the full binary search
+// over the weighted-only CDF returns: on random draws, on and beside
+// every CDF entry and bucket edge, and at both ends. (A binary search
+// over the dense CDF is no oracle: at 0 it returns a leading
+// weightless page.)
 func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 9, 64, 1000, 5000} {
 		for seed := uint64(1); seed <= 20; seed++ {
-			checkGuide(t, seamSampler(t, n, seed), seed)
+			s := seamSampler(t, n, seed)
+			checkWeightedCDF(t, s, seed, guideEdges(s)...)
 		}
 	}
 	// Subnormal weights overflow k/total to +Inf: every draw then lands
@@ -114,20 +118,117 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 	if !math.IsInf(s.scale, 1) {
 		t.Fatalf("scale = %v, want +Inf", s.scale)
 	}
-	checkGuide(t, s, 1)
+	checkWeightedCDF(t, s, 1, guideEdges(s)...)
 }
 
-func checkGuide(t *testing.T, s *Sampler, seed uint64) {
+// guideEdges returns the CDF value at each guide bucket's lower edge.
+func guideEdges(s *Sampler) []float64 {
+	edges := make([]float64, len(s.guide))
+	for j := range s.guide {
+		edges[j] = float64(j) / s.scale
+	}
+	return edges
+}
+
+// The CDF over every page must select the same page as the CDF over
+// weighted pages only, and keep each weighted page's entry bit for bit,
+// also when the first, a middle or the last shard is wholly weightless.
+func TestSamplerMatchesWeightedCDF(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 9, 16, 17, 64, 1000, 5000} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			checkWeightedCDF(t, seamSampler(t, n, seed), seed)
+		}
+	}
+	for _, n := range []int{17, 64, 1000} {
+		for _, sh := range []int{0, shard.DefaultShards / 2, shard.DefaultShards - 1} {
+			for seed := uint64(1); seed <= 40; seed++ {
+				s := seamSampler(t, n, seed)
+				lo, hi := shard.NewPlan(n).Range(sh)
+				for id := lo; id < hi; id++ {
+					s.as.SetWeight(pages.PageID(id), 0)
+				}
+				s.Sample() // rebuilds the CDF
+				checkWeightedCDF(t, s, seed)
+			}
+		}
+	}
+}
+
+// weightedCDF is the reference the dense CDF must agree with: s's
+// distribution over weighted pages only, built from per-shard weighted
+// totals, the ordered reduce, prefix sums over weighted pages and the
+// seam clamp on them. ids[k] is the page of entry k.
+func weightedCDF(s *Sampler) (cum []float64, ids []pages.PageID) {
+	w := s.as.LiveView().Weight
+	plan := shard.NewPlan(len(w))
+	var counts [shard.DefaultShards]int
+	var base [shard.DefaultShards]float64
+	acc := 0.0
+	for sh := 0; sh < plan.Shards; sh++ {
+		lo, hi := plan.Range(sh)
+		total := 0.0
+		for _, x := range w[lo:hi] {
+			if x > 0 {
+				counts[sh]++
+				total += x
+			}
+		}
+		base[sh] = acc
+		acc += total
+	}
+	for sh := 0; sh < plan.Shards; sh++ {
+		lo, hi := plan.Range(sh)
+		acc := base[sh]
+		for i, x := range w[lo:hi] {
+			if x > 0 {
+				acc += x
+				cum = append(cum, acc)
+				ids = append(ids, pages.PageID(lo+i))
+			}
+		}
+	}
+	a := counts[0]
+	for sh := 1; sh < plan.Shards; sh++ {
+		if a > 0 {
+			prev := cum[a-1]
+			for i := a; i < a+counts[sh] && cum[i] < prev; i++ {
+				cum[i] = prev
+			}
+		}
+		a += counts[sh]
+	}
+	return cum, ids
+}
+
+// checkWeightedCDF compares s against weightedCDF: the total and every
+// weighted page's entry bit for bit, then the page find returns against
+// the binary search of the reference at 20,000 draws, on and beside
+// every reference entry and each of extra, and at 0 and the total.
+func checkWeightedCDF(t *testing.T, s *Sampler, seed uint64, extra ...float64) {
 	t.Helper()
-	if len(s.cum) == 0 {
+	cum, ids := weightedCDF(s)
+	if len(cum) == 0 {
 		return
+	}
+	n := len(s.cum)
+	if s.total != cum[len(cum)-1] {
+		t.Fatalf("%d pages, seed %d: total %v, want %v", n, seed, s.total, cum[len(cum)-1])
+	}
+	for k, id := range ids {
+		if math.Float64bits(s.cum[id]) != math.Float64bits(cum[k]) {
+			t.Fatalf("%d pages, seed %d: cum[%d] = %v, want %v", n, seed, id, s.cum[id], cum[k])
+		}
 	}
 	check := func(x float64) {
 		if x < 0 { // draws are never negative
 			return
 		}
-		if got, want := s.search(x), sort.SearchFloat64s(s.cum, x); got != want {
-			t.Fatalf("%d-entry CDF, seed %d: search(%v) = %d, full search %d", len(s.cum), seed, x, got, want)
+		k := sort.SearchFloat64s(cum, x)
+		if k >= len(ids) {
+			k = len(ids) - 1
+		}
+		if got := s.find(x); got != ids[k] {
+			t.Fatalf("%d pages, seed %d: find(%v) = page %d, want %d", n, seed, x, got, ids[k])
 		}
 	}
 	near := func(x float64) {
@@ -139,11 +240,11 @@ func checkGuide(t *testing.T, s *Sampler, seed uint64) {
 	for i := 0; i < 20000; i++ {
 		check(rng.Float64() * s.total)
 	}
-	for _, c := range s.cum {
+	for _, c := range cum {
 		near(c)
 	}
-	for j := range s.guide {
-		near(float64(j) / s.scale)
+	for _, x := range extra {
+		near(x)
 	}
 	check(0)
 	check(s.total)

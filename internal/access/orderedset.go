@@ -12,7 +12,9 @@ import (
 // deterministic operation sequence). Go map iteration order is
 // randomized per run, which silently breaks simulation reproducibility
 // whenever a policy's migration cutoff depends on visit order; every
-// such worklist uses this instead. The zero value is an empty set.
+// such worklist uses this instead, or, as HeMem's lists do, a page-ID
+// slice whose positions live in a per-page record. The zero value is an
+// empty set.
 type OrderedSet struct {
 	items []pages.PageID
 	// pos[id] is id's index in items plus one; 0 means absent. It is

@@ -15,7 +15,6 @@ package hemem
 import (
 	"errors"
 
-	"colloid/internal/access"
 	"colloid/internal/core"
 	"colloid/internal/heat"
 	"colloid/internal/memsys"
@@ -60,6 +59,18 @@ func (c Config) withDefaults() Config {
 // numBins is the Colloid extension's bin count (Section 4.1).
 const numBins = 5
 
+// pageState is one page's list membership: 12 bytes in place of a
+// position array per list. altPos and binPos are one plus the page's
+// index in hotAlt and in bins[bin-1], 0 when absent; bin is one plus
+// the page's bin, 0 for none. A hot page has a count of at least
+// HotThreshold; only the flag is kept, since nothing reads the hot
+// pages in order.
+type pageState struct {
+	altPos, binPos int32
+	bin            uint8
+	hot            bool
+}
+
 // System is one HeMem instance managing one address space.
 type System struct {
 	cfg Config
@@ -69,21 +80,22 @@ type System struct {
 	tracker heat.Tracker
 	colloid *core.Controller
 
-	// hot holds pages classified hot; tier is looked up on use
-	// (membership moves are cheaper than per-migration updates).
-	hot access.OrderedSet
+	// state[id] is page id's hot flag, bin and list positions. One
+	// record per page keeps a sample's classification to one cache line
+	// of HeMem state.
+	state []pageState
+	// nHot counts the records flagged hot.
+	nHot int
 	// hotAlt holds hot pages believed to reside outside the default
 	// tier — the vanilla promotion worklist. Kept incrementally so the
-	// steady-state migration pass is O(|hotAlt|), not O(|hot|), and
-	// insertion-ordered so runs are reproducible.
-	hotAlt access.OrderedSet
+	// steady-state migration pass is O(|hotAlt|), not O(hot pages), and
+	// insertion-ordered (appends, swap-removes) so runs are
+	// reproducible.
+	hotAlt []pages.PageID
 	// bins[b] holds pages whose count falls in frequency bin b
 	// (Colloid extension; maintained even for vanilla HeMem at
-	// negligible cost so tests can inspect it).
-	bins [numBins]access.OrderedSet
-	// binOf[id] is one plus the bin holding page id, 0 for none; it
-	// makes moves between bins O(1).
-	binOf []uint8
+	// negligible cost so tests can inspect it), in the same order.
+	bins [numBins][]pages.PageID
 	// picked is the page finder's output, reused across quanta.
 	picked []pages.PageID
 
@@ -120,8 +132,8 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 	// HeMem's per-quantum cost concentrates in the tracker's cooling
 	// sweeps and the engine sampler's CDF rebuilds, both of which shard
-	// internally; the hot/cold bins stay serial because they are
-	// insertion-ordered sets whose order is part of the policy.
+	// internally; the hot/cold lists stay serial because they are
+	// insertion-ordered and their order is part of the policy.
 	s.ensureTracker(ctx)
 	s.samplePEBS(ctx)
 	if !s.started {
@@ -141,12 +153,12 @@ func (s *System) Step(ctx *sim.Context) {
 }
 
 // ensureTracker builds the heat tracker from the engine's spec, and the
-// bin index over the space's pages, on the first step and keeps the
+// page records over the space's pages, on the first step and keeps the
 // tracker's worker count in sync with the context.
 func (s *System) ensureTracker(ctx *sim.Context) {
 	if s.tracker == nil {
 		s.tracker = ctx.Heat.NewTracker(s.cfg.CoolThreshold)
-		s.binOf = make([]uint8, ctx.AS.NumPages())
+		s.state = make([]pageState, ctx.AS.NumPages())
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 }
@@ -178,30 +190,73 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 // classify updates hot/bin membership for one page from its count.
 func (s *System) classify(ctx *sim.Context, id pages.PageID) {
 	c := s.tracker.Count(id)
-	if c >= s.cfg.HotThreshold {
-		s.hot.Add(id)
-		if ctx.AS.Tier(id) != memsys.DefaultTier {
-			s.hotAlt.Add(id)
+	st := &s.state[id]
+	if hot := c >= s.cfg.HotThreshold; hot != st.hot {
+		st.hot = hot
+		if hot {
+			s.nHot++
 		} else {
-			s.hotAlt.Remove(id)
+			s.nHot--
 		}
+	}
+	if st.hot && ctx.AS.Tier(id) != memsys.DefaultTier {
+		s.addAlt(id)
 	} else {
-		s.hot.Remove(id)
-		s.hotAlt.Remove(id)
+		s.removeAlt(id)
 	}
 	b := s.binIndex(c)
-	if prev := s.binOf[id]; prev != 0 {
-		if int(prev)-1 == b {
+	if st.bin != 0 {
+		if int(st.bin)-1 == b {
 			return
 		}
-		s.bins[prev-1].Remove(id)
+		s.removeBin(id)
 	}
-	if c == 0 {
-		s.binOf[id] = 0
+	if c != 0 {
+		s.addBin(id, b)
+	}
+}
+
+// addAlt appends id to hotAlt unless it is there.
+func (s *System) addAlt(id pages.PageID) {
+	st := &s.state[id]
+	if st.altPos == 0 {
+		s.hotAlt = append(s.hotAlt, id)
+		st.altPos = int32(len(s.hotAlt))
+	}
+}
+
+// removeAlt swap-removes id from hotAlt if it is there.
+func (s *System) removeAlt(id pages.PageID) {
+	st := &s.state[id]
+	if st.altPos == 0 {
 		return
 	}
-	s.bins[b].Add(id)
-	s.binOf[id] = uint8(b) + 1
+	i, last := st.altPos-1, len(s.hotAlt)-1
+	moved := s.hotAlt[last]
+	s.hotAlt[i] = moved
+	s.state[moved].altPos = i + 1
+	s.hotAlt = s.hotAlt[:last]
+	st.altPos = 0
+}
+
+// addBin appends id, which is in no bin, to bin b.
+func (s *System) addBin(id pages.PageID, b int) {
+	s.bins[b] = append(s.bins[b], id)
+	st := &s.state[id]
+	st.bin = uint8(b) + 1
+	st.binPos = int32(len(s.bins[b]))
+}
+
+// removeBin swap-removes id from its bin.
+func (s *System) removeBin(id pages.PageID) {
+	st := &s.state[id]
+	bin := &s.bins[st.bin-1]
+	i, last := st.binPos-1, len(*bin)-1
+	moved := (*bin)[last]
+	(*bin)[i] = moved
+	s.state[moved].binPos = i + 1
+	*bin = (*bin)[:last]
+	st.bin, st.binPos = 0, 0
 }
 
 func (s *System) binIndex(count uint32) int {
@@ -216,22 +271,21 @@ func (s *System) binIndex(count uint32) int {
 func (s *System) rebuildLists(ctx *sim.Context) {
 	s.cools++
 	ctx.Obs.Counter("hemem_cools").Inc()
-	s.hot.Clear()
-	s.hotAlt.Clear()
+	clear(s.state)
+	s.nHot = 0
+	s.hotAlt = s.hotAlt[:0]
 	for b := range s.bins {
-		s.bins[b].Clear()
+		s.bins[b] = s.bins[b][:0]
 	}
-	clear(s.binOf)
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
 		if count >= s.cfg.HotThreshold {
-			s.hot.Add(id)
+			s.state[id].hot = true
+			s.nHot++
 			if ctx.AS.Tier(id) != memsys.DefaultTier {
-				s.hotAlt.Add(id)
+				s.addAlt(id)
 			}
 		}
-		b := s.binIndex(count)
-		s.bins[b].Add(id)
-		s.binOf[id] = uint8(b) + 1
+		s.addBin(id, s.binIndex(count))
 	})
 }
 
@@ -239,23 +293,27 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 // in an alternate tier into the default tier, demoting cold pages when
 // the default tier is full, all under the migration rate limit.
 func (s *System) migrateVanilla(ctx *sim.Context) {
-	s.hotAlt.ForEach(func(id pages.PageID) access.Action {
+	// A removal swap-fills slot i, so the loop revisits it.
+	for i := 0; i < len(s.hotAlt); {
+		id := s.hotAlt[i]
 		p := ctx.AS.Get(id)
 		if p.Tier == memsys.DefaultTier {
-			return access.Drop
+			s.removeAlt(id)
+			continue
 		}
 		if !s.ensureDefaultFree(ctx, p.Bytes) {
-			return access.Stop // out of cold victims or budget
+			return // out of cold victims or budget
 		}
 		err := ctx.Migrator.Move(id, memsys.DefaultTier)
 		if errors.Is(err, migrate.ErrLimit) {
-			return access.Stop
+			return
 		}
 		if err == nil {
-			return access.Drop
+			s.removeAlt(id)
+			continue
 		}
-		return access.Keep
-	})
+		i++
+	}
 }
 
 // ensureDefaultFree demotes cold pages out of the default tier until
@@ -286,7 +344,7 @@ func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
 		if p.Tier != memsys.DefaultTier {
 			continue
 		}
-		if s.hot.Contains(id) {
+		if s.state[id].hot {
 			continue
 		}
 		return id
@@ -337,13 +395,11 @@ func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID, offer func
 	tier := ctx.AS.LiveView().Tier
 	scanned := 0
 	for b := numBins - 1; b >= 0; b-- {
-		bin := &s.bins[b]
-		for i := 0; i < bin.Len(); i++ {
+		for _, id := range s.bins[b] {
 			scanned++
 			if scanned > maxScan {
 				return
 			}
-			id := bin.At(i)
 			if tier[id] == fromTier && !offer(id, s.tracker.Probability(id)) {
 				return
 			}
@@ -365,7 +421,7 @@ type Stats struct {
 // Stats returns a snapshot of tracker state.
 func (s *System) Stats() Stats {
 	st := Stats{
-		HotPages: s.hot.Len(),
+		HotPages: s.nHot,
 		Cools:    s.cools,
 	}
 	if s.tracker != nil {

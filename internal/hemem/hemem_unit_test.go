@@ -1,10 +1,11 @@
 package hemem
 
 import (
+	"fmt"
 	"testing"
 
-	"colloid/internal/access"
-
+	"colloid/internal/core"
+	"colloid/internal/heat"
 	"colloid/internal/memsys"
 	"colloid/internal/migrate"
 	"colloid/internal/pages"
@@ -52,20 +53,20 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 		s.tracker.Touch(id)
 	}
 	s.classify(ctx, id)
-	if s.hot.Contains(id) {
+	if s.state[id].hot {
 		t.Fatal("count 3 classified hot")
 	}
-	if bin := int(s.binOf[id]) - 1; bin != 0 {
+	if bin := int(s.state[id].bin) - 1; bin != 0 {
 		t.Fatalf("bin = %d, want 0", bin)
 	}
 
 	// Crossing the threshold in the default tier: hot, not in hotAlt.
 	s.tracker.Touch(id)
 	s.classify(ctx, id)
-	if !s.hot.Contains(id) {
+	if !s.state[id].hot {
 		t.Fatal("count 4 not hot")
 	}
-	if s.hotAlt.Contains(id) {
+	if s.state[id].altPos != 0 {
 		t.Fatal("default-tier page in hotAlt")
 	}
 
@@ -79,7 +80,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 		s.tracker.Touch(altID)
 	}
 	s.classify(ctx, altID)
-	if !s.hotAlt.Contains(altID) {
+	if s.state[altID].altPos == 0 {
 		t.Fatal("hot alternate-tier page missing from hotAlt")
 	}
 }
@@ -93,15 +94,15 @@ func TestRebuildAfterCooling(t *testing.T) {
 		s.tracker.Touch(id)
 	}
 	s.classify(ctx, id)
-	if bin := int(s.binOf[id]) - 1; bin != 2 {
+	if bin := int(s.state[id].bin) - 1; bin != 2 {
 		t.Fatalf("bin before cool = %d", bin)
 	}
 	s.tracker.Cool() // 7 -> 3: below hot threshold
 	s.rebuildLists(ctx)
-	if s.hot.Contains(id) {
+	if s.state[id].hot {
 		t.Fatal("cooled page still hot")
 	}
-	if bin := int(s.binOf[id]) - 1; bin != 0 {
+	if bin := int(s.state[id].bin) - 1; bin != 0 {
 		t.Fatalf("bin after cool = %d, want 0", bin)
 	}
 	if s.cools != 1 {
@@ -199,13 +200,92 @@ func TestHotSetShiftReclassifies(t *testing.T) {
 	}
 	// Most classified-hot pages should now be truly hot.
 	trueHot := 0
-	sys.hot.ForEach(func(id pages.PageID) access.Action {
-		if g.IsHot(id) {
+	for id, st := range sys.state {
+		if st.hot && g.IsHot(pages.PageID(id)) {
 			trueHot++
 		}
-		return access.Keep
-	})
-	if sys.hot.Len() == 0 || float64(trueHot)/float64(sys.hot.Len()) < 0.8 {
-		t.Fatalf("hot set stale after shift: %d/%d truly hot", trueHot, sys.hot.Len())
+	}
+	if sys.nHot == 0 || float64(trueHot)/float64(sys.nHot) < 0.8 {
+		t.Fatalf("hot set stale after shift: %d/%d truly hot", trueHot, sys.nHot)
+	}
+}
+
+// Every list entry's record must point back at its slot, after every
+// quantum of vanilla and Colloid HeMem on exact and region heat, across
+// cooling passes, migrations and a hot-set shift.
+func TestPageRecordsMatchLists(t *testing.T) {
+	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
+	for _, colloid := range []bool{false, true} {
+		for _, spec := range []heat.Spec{{}, {Kind: heat.Region, RegionPages: 64}} {
+			cfg := Config{}
+			if colloid {
+				cfg.Colloid = &core.Options{}
+			}
+			sys := New(cfg)
+			g := workloads.DefaultGUPS()
+			e, err := sim.New(sim.Config{
+				Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
+				Profile: g.Profile(), Antagonist: workloads.Intensity3x,
+				Heat: spec, Seed: 7,
+			}, sim.WithSystem(sys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
+				t.Fatal(err)
+			}
+			for q := 0; q < 400; q++ {
+				if q == 200 {
+					g.ShiftHotSet(e.AS(), e.WorkloadRNG())
+				}
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				checkRecords(t, sys, fmt.Sprintf("%s/%s quantum %d", sys.Name(), spec, q))
+			}
+			// Exact heat cools within this run; region/64 heat does not.
+			if sys.nHot == 0 || (spec.Kind == heat.Exact && sys.cools == 0) {
+				t.Fatalf("%s/%s: lists not exercised: %d hot pages, %d cools", sys.Name(), spec, sys.nHot, sys.cools)
+			}
+		}
+	}
+}
+
+// checkRecords checks that each hotAlt and bin entry has a record
+// pointing back at its slot, that no other record claims a slot (so no
+// page sits in two bins), and that nHot counts the hot records.
+func checkRecords(t *testing.T, s *System, label string) {
+	t.Helper()
+	for i, id := range s.hotAlt {
+		if st := s.state[id]; int(st.altPos) != i+1 {
+			t.Fatalf("%s: hotAlt[%d] = page %d, whose record says altPos %d", label, i, id, st.altPos)
+		}
+	}
+	binned := 0
+	for b := range s.bins {
+		for i, id := range s.bins[b] {
+			if st := s.state[id]; int(st.bin) != b+1 || int(st.binPos) != i+1 {
+				t.Fatalf("%s: bins[%d][%d] = page %d, whose record says bin %d pos %d", label, b, i, id, int(st.bin)-1, st.binPos)
+			}
+		}
+		binned += len(s.bins[b])
+	}
+	alts, bins, hot := 0, 0, 0
+	for _, st := range s.state {
+		if st.altPos != 0 {
+			alts++
+		}
+		if st.bin != 0 {
+			bins++
+		}
+		if st.hot {
+			hot++
+		}
+	}
+	if alts != len(s.hotAlt) || bins != binned {
+		t.Fatalf("%s: %d records claim a hotAlt slot and %d a bin slot, lists hold %d and %d", label, alts, bins, len(s.hotAlt), binned)
+	}
+	if hot != s.nHot {
+		t.Fatalf("%s: %d records flagged hot, nHot %d", label, hot, s.nHot)
 	}
 }

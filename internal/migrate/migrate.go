@@ -123,6 +123,8 @@ type Engine struct {
 	// Per-quantum accounting, reset by BeginQuantum.
 	movedFrom []int64 // bytes read out of each tier this quantum
 	movedTo   []int64 // bytes written into each tier this quantum
+	// load is TrafficLoad's result, reused across calls.
+	load []memsys.Load
 
 	// Cumulative accounting.
 	totalBytes      int64
@@ -163,6 +165,7 @@ func NewEngine(as *pages.AddressSpace, numTiers int, staticLimitBytesPerSec floa
 		staticLimitBytesPerSec: staticLimitBytesPerSec,
 		movedFrom:              make([]int64, numTiers),
 		movedTo:                make([]int64, numTiers),
+		load:                   make([]memsys.Load, numTiers),
 	}
 }
 
@@ -381,16 +384,17 @@ func (e *Engine) record(from, to memsys.TierID, bytes int64) {
 
 // TrafficLoad returns the per-tier bandwidth consumed by this quantum's
 // migrations: reads from the source plus writes into the destination,
-// both sequential (migration copies whole pages).
+// both sequential (migration copies whole pages). The slice belongs to
+// the engine: the next call overwrites it, so it costs no allocation
+// on the per-quantum path.
 func (e *Engine) TrafficLoad() []memsys.Load {
-	out := make([]memsys.Load, len(e.movedFrom))
-	if e.quantumSec <= 0 {
-		return out
+	for t := range e.load {
+		e.load[t] = memsys.Load{}
+		if e.quantumSec > 0 {
+			e.load[t].SeqBytes = float64(e.movedFrom[t]+e.movedTo[t]) / e.quantumSec
+		}
 	}
-	for t := range out {
-		out[t].SeqBytes = float64(e.movedFrom[t]+e.movedTo[t]) / e.quantumSec
-	}
-	return out
+	return e.load
 }
 
 // QuantumBytes returns the bytes migrated this quantum.

@@ -65,13 +65,11 @@ type System struct {
 
 	// ttfThresh is the adaptive hot classification threshold.
 	ttfThresh float64
-	// lastFaultSec approximates the kernel's active/inactive LRU: cold
-	// demotion victims are pages without a recent fault.
-	lastFaultSec map[pages.PageID]float64
-	// lastTTF remembers each page's most recent time-to-fault; large
+	// lastTTF[id] is page id's most recent time-to-fault, -1 before its
+	// first fault (a drawn time-to-fault is never negative); large
 	// values mean cold. kswapd prefers demoting the coldest of a probe
 	// set, mirroring the kernel's LRU aging at fault granularity.
-	lastTTF map[pages.PageID]float64
+	lastTTF []float64
 
 	// Colloid per-quantum budget state.
 	deltaPLeft float64
@@ -87,10 +85,8 @@ type System struct {
 func New(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	return &System{
-		cfg:          cfg,
-		ttfThresh:    cfg.HotTTFSec,
-		lastFaultSec: make(map[pages.PageID]float64),
-		lastTTF:      make(map[pages.PageID]float64),
+		cfg:       cfg,
+		ttfThresh: cfg.HotTTFSec,
 	}
 }
 
@@ -109,6 +105,10 @@ func (s *System) Name() string {
 func (s *System) Step(ctx *sim.Context) {
 	if s.scanner == nil {
 		s.scanner = access.NewHintFaultScanner(ctx.AS, ctx.RNG, s.cfg.ScanIntervalSec, 0)
+		s.lastTTF = make([]float64, ctx.AS.NumPages())
+		for i := range s.lastTTF {
+			s.lastTTF[i] = -1
+		}
 	}
 	if s.cfg.Colloid != nil && s.colloid == nil {
 		opts := *s.cfg.Colloid
@@ -137,7 +137,6 @@ func (s *System) Step(ctx *sim.Context) {
 	faults := s.scanner.Step(ctx.TimeSec, ctx.QuantumSec, ctx.AppRequestRate)
 	ctx.Obs.Counter("tpp_hint_faults").Add(int64(len(faults)))
 	for _, f := range faults {
-		s.lastFaultSec[f.Page] = ctx.TimeSec
 		s.lastTTF[f.Page] = f.TimeToFaultSec
 		if s.cfg.Colloid != nil {
 			s.onFaultColloid(ctx, f)
@@ -294,8 +293,8 @@ func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
 			continue
 		}
 		found++
-		ttf, ok := s.lastTTF[id]
-		if !ok {
+		ttf := s.lastTTF[id]
+		if ttf < 0 {
 			// Never faulted since tracking began: treat as coldest.
 			return id
 		}

@@ -162,6 +162,7 @@ func TestFindColdVictimPrefersLargestTTF(t *testing.T) {
 	s := New(Config{})
 	ids := ctx.AS.LiveIDs()
 	// Everything recently faulted with small ttf except one cold page.
+	s.lastTTF = make([]float64, ctx.AS.NumPages())
 	for _, id := range ids {
 		s.lastTTF[id] = 1e-4
 	}
@@ -177,5 +178,12 @@ func TestFindColdVictimPrefersLargestTTF(t *testing.T) {
 	}
 	if wins == 0 {
 		t.Fatal("coldest page never selected")
+	}
+	// A page that never faulted is colder than any that did.
+	for i := range s.lastTTF {
+		s.lastTTF[i] = -1
+	}
+	if s.findColdVictim(ctx) == pages.NoPage {
+		t.Fatal("no victim among pages that never faulted")
 	}
 }
