@@ -80,9 +80,12 @@ bench:
 
 # One-iteration smoke of the instrumentation-overhead benchmark: proves
 # the obs plumbing still runs end to end without paying for a full
-# benchstat-quality measurement.
+# benchstat-quality measurement. Also one iteration of the sampler
+# benchmark (Sample against SampleN, ns per draw), so it keeps
+# compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
+	$(GO) test -run '^$$' -bench='^BenchmarkSampler$$' -benchtime=1x ./internal/access/
 
 # One-iteration smoke of the multi-tenant cluster: the quick tenants
 # experiment (8 tenants, both arbitration policies, heat modes exact +

@@ -32,6 +32,7 @@ import (
 type multiTierSystem struct {
 	ctrl    *core.MultiController
 	tracker heat.Tracker
+	draws   []pages.PageID // the quantum's PEBS samples, reused
 }
 
 func (m *multiTierSystem) Name() string { return "multitier-colloid" }
@@ -48,10 +49,9 @@ func (m *multiTierSystem) Step(ctx *sim.Context) {
 		m.tracker = ctx.Heat.NewTracker(64)
 	}
 	// PEBS sampling: 500 samples per 10 ms quantum.
-	for i := 0; i < 500; i++ {
-		if id := ctx.Sampler.Sample(); id != pages.NoPage {
-			m.tracker.Touch(id)
-		}
+	m.draws = ctx.Sampler.SampleN(m.draws[:0], 500)
+	for _, id := range m.draws {
+		m.tracker.Touch(id)
 	}
 	d, ok := m.ctrl.Observe(ctx.CHA)
 	if !ok || d.Hold {

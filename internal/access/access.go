@@ -14,7 +14,12 @@
 // previous shard's last sum and keeps the CDF non-decreasing, and a
 // guide table of one bucket per weighted page lets each draw scan one
 // bucket, usually empty, instead of searching the whole CDF: 12 bytes
-// per weighted page and 8 per weightless one.
+// per weighted page and 8 per weightless one. SampleN, which each
+// system calls once a quantum, resolves its draws a chunk at a time in
+// two passes: the first loads every draw's guide pair, the second scans
+// the buckets. The first pass has no branch on a loaded value, which
+// could mispredict and discard the loads after it, so the chunk's cache
+// misses overlap instead of being paid one draw at a time.
 package access
 
 import (
@@ -229,12 +234,17 @@ func (s *Sampler) bucket(v float64) int {
 // entry at guide[j+1] lies in a higher one, so above x. The answer is
 // therefore in [guide[j], guide[j+1]], and a scan that runs off the end
 // of the bucket returns guide[j+1]; an empty bucket reads no entry.
-// Every weightless entry past the first weighted page repeats its
-// predecessor, so the scan stops at a weighted page. The last weighted
-// page stands in should x exceed every entry.
 func (s *Sampler) find(x float64) pages.PageID {
 	j := s.bucket(x)
-	i, end := int(s.guide[j]), int(s.guide[j+1])
+	return s.scan(x, int(s.guide[j]), int(s.guide[j+1]))
+}
+
+// scan returns the first index in [i, end] whose entry is at least x,
+// end when none in [i, end) is. Every weightless entry past the first
+// weighted page repeats its predecessor, so the scan stops at a
+// weighted page. The last weighted page stands in should x exceed every
+// entry.
+func (s *Sampler) scan(x float64, i, end int) pages.PageID {
 	for i < end && s.cum[i] < x {
 		i++
 	}
@@ -244,24 +254,65 @@ func (s *Sampler) find(x float64) pages.PageID {
 	return pages.PageID(i)
 }
 
-// Sample returns one page drawn with probability proportional to its
-// weight, or pages.NoPage if no page has weight.
-func (s *Sampler) Sample() pages.PageID {
-	s.mSamples.Inc()
+// ready rebuilds the CDF if the weights changed since the last build
+// and reports whether any page has weight.
+func (s *Sampler) ready() bool {
 	if !s.built || s.version != s.as.Version() {
 		s.rebuild()
 	}
-	if s.total <= 0 {
+	return s.total > 0
+}
+
+// Sample returns one page drawn with probability proportional to its
+// weight, or pages.NoPage if no page has weight. Its scan branches on
+// the guide pair it has just loaded, so a loop of Sample calls waits
+// out each draw's cache misses in turn; SampleN overlaps them.
+func (s *Sampler) Sample() pages.PageID {
+	s.mSamples.Inc()
+	if !s.ready() {
 		return pages.NoPage
 	}
 	return s.find(s.rng.Float64() * s.total)
 }
 
-// SampleN draws n pages with replacement, appending to dst.
+// sampleChunk is how many draws SampleN resolves per pair of passes.
+// Its scratch lives on the stack, 16 bytes a draw.
+const sampleChunk = 128
+
+// SampleN draws n pages with replacement, appending to dst exactly the
+// pages n Sample calls would return, NoPage aside, in order and from the
+// same RNG draws. It checks for a rebuild once, since nothing changes
+// the weights between its draws, and appends nothing, consuming no
+// draw, when no page has weight.
+//
+// The draws resolve sampleChunk at a time in two passes. Pass 1 draws
+// each x, computes its bucket and loads its guide pair; pass 2 then
+// scans cum over each bucket that holds entries. On a large space the
+// guide loads miss the cache, and pass 1 keeps the whole chunk's misses
+// in flight at once because it has no branch on a loaded value. No such
+// branch may sit between one draw's guide load and the next draw's: the
+// scan's branch waits on the pair just loaded and often mispredicts,
+// and a misprediction discards every load issued after it, so a
+// per-draw loop resolves one miss at a time.
 func (s *Sampler) SampleN(dst []pages.PageID, n int) []pages.PageID {
-	for i := 0; i < n; i++ {
-		if id := s.Sample(); id != pages.NoPage {
-			dst = append(dst, id)
+	if n <= 0 {
+		return dst
+	}
+	s.mSamples.Add(int64(n))
+	if !s.ready() {
+		return dst
+	}
+	var xs [sampleChunk]float64
+	var lo, hi [sampleChunk]int32
+	for done := 0; done < n; done += sampleChunk {
+		m := min(sampleChunk, n-done)
+		for k := 0; k < m; k++ {
+			x := s.rng.Float64() * s.total
+			j := s.bucket(x)
+			xs[k], lo[k], hi[k] = x, s.guide[j], s.guide[j+1]
+		}
+		for k := 0; k < m; k++ {
+			dst = append(dst, s.scan(xs[k], int(lo[k]), int(hi[k])))
 		}
 	}
 	return dst

@@ -1,11 +1,14 @@
 package access
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"colloid/internal/memsys"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/shard"
 	"colloid/internal/stats"
@@ -152,6 +155,77 @@ func TestSamplerMatchesWeightedCDF(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SampleN must append exactly the pages n Sample calls give on a twin
+// sampler with the same seed (NoPage aside), after any dst prefix, and
+// leave both RNGs and sampler_samples counters level: on the seam
+// generator's spaces, some wholly weightless, on an all-subnormal
+// space, and at draw counts on and around the chunk size. Over a
+// weightless space it appends nothing and consumes no draw, and a
+// weight change between two calls rebuilds the CDF.
+func TestSampleNMatchesSample(t *testing.T) {
+	type space struct {
+		name string
+		make func(seed uint64) *Sampler
+	}
+	spaces := []space{{"all-subnormal", func(seed uint64) *Sampler {
+		as := shardTestSpace(t)
+		for _, id := range as.LiveIDs()[:100] {
+			as.SetWeight(id, math.SmallestNonzeroFloat64)
+		}
+		return NewSampler(as, stats.NewRNG(seed))
+	}}}
+	for _, n := range []int{1, 9, 64, 5000} {
+		spaces = append(spaces, space{fmt.Sprintf("%d pages", n), func(seed uint64) *Sampler { return seamSampler(t, n, seed) }})
+	}
+	prefix := []pages.PageID{pages.NoPage, 3}
+	for _, sp := range spaces {
+		for seed := uint64(1); seed <= 20; seed++ {
+			for _, draws := range []int{0, 1, sampleChunk - 1, sampleChunk, sampleChunk + 1, 3*sampleChunk + 7, 500} {
+				a, b := sp.make(seed), sp.make(seed)
+				a.SetObs(obs.NewRegistry())
+				b.SetObs(obs.NewRegistry())
+				got := a.SampleN(slices.Clone(prefix), draws)
+				want := slices.Clone(prefix)
+				for i := 0; i < draws; i++ {
+					if id := b.Sample(); id != pages.NoPage {
+						want = append(want, id)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, seed %d, %d draws: SampleN = %v, Sample gives %v", sp.name, seed, draws, got, want)
+				}
+				if x, y := a.rng.Float64(), b.rng.Float64(); x != y {
+					t.Fatalf("%s, seed %d, %d draws: next Float64 %v after SampleN, %v after Sample", sp.name, seed, draws, x, y)
+				}
+				if x, y := a.mSamples.Value(), b.mSamples.Value(); x != y {
+					t.Fatalf("%s, seed %d, %d draws: sampler_samples %d after SampleN, %d after Sample", sp.name, seed, draws, x, y)
+				}
+			}
+		}
+	}
+
+	as := shardTestSpace(t)
+	s := NewSampler(as, stats.NewRNG(6))
+	if got := s.SampleN(slices.Clone(prefix), 500); !slices.Equal(got, prefix) {
+		t.Fatalf("SampleN over a weightless space = %v, want %v", got, prefix)
+	}
+	if x, y := s.rng.Float64(), stats.NewRNG(6).Float64(); x != y {
+		t.Fatalf("SampleN over a weightless space consumed a draw: next Float64 %v, want %v", x, y)
+	}
+	only := func(got []pages.PageID, n int, id pages.PageID) {
+		t.Helper()
+		if len(got) != n || slices.ContainsFunc(got, func(g pages.PageID) bool { return g != id }) {
+			t.Fatalf("SampleN = %v, want %d draws of page %d", got, n, id)
+		}
+	}
+	ids := as.LiveIDs()
+	as.SetWeight(ids[0], 1)
+	only(s.SampleN(nil, 10), 10, ids[0])
+	as.SetWeight(ids[0], 0)
+	as.SetWeight(ids[7], 1)
+	only(s.SampleN(nil, 2*sampleChunk+1), 2*sampleChunk+1, ids[7])
 }
 
 // weightedCDF is the reference the dense CDF must agree with: s's

@@ -96,8 +96,10 @@ type System struct {
 	// (Colloid extension; maintained even for vanilla HeMem at
 	// negligible cost so tests can inspect it), in the same order.
 	bins [numBins][]pages.PageID
-	// picked is the page finder's output, reused across quanta.
+	// picked is the page finder's output and draws holds the quantum's
+	// PEBS samples, both reused across quanta.
 	picked []pages.PageID
+	draws  []pages.PageID
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -171,11 +173,8 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
 	coolsBefore := s.tracker.Cools()
-	for i := 0; i < n; i++ {
-		id := ctx.Sampler.Sample()
-		if id == pages.NoPage {
-			continue
-		}
+	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
+	for _, id := range s.draws {
 		s.tracker.Touch(id)
 		if s.tracker.Cools() != coolsBefore {
 			// A cooling pass halved every count; rebuild memberships.

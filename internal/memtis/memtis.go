@@ -123,10 +123,12 @@ type System struct {
 	splitting    bool
 
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
-	// queries, and the page finder's output, reused across quanta.
+	// queries, the page finder's output and the quantum's PEBS samples,
+	// reused across quanta.
 	hist   []int64
 	hotBuf []pages.PageID
 	picked []pages.PageID
+	draws  []pages.PageID
 }
 
 // New returns a MEMTIS instance.
@@ -216,11 +218,8 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 	s.sampleCarry += s.cfg.BaseSampleRatePerSec * s.sampleScale * ctx.QuantumSec
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
-	for i := 0; i < n; i++ {
-		id := ctx.Sampler.Sample()
-		if id == pages.NoPage {
-			continue
-		}
+	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
+	for _, id := range s.draws {
 		s.tracker.Touch(id)
 	}
 }

@@ -88,7 +88,8 @@ func (c Config) withDefaults() Config {
 // System implements sim.System for either policy.
 type System struct {
 	cfg     Config
-	tracker heat.Tracker // built lazily from Context.Heat on first Step
+	tracker heat.Tracker   // built lazily from Context.Heat on first Step
+	draws   []pages.PageID // the quantum's PEBS samples, reused
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -232,9 +233,8 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 	s.sampleCarry += s.cfg.SampleRatePerSec * ctx.QuantumSec
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
-	for i := 0; i < n; i++ {
-		if id := ctx.Sampler.Sample(); id != pages.NoPage {
-			s.tracker.Touch(id)
-		}
+	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
+	for _, id := range s.draws {
+		s.tracker.Touch(id)
 	}
 }

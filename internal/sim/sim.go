@@ -69,7 +69,9 @@ type Context struct {
 	CHA cha.Snapshot
 	// Migrator executes migrations under rate limits.
 	Migrator *migrate.Engine
-	// Sampler draws access samples (the PEBS interface).
+	// Sampler draws access samples (the PEBS interface). A system
+	// draws its quantum's samples with one SampleN into a buffer it
+	// reuses, as a PEBS polling thread drains its sample buffer in bulk.
 	Sampler *access.Sampler
 	// AppRequestRate is the application's demand-read rate this
 	// quantum (what a PEBS-derived rate estimate would integrate to).

@@ -7,7 +7,10 @@
 // reproducible run-to-run; nothing reads the wall clock.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via splitmix64). It is intentionally not
@@ -109,31 +112,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		panic("stats: Uint64n called with n == 0")
 	}
 	// Lemire's multiply-shift with rejection to remove modulo bias.
-	hi, lo := mul128(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul128(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-	_ = lo
 	return hi
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	lo = t & mask32
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask32
-	c = t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask32) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // NormFloat64 returns a standard normal variate (Box-Muller; one value

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,18 +141,51 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 }
 
-func TestMul128(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
+// Uint64n, Intn and Perm must give the draws recorded before Uint64n's
+// 128-bit product moved to math/bits.Mul64: every golden rests on these
+// streams. For each n, seed n's first 64 Uint64n draws fold into an
+// FNV-1a digest, and the Uint64 after them pins how many draws the
+// rejection loop consumed; 2^63+1 rejects almost half of them. Intn on
+// a twin stream must match wherever n fits an int.
+func TestUint64nPinnedDraws(t *testing.T) {
+	cases := []struct {
+		n      uint64
+		first  [4]uint64
+		digest uint64
+		next   uint64
+	}{
+		{1, [4]uint64{0, 0, 0, 0}, 0xb9b23f3a46fd0825, 10679904434473632331},
+		{3, [4]uint64{2, 1, 0, 1}, 0x963f2b4a64273702, 7534703559299810955},
+		{1000, [4]uint64{776, 61, 661, 431}, 0x3c229071d7bf7aec, 8520525487167286024},
+		{1<<32 + 1, [4]uint64{585521296, 2310034366, 1586308480, 4231458808}, 0xa6ea9f72679c0125, 11556677424176873614},
+		{1 << 62, [4]uint64{2708552487245639656, 655496959281139721, 1645761800873143598, 1554529826618302044}, 0x5c6483f38f9b0568, 9650806189280857495},
+		{1<<63 + 1, [4]uint64{8954546957165884185, 8070603860420250876, 4581272507636913906, 4581426233393224496}, 0x44faf1506365f810, 5824254534029593302},
 	}
 	for _, c := range cases {
-		hi, lo := mul128(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul128(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		r, twin := NewRNG(c.n), NewRNG(c.n)
+		h := uint64(0xcbf29ce484222325)
+		for i := 0; i < 64; i++ {
+			v := r.Uint64n(c.n)
+			if i < len(c.first) && v != c.first[i] {
+				t.Errorf("n=%d: draw %d = %d, want %d", c.n, i, v, c.first[i])
+			}
+			if c.n <= math.MaxInt {
+				if w := twin.Intn(int(c.n)); uint64(w) != v {
+					t.Errorf("n=%d: Intn draw %d = %d, Uint64n gave %d", c.n, i, w, v)
+				}
+			}
+			h = (h ^ v) * 0x100000001b3
 		}
+		if h != c.digest {
+			t.Errorf("n=%d: digest of 64 draws = %#x, want %#x", c.n, h, c.digest)
+		}
+		if next := r.Uint64(); next != c.next {
+			t.Errorf("n=%d: Uint64 after 64 draws = %d, want %d", c.n, next, c.next)
+		}
+	}
+	want := []int{3, 7, 4, 2, 1, 6, 9, 8, 5, 0}
+	if got := NewRNG(10).Perm(10); !slices.Equal(got, want) {
+		t.Errorf("Perm(10) = %v, want %v", got, want)
 	}
 }
 
