@@ -31,7 +31,7 @@ func TestListChecks(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d (stderr %q)", code, errOut.String())
 	}
-	for _, name := range []string{"determinism", "maprange", "msgprefix", "seedflow"} {
+	for _, name := range []string{"determinism", "gocapture", "maprange", "msgprefix"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}

@@ -99,7 +99,7 @@ func main() {
 		}
 	}
 
-	heatSpec, heatErr := heatSpecFor(*region, *forecast)
+	heatSpec, heatErr := heat.ParseSpec(*region, *forecast)
 	if err := validateFlags(ids, *parallel, *shardW, heatErr, heatSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "colloidsim:", err)
 		os.Exit(2)
@@ -171,20 +171,6 @@ func validateFlags(ids []string, parallel, shardWorkers int, heatErr error, heat
 		errs = append(errs, fmt.Errorf("-region/-forecast: %w", err))
 	}
 	return errors.Join(errs...)
-}
-
-// heatSpecFor maps -region/-forecast onto the default tracker spec
-// (experiments.Options.Heat): region 0 keeps exact counters, anything
-// else tracks at that granularity with the requested forecaster chain.
-func heatSpecFor(regionPages int, forecast string) (heat.Spec, error) {
-	f, err := heat.ParseForecaster(forecast)
-	if err != nil {
-		return heat.Spec{}, err
-	}
-	if regionPages == 0 {
-		return heat.Spec{Forecaster: f}, nil
-	}
-	return heat.Spec{Kind: heat.Region, RegionPages: regionPages, Forecaster: f}, nil
 }
 
 // writeMetrics dumps the cross-experiment merged metric summary.

@@ -136,7 +136,7 @@ func run(s settings) error {
 		reg = obs.NewRegistry()
 		reg.EnableTrace(0)
 	}
-	spec, err := heatSpec(s.region, s.forecast)
+	spec, err := heat.ParseSpec(s.region, s.forecast)
 	if err != nil {
 		return err
 	}
@@ -230,22 +230,6 @@ func writeMetrics(s settings, reg *obs.Registry) error {
 		}
 	}
 	return nil
-}
-
-// heatSpec maps the -region/-forecast flags onto a tracker spec: region
-// 0 keeps the exact per-page counters, anything else selects region
-// tracking at that granularity with the requested forecaster chain. A
-// forecaster with -region 0 is rejected by sim.Config.Validate (exact
-// tracking has nothing to forecast), as is a bad granularity.
-func heatSpec(regionPages int, forecast string) (heat.Spec, error) {
-	f, err := heat.ParseForecaster(forecast)
-	if err != nil {
-		return heat.Spec{}, err
-	}
-	if regionPages == 0 {
-		return heat.Spec{Forecaster: f}, nil
-	}
-	return heat.Spec{Kind: heat.Region, RegionPages: regionPages, Forecaster: f}, nil
 }
 
 // makeSystem builds the requested tiering system; "none" runs static

@@ -177,3 +177,19 @@ func ParseForecaster(s string) (Forecaster, error) {
 	}
 	return chain, nil
 }
+
+// ParseSpec maps the cmds' -region/-forecast flags onto a tracker spec:
+// region 0 keeps the exact per-page counters, anything else tracks at
+// that granularity with the forecaster chain ParseForecaster builds. A
+// forecaster with region 0, or a bad granularity, is left for
+// Spec.Validate to reject.
+func ParseSpec(regionPages int, forecast string) (Spec, error) {
+	f, err := ParseForecaster(forecast)
+	if err != nil {
+		return Spec{}, err
+	}
+	if regionPages == 0 {
+		return Spec{Forecaster: f}, nil
+	}
+	return Spec{Kind: Region, RegionPages: regionPages, Forecaster: f}, nil
+}

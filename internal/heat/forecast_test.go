@@ -169,5 +169,9 @@ func TestParseForecasterErrors(t *testing.T) {
 		if !strings.HasPrefix(err.Error(), "heat: ") {
 			t.Errorf("ParseForecaster(%q) error %q lacks the \"heat: \" prefix", tc.in, err)
 		}
+		// ParseSpec hands the flag's error through unchanged.
+		if _, specErr := ParseSpec(64, tc.in); specErr == nil || specErr.Error() != err.Error() {
+			t.Errorf("ParseSpec(64, %q) error = %v, want %v", tc.in, specErr, err)
+		}
 	}
 }

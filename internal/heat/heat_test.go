@@ -40,6 +40,15 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestSpecString(t *testing.T) {
+	// flags is the spec ParseSpec maps the cmds' -region/-forecast
+	// values onto.
+	flags := func(regionPages int, forecast string) Spec {
+		spec, err := ParseSpec(regionPages, forecast)
+		if err != nil {
+			t.Fatalf("ParseSpec(%d, %q) failed: %v", regionPages, forecast, err)
+		}
+		return spec
+	}
 	cases := []struct {
 		spec Spec
 		want string
@@ -53,6 +62,9 @@ func TestSpecString(t *testing.T) {
 		{Spec{Kind: Region, RegionPages: 4}, "region/4"},
 		{Spec{Kind: Region, Forecaster: EWMA{Alpha: 0.3}}, "region/64+ewma(0.30)"},
 		{Spec{Kind: Region, RegionPages: 8, Forecaster: Chain{LinearTrend{}, EWMA{Alpha: 0.5}}}, "region/8+trend>ewma(0.50)"},
+		{flags(0, ""), "exact"},
+		{flags(64, ""), "region/64"},
+		{flags(8, "trend>ewma"), "region/8+trend>ewma(0.50)"},
 	}
 	for _, tc := range cases {
 		if got := tc.spec.String(); got != tc.want {

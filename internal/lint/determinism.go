@@ -3,31 +3,41 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"strconv"
 	"strings"
 )
 
-// determinismAllowedPrefixes lists the package-path prefixes where the
-// determinism check does not run: command-line drivers legitimately
-// read the wall clock for elapsed-time UI, and nothing under cmd/ sits
-// on a simulation path. Everything else — including the experiment
-// runner, whose bench timing carries per-site //colloid:allow
-// suppressions instead — is held to the contract.
-var determinismAllowedPrefixes = []string{"cmd/"}
-
-// DeterminismAllowed reports whether the determinism check skips the
-// package at the given root-relative path.
-func DeterminismAllowed(pkgPath string) bool {
-	for _, prefix := range determinismAllowedPrefixes {
-		if strings.HasPrefix(pkgPath+"/", prefix) || strings.HasPrefix(pkgPath, prefix) {
-			return true
-		}
-	}
-	return false
+// determinism keeps ambient state out of simulation paths. Outside
+// cmd/ — command-line drivers legitimately read the wall clock for
+// elapsed-time UI, and the experiment runner's bench timing carries
+// per-site //colloid:allow suppressions instead — it flags wall-clock
+// reads, environment reads and the global math/rand generator.
+//
+// Outside internal/stats, which owns the splittable generator, it also
+// flags the math/rand import and each of its constructors: RNGs must
+// come from stats.RNG's Split/SplitString hierarchy. Splitting keeps
+// experiment arms bit-stable when unrelated subsystems add or remove
+// draws; a stray rand.New(rand.NewSource(seed)) couples every subsystem
+// that shares its linear stream. The import is flagged too, so a
+// violating file gets an actionable finding even when the constructor
+// hides behind a helper.
+func init() {
+	Register(&Check{
+		Name: "determinism",
+		Doc:  "forbid wall-clock reads (time.Now/Since), global math/rand and environment reads outside cmd/, and math/rand imports and constructors outside internal/stats (RNGs come from stats.RNG Split APIs)",
+		Run:  runDeterminism,
+	})
 }
 
-// randConstructors are the math/rand entry points seedflow owns;
-// determinism leaves them alone so each misuse is reported exactly
-// once, by the check whose message explains the right fix.
+// underCmd reports whether the package at the given root-relative path
+// is a command-line driver, where clock, environment and global
+// math/rand reads are allowed.
+func underCmd(pkgPath string) bool {
+	return strings.HasPrefix(pkgPath+"/", "cmd/")
+}
+
+// randConstructors are the math/rand entry points that build a private
+// generator rather than draw from the global one.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
@@ -39,25 +49,25 @@ var forbiddenEnvFuncs = map[string]bool{
 	"Getenv": true, "LookupEnv": true, "Environ": true, "ExpandEnv": true,
 }
 
-func init() {
-	Register(&Check{
-		Name: "determinism",
-		Doc:  "forbid wall-clock reads (time.Now/Since), global math/rand and environment reads in simulation-path packages (cmd/ is allowlisted)",
-		Run:  runDeterminism,
-	})
-}
-
 func runDeterminism(p *Package) []Finding {
-	if DeterminismAllowed(p.Path) {
-		return nil
-	}
 	var out []Finding
 	for _, file := range p.Files {
-		timeName := importName(file, "time")
-		osName := importName(file, "os")
-		randName := importName(file, "math/rand")
-		randV2Name := importName(file, "math/rand/v2")
-		if timeName == "" && osName == "" && randName == "" && randV2Name == "" {
+		// imported maps each watched package's local name to its path,
+		// for selectors type information does not cover.
+		imported := map[string]string{}
+		for _, path := range []string{"time", "os", "math/rand", "math/rand/v2"} {
+			if name := importName(file, path); name != "" {
+				imported[name] = path
+			}
+		}
+		for _, imp := range file.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err == nil && (path == "math/rand" || path == "math/rand/v2") && p.Path != "internal/stats" {
+				out = append(out, p.finding("determinism", imp,
+					fmt.Sprintf("import of %s outside internal/stats; derive randomness from a stats.RNG stream (Split/SplitString)", path)))
+			}
+		}
+		if len(imported) == 0 {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -69,24 +79,14 @@ func runDeterminism(p *Package) []Finding {
 			// authoritatively (aliases included); a selector resolved to
 			// a variable or field is definitely not one of ours.
 			pkgPath, name, kind := p.pkgRef(sel)
-			switch kind {
-			case selPkg:
-				out = append(out, determinismRef(p, sel, pkgPath, name)...)
-				return true
-			case selOther:
-				return true
+			if kind == selUnknown {
+				if base, ok := sel.X.(*ast.Ident); ok {
+					pkgPath, name, kind = imported[base.Name], sel.Sel.Name, selPkg
+				}
 			}
-			if name, ok := pkgSelector(sel, timeName); ok {
-				out = append(out, determinismRef(p, sel, "time", name)...)
-				return true
-			}
-			if name, ok := pkgSelector(sel, osName); ok {
-				out = append(out, determinismRef(p, sel, "os", name)...)
-				return true
-			}
-			for i, rn := range []string{randName, randV2Name} {
-				if name, ok := pkgSelector(sel, rn); ok {
-					out = append(out, determinismRef(p, sel, []string{"math/rand", "math/rand/v2"}[i], name)...)
+			if kind == selPkg {
+				if msg := determinismRef(p.Path, pkgPath, name); msg != "" {
+					out = append(out, p.finding("determinism", sel, msg))
 				}
 			}
 			return true
@@ -95,25 +95,26 @@ func runDeterminism(p *Package) []Finding {
 	return out
 }
 
-// determinismRef classifies one package-qualified reference against the
-// determinism contract.
-func determinismRef(p *Package, n ast.Node, pkgPath, name string) []Finding {
+// determinismRef classifies one package-qualified reference made from
+// the package at pkgDir, returning the finding's message ("" when the
+// reference is allowed there).
+func determinismRef(pkgDir, pkgPath, name string) string {
 	switch pkgPath {
 	case "time":
-		if name == "Now" || name == "Since" || name == "Until" {
-			return []Finding{p.finding("determinism", n,
-				fmt.Sprintf("time.%s reads the wall clock; simulation-path code must use simulated time (sim quantum / Context time)", name))}
+		if (name == "Now" || name == "Since" || name == "Until") && !underCmd(pkgDir) {
+			return fmt.Sprintf("time.%s reads the wall clock; simulation-path code must use simulated time (sim quantum / Context time)", name)
 		}
 	case "os":
-		if forbiddenEnvFuncs[name] {
-			return []Finding{p.finding("determinism", n,
-				fmt.Sprintf("os.%s makes behaviour depend on ambient process state; thread configuration through Config values instead", name))}
+		if forbiddenEnvFuncs[name] && !underCmd(pkgDir) {
+			return fmt.Sprintf("os.%s makes behaviour depend on ambient process state; thread configuration through Config values instead", name)
 		}
 	case "math/rand", "math/rand/v2":
-		if !randConstructors[name] {
-			return []Finding{p.finding("determinism", n,
-				fmt.Sprintf("global math/rand (rand.%s) is seeded outside the experiment's control; draw from a stats.RNG stream instead", name))}
+		switch {
+		case randConstructors[name] && pkgDir != "internal/stats":
+			return fmt.Sprintf("rand.%s builds an RNG outside the stats.RNG split hierarchy; take a *stats.RNG (or a Split of one) instead", name)
+		case !randConstructors[name] && !underCmd(pkgDir):
+			return fmt.Sprintf("global math/rand (rand.%s) is seeded outside the experiment's control; draw from a stats.RNG stream instead", name)
 		}
 	}
-	return nil
+	return ""
 }

@@ -55,7 +55,6 @@ func runFloatOrder(p *Package) []Finding {
 		}
 	}
 	for _, file := range p.Files {
-		shardPkg := importName(file, p.internalPkg("internal/shard"))
 		// Map ranges: every float compound accumulation in the body is
 		// order-dependent, body-local or not.
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -83,22 +82,8 @@ func runFloatOrder(p *Package) []Finding {
 		})
 		// Concurrent bodies: float accumulation into captured state
 		// folds in completion order.
-		ast.Inspect(file, func(n ast.Node) bool {
-			var lit *ast.FuncLit
-			switch v := n.(type) {
-			case *ast.GoStmt:
-				lit, _ = v.Call.Fun.(*ast.FuncLit)
-			case *ast.CallExpr:
-				lit = shardRunLit(p, v, shardPkg)
-			}
-			if lit == nil {
-				return true
-			}
-			locals := bodyLocals(lit)
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if _, ok := m.(*ast.GoStmt); ok {
-					return false // a concurrent body of its own
-				}
+		for _, b := range concurrentBodies(p, file) {
+			b.inspect(func(m ast.Node) bool {
 				as, ok := m.(*ast.AssignStmt)
 				if !ok || !compoundOps[as.Tok] {
 					return true
@@ -114,7 +99,7 @@ func runFloatOrder(p *Package) []Finding {
 					if name == "" {
 						continue
 					}
-					if base := rootIdent(lhs); base != "" && locals[base] {
+					if base := rootIdent(lhs); base != "" && b.locals[base] {
 						continue
 					}
 					add(p.finding("floatorder", as,
@@ -122,8 +107,7 @@ func runFloatOrder(p *Package) []Finding {
 				}
 				return true
 			})
-			return true
-		})
+		}
 	}
 	return out
 }

@@ -111,13 +111,80 @@ func Dump(m map[string]float64, tr *Trace) {
 	}
 }
 
-// TestInjectedSharedStreamCaught is the sharding acceptance probe: a
-// shard.Run callback drawing from a captured stream, and a goroutine
-// appending to a shared slice, are both caught by name of the shardrng
-// check.
+// TestInjectedMathRandCaught probes the seed-flow half of the
+// determinism check: a math/rand source smuggled into a simulation
+// package is caught by name of the determinism check — new package
+// directories are covered by Tree without registration. Each probe
+// yields the import and the rand.New and rand.NewSource constructors.
+func TestInjectedMathRandCaught(t *testing.T) {
+	cases := []struct {
+		name, file, src string
+	}{
+		// Shuffling tenants instead of forking the cluster's stats.RNG
+		// per tenant name.
+		{"tenant", "internal/tenant/bad.go", `package tenant
+
+import "math/rand"
+
+func Shuffle(names []string) {
+	rand.New(rand.NewSource(1)).Shuffle(len(names), func(i, j int) {
+		names[i], names[j] = names[j], names[i]
+	})
+}
+`},
+		// Randomized split decisions: tracker decisions must be
+		// functions of the touch stream alone.
+		{"heat", "internal/heat/bad.go", `package heat
+
+import "math/rand"
+
+func jitterSplit(count uint32) uint32 {
+	return count + uint32(rand.New(rand.NewSource(1)).Intn(4))
+}
+`},
+		// A tenant's tracker granularity is deterministic configuration
+		// (QoS class buys fidelity), never a random pick.
+		{"tenant-heat", "internal/tenant/bad.go", `package tenant
+
+import (
+	"math/rand"
+
+	"colloid/internal/heat"
+)
+
+func randomFidelity() *heat.Spec {
+	g := 1 << uint(rand.New(rand.NewSource(1)).Intn(11))
+	return &heat.Spec{Kind: heat.Region, RegionPages: g}
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := lintTree(t, map[string]string{tc.file: tc.src})
+			if len(got) != 3 {
+				t.Fatalf("want import + rand.New + rand.NewSource findings, got %q", got)
+			}
+			for _, line := range got {
+				if !strings.Contains(line, "[determinism]") || !strings.HasPrefix(line, tc.file) {
+					t.Errorf("math/rand in %s not caught by determinism: %q", tc.file, line)
+				}
+			}
+		})
+	}
+}
+
+// TestInjectedSharedStreamCaught probes the sharding half of the
+// gocapture check: a shard.Run callback drawing from one captured RNG
+// stream — worker-count-dependent, the exact bug per-shard Split
+// streams and per-tenant Forks exist to prevent — is caught by name of
+// the gocapture check in every package that fans out, as is a shared
+// slice appended in completion order.
 func TestInjectedSharedStreamCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/access/bad.go": `package access
+	cases := []struct {
+		name, file, src string
+		want            []string
+	}{
+		{"access", "internal/access/bad.go", `package access
 
 import (
 	"colloid/internal/shard"
@@ -130,56 +197,8 @@ func Scan(rng *stats.RNG, out []float64) []float64 {
 	})
 	return out
 }
-`,
-	})
-	if len(got) != 2 {
-		t.Fatalf("want captured-draw + shared-append findings, got %q", got)
-	}
-	joined := strings.Join(got, "\n")
-	for _, want := range []string{"[shardrng]", "Float64", `append to "out"`} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing %q in %q", want, got)
-		}
-	}
-}
-
-// TestInjectedTenantSeedFlowCaught is the multi-tenant acceptance
-// probe: a math/rand source smuggled into internal/tenant (instead of
-// forking the cluster's stats.RNG per tenant name) is caught by name of
-// the seedflow check — new package directories are covered by Tree
-// without registration.
-func TestInjectedTenantSeedFlowCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/tenant/bad.go": `package tenant
-
-import "math/rand"
-
-func Shuffle(names []string) {
-	rand.New(rand.NewSource(1)).Shuffle(len(names), func(i, j int) {
-		names[i], names[j] = names[j], names[i]
-	})
-}
-`,
-	})
-	var seedflow int
-	for _, line := range got {
-		if strings.Contains(line, "[seedflow]") && strings.Contains(line, "internal/tenant") {
-			seedflow++
-		}
-	}
-	if seedflow == 0 {
-		t.Fatalf("injected math/rand in internal/tenant not caught by seedflow, got %q", got)
-	}
-}
-
-// TestInjectedTenantSharedStreamCaught is the second multi-tenant
-// probe: a shard.Run callback inside internal/tenant drawing from one
-// captured RNG stream (worker-count-dependent, the exact bug the
-// per-tenant Fork discipline exists to prevent) is caught by name of
-// the shardrng check.
-func TestInjectedTenantSharedStreamCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/tenant/bad.go": `package tenant
+`, []string{"Float64", `append to "out"`}},
+		{"tenant", "internal/tenant/bad.go", `package tenant
 
 import (
 	"colloid/internal/shard"
@@ -191,47 +210,10 @@ func Jitter(rng *stats.RNG, out []float64) {
 		out[s] = rng.Float64()
 	})
 }
-`,
-	})
-	if len(got) != 1 || !strings.Contains(got[0], "[shardrng]") || !strings.Contains(got[0], "internal/tenant") {
-		t.Fatalf("injected captured-stream draw in internal/tenant not caught by shardrng, got %q", got)
-	}
-}
-
-// TestInjectedHeatSeedFlowCaught is the heat-tracker acceptance probe:
-// a math/rand source smuggled into internal/heat (say, to randomize
-// split decisions) is caught by name of the seedflow check — tracker
-// decisions must be functions of the touch stream alone.
-func TestInjectedHeatSeedFlowCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/heat/bad.go": `package heat
-
-import "math/rand"
-
-func jitterSplit(count uint32) uint32 {
-	return count + uint32(rand.New(rand.NewSource(1)).Intn(4))
-}
-`,
-	})
-	var seedflow int
-	for _, line := range got {
-		if strings.Contains(line, "[seedflow]") && strings.Contains(line, "internal/heat") {
-			seedflow++
-		}
-	}
-	if seedflow == 0 {
-		t.Fatalf("injected math/rand in internal/heat not caught by seedflow, got %q", got)
-	}
-}
-
-// TestInjectedHeatSharedStreamCaught is the second heat probe: a
-// shard.Run callback inside internal/heat drawing from one captured
-// RNG stream — the worker-count-dependent bug that would silently
-// break the region tracker's bit-identity contract during a sharded
-// Cool — is caught by name of the shardrng check.
-func TestInjectedHeatSharedStreamCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/heat/bad.go": `package heat
+`, []string{"Float64"}},
+		// A sharded Cool would silently break the region tracker's
+		// bit-identity contract.
+		{"heat", "internal/heat/bad.go", `package heat
 
 import (
 	"colloid/internal/shard"
@@ -243,54 +225,11 @@ func noisyCool(rng *stats.RNG, totals []float64) {
 		totals[s] *= rng.Float64()
 	})
 }
-`,
-	})
-	if len(got) != 1 || !strings.Contains(got[0], "[shardrng]") || !strings.Contains(got[0], "internal/heat") {
-		t.Fatalf("injected captured-stream draw in internal/heat not caught by shardrng, got %q", got)
-	}
-}
-
-// TestInjectedTenantHeatSeedFlowCaught probes the per-tenant fidelity
-// seam this PR added: tenant.Tenant.Heat must be deterministic
-// configuration (QoS class buys fidelity), so code that picks a
-// tenant's tracker granularity from a math/rand source is caught by
-// name of the seedflow check.
-func TestInjectedTenantHeatSeedFlowCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/tenant/bad.go": `package tenant
-
-import (
-	"math/rand"
-
-	"colloid/internal/heat"
-)
-
-func randomFidelity() *heat.Spec {
-	g := 1 << uint(rand.New(rand.NewSource(1)).Intn(11))
-	return &heat.Spec{Kind: heat.Region, RegionPages: g}
-}
-`,
-	})
-	var seedflow int
-	for _, line := range got {
-		if strings.Contains(line, "[seedflow]") && strings.Contains(line, "internal/tenant") {
-			seedflow++
-		}
-	}
-	if seedflow == 0 {
-		t.Fatalf("injected math/rand fidelity choice in internal/tenant not caught by seedflow, got %q", got)
-	}
-}
-
-// TestInjectedScaleArmSharedStreamCaught probes the cluster-scale arm's
-// discipline: the tenants experiment drives 10^8 pages through
-// per-tenant trackers, each on its own name-forked RNG stream. A
-// shard.Run callback in internal/experiments drawing from one captured
-// stream — which would make the scale checksum depend on the worker
-// count — is caught by name of the shardrng check.
-func TestInjectedScaleArmSharedStreamCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/experiments/bad.go": `package experiments
+`, []string{"Float64"}},
+		// The tenants experiment's scale arm drives per-tenant trackers
+		// on name-forked streams; one captured stream would make its
+		// checksum depend on the worker count.
+		{"experiments", "internal/experiments/bad.go", `package experiments
 
 import (
 	"colloid/internal/shard"
@@ -302,16 +241,27 @@ func scaleTouches(rng *stats.RNG, perTenant []uint64) {
 		perTenant[s] = rng.Uint64()
 	})
 }
-`,
-	})
-	if len(got) != 1 || !strings.Contains(got[0], "[shardrng]") || !strings.Contains(got[0], "internal/experiments") {
-		t.Fatalf("injected captured-stream draw in internal/experiments not caught by shardrng, got %q", got)
+`, []string{"Uint64"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := lintTree(t, map[string]string{tc.file: tc.src})
+			if len(got) != len(tc.want) {
+				t.Fatalf("want %d findings (%q), got %q", len(tc.want), tc.want, got)
+			}
+			for i, line := range got {
+				if !strings.Contains(line, "[gocapture]") || !strings.HasPrefix(line, tc.file) || !strings.Contains(line, tc.want[i]) {
+					t.Errorf("finding %d = %q, want a gocapture finding in %s naming %q", i, line, tc.file, tc.want[i])
+				}
+			}
+		})
 	}
 }
 
-// TestDeterminismPackageAllowlist covers the allowlist predicate and
-// its end-to-end effect: cmd/ trees are skipped, internal/ trees are
-// not, and the other checks still apply under cmd/.
+// TestDeterminismPackageAllowlist covers the cmd/ predicate and its
+// end-to-end effect: cmd/ trees may read the clock, internal/ trees may
+// not, and the math/rand import and constructors are still flagged
+// under cmd/.
 func TestDeterminismPackageAllowlist(t *testing.T) {
 	cases := map[string]bool{
 		"cmd/colloidsim":   true,
@@ -323,8 +273,8 @@ func TestDeterminismPackageAllowlist(t *testing.T) {
 		"examples/gupsrun": false,
 	}
 	for path, want := range cases {
-		if got := DeterminismAllowed(path); got != want {
-			t.Errorf("DeterminismAllowed(%q) = %v, want %v", path, got, want)
+		if got := underCmd(path); got != want {
+			t.Errorf("underCmd(%q) = %v, want %v", path, got, want)
 		}
 	}
 
@@ -341,7 +291,8 @@ func main() { _ = time.Now() }
 		t.Errorf("determinism did not fire outside the allowlist: %q", got)
 	}
 
-	// The allowlist is determinism-specific: seedflow still guards cmd/.
+	// The allowlist covers clocks, the environment and global math/rand
+	// only: RNGs under cmd/ still come from stats.RNG.
 	got := lintTree(t, map[string]string{
 		"cmd/tool/main.go": `package main
 
@@ -350,14 +301,14 @@ import "math/rand"
 func main() { _ = rand.New(rand.NewSource(1)) }
 `,
 	})
-	var seedflow int
-	for _, line := range got {
-		if strings.Contains(line, "[seedflow]") {
-			seedflow++
+	joined := strings.Join(got, "\n")
+	for _, want := range []string{"import of math/rand", "rand.New builds", "rand.NewSource builds"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("determinism skipped %q under cmd/: %q", want, got)
 		}
 	}
-	if seedflow == 0 {
-		t.Errorf("seedflow skipped cmd/ package: %q", got)
+	if len(got) != 3 || strings.Count(joined, "[determinism]") != 3 {
+		t.Errorf("want exactly the three determinism findings under cmd/, got %q", got)
 	}
 }
 
@@ -624,7 +575,7 @@ func Sum(m map[string]float64) float64 {
 func TestCheckRegistry(t *testing.T) {
 	want := []string{
 		"determinism", "floatorder", "gocapture", "lockcopy", "maprange",
-		"msgprefix", "obsnames", "seedflow", "shardrng", "staleallow", "tombstone",
+		"msgprefix", "obsnames", "staleallow", "tombstone",
 	}
 	got := CheckNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {

@@ -90,7 +90,7 @@ func Run(workers, shards int, fn func(s int)) {
 				if r := recover(); r != nil {
 					panicMu.Lock()
 					if panicked == nil {
-						panicked = r
+						panicked = r //colloid:allow gocapture mutex-guarded panic replay; re-raised after the join, never a result
 					}
 					panicMu.Unlock()
 				}
