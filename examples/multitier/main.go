@@ -62,24 +62,19 @@ func (m *multiTierSystem) Step(ctx *sim.Context) {
 		limit = b
 	}
 	// Move tracked pages of the slow tier toward the fast tier, within
-	// the deltaP and byte budgets. ForEach cannot stop early, so once
-	// the budgets are spent the remaining offers are simply refused.
+	// the deltaP and byte budgets, each as soon as the picker takes it.
+	// ForEach cannot stop early, so once the budgets are spent or a
+	// move fails the remaining pages are skipped.
 	pageBytes := ctx.AS.LiveView().PageBytes
-	picked := core.PickPages(nil, d.DeltaP, limit, pageBytes, 4096, func(offer func(pages.PageID, float64) bool) {
-		m.tracker.ForEach(func(id pages.PageID, count uint32) {
-			if ctx.AS.Tier(id) == d.From {
-				offer(id, m.tracker.Probability(id))
-			}
-		})
+	p := core.NewPicker(d.DeltaP, limit, pageBytes, 4096)
+	stopped := p.Done()
+	m.tracker.ForEach(func(id pages.PageID, count uint32) {
+		if stopped || ctx.AS.Tier(id) != d.From || !p.Offer(m.tracker.Probability(id)) {
+			return
+		}
+		moved := ctx.AS.FreeBytes(d.To) >= pageBytes && ctx.Migrator.Move(id, d.To) == nil
+		stopped = !moved || p.Done()
 	})
-	for _, id := range picked {
-		if ctx.AS.FreeBytes(d.To) < pageBytes {
-			break
-		}
-		if err := ctx.Migrator.Move(id, d.To); err != nil {
-			break
-		}
-	}
 }
 
 func main() {

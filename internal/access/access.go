@@ -361,9 +361,9 @@ func (f *FreqTracker) SetWorkers(w int) {
 	f.workers = w
 }
 
-// Touch records one sampled access to id and cools if the threshold is
-// reached.
-func (f *FreqTracker) Touch(id pages.PageID) {
+// Touch records one sampled access to id, cools if the threshold is
+// reached, and returns id's count after both, as Count(id) would.
+func (f *FreqTracker) Touch(id pages.PageID) uint32 {
 	if id < 0 {
 		panic(fmt.Sprintf("access: Touch of invalid page id %d", id))
 	}
@@ -384,7 +384,9 @@ func (f *FreqTracker) Touch(id pages.PageID) {
 	f.total++
 	if c >= f.CoolThreshold {
 		f.Cool()
+		return f.counts[id]
 	}
+	return c
 }
 
 // Cool halves every count (dropping zeros), as HeMem does when a page
@@ -399,18 +401,13 @@ func (f *FreqTracker) Cool() {
 		lo, hi := plan.Range(s)
 		var tot uint64
 		d := 0
-		for i := lo; i < hi; i++ {
-			c := f.counts[i]
-			if c == 0 {
-				continue
-			}
-			c /= 2
-			f.counts[i] = c
-			if c == 0 {
-				d++
-			} else {
-				tot += uint64(c)
-			}
+		// No branch on the count: a zero stays zero and adds nothing,
+		// and a one is the only count that halves to zero.
+		counts := f.counts[lo:hi]
+		for i, c := range counts {
+			counts[i] = c >> 1
+			tot += uint64(c >> 1)
+			d += b2i(c == 1)
 		}
 		totals[s] = tot
 		dropped[s] = d
@@ -424,6 +421,15 @@ func (f *FreqTracker) Cool() {
 	f.total = total
 	f.tracked -= drop
 	f.cools++
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Count returns the frequency count of id.

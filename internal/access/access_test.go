@@ -124,6 +124,29 @@ func TestFreqTrackerCoolDropsZeros(t *testing.T) {
 	if f.Total() != 1 {
 		t.Fatalf("total after cool = %d", f.Total())
 	}
+
+	// Pages at counts 0, 1, 2, 3 and 15 halve to 0, 0, 1, 1 and 7: the
+	// untouched page stays untracked, the count-1 page drops out, and
+	// the total is the sum of the halves.
+	g := NewFreqTracker(1000)
+	want := []uint32{0, 0, 1, 1, 7}
+	for id, n := range []int{0, 1, 2, 3, 15} {
+		for i := 0; i < n; i++ {
+			g.Touch(pages.PageID(id))
+		}
+	}
+	if g.Tracked() != 4 || g.Total() != 21 {
+		t.Fatalf("before cool: tracked %d total %d, want 4 and 21", g.Tracked(), g.Total())
+	}
+	g.Cool()
+	for id, w := range want {
+		if c := g.Count(pages.PageID(id)); c != w {
+			t.Fatalf("count of page %d after cool = %d, want %d", id, c, w)
+		}
+	}
+	if g.Tracked() != 3 || g.Total() != 9 {
+		t.Fatalf("after cool: tracked %d total %d, want 3 and 9", g.Tracked(), g.Total())
+	}
 }
 
 func TestHintFaultHotPageFaultsQuickly(t *testing.T) {

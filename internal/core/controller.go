@@ -12,7 +12,8 @@
 // The Controller is deliberately independent of any particular tiering
 // system: HeMem, TPP and MEMTIS integrations feed it their own CHA
 // snapshots and use their own access-tracking structures to find the
-// pages realizing delta-p (Section 4).
+// pages realizing delta-p (Section 4); HeMem and MEMTIS offer theirs to
+// a Picker that holds the decision's budgets.
 package core
 
 import (

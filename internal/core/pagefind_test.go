@@ -14,15 +14,19 @@ type cand struct {
 	Prob float64
 }
 
-// offerAll returns a scan that offers cands in order until refused.
-func offerAll(cands []cand) func(offer func(pages.PageID, float64) bool) {
-	return func(offer func(pages.PageID, float64) bool) {
-		for _, c := range cands {
-			if !offer(c.ID, c.Prob) {
-				return
-			}
+// pick walks cands in order as a system does, offering each to p until
+// p is done, and returns the IDs it picked.
+func pick(p Picker, cands []cand) []pages.PageID {
+	var picked []pages.PageID
+	for _, c := range cands {
+		if p.Offer(c.Prob) {
+			picked = append(picked, c.ID)
+		}
+		if p.Done() {
+			break
 		}
 	}
+	return picked
 }
 
 // sumProb totals the probabilities of the picked IDs.
@@ -41,7 +45,7 @@ func sumProb(cands []cand, picked []pages.PageID) float64 {
 func TestPickPagesRespectsBothBounds(t *testing.T) {
 	cands := []cand{{1, 0.05}, {2, 0.04}, {3, 0.03}, {4, 0.001}}
 	const page = 2 << 20
-	picked := PickPages(nil, 0.08, 3*page, page, 0, offerAll(cands))
+	picked := pick(NewPicker(0.08, 3*page, page, 0), cands)
 	if prob := sumProb(cands, picked); prob > 0.08 {
 		t.Fatalf("probability bound violated: %v", prob)
 	}
@@ -58,7 +62,7 @@ func TestPickPagesSkipsOversized(t *testing.T) {
 		{1, 0.5}, // too hot for deltaP
 		{2, 0.01},
 	}
-	picked := PickPages(nil, 0.05, 1<<30, 1<<20, 0, offerAll(cands))
+	picked := pick(NewPicker(0.05, 1<<30, 1<<20, 0), cands)
 	if len(picked) != 1 || picked[0] != 2 {
 		t.Fatalf("picked = %v, want only page 2", picked)
 	}
@@ -66,10 +70,10 @@ func TestPickPagesSkipsOversized(t *testing.T) {
 
 func TestPickPagesZeroBudgets(t *testing.T) {
 	cands := []cand{{1, 0.01}}
-	if got := PickPages(nil, 0, 100, 1, 0, offerAll(cands)); got != nil {
+	if got := pick(NewPicker(0, 100, 1, 0), cands); got != nil {
 		t.Fatal("picked with zero deltaP")
 	}
-	if got := PickPages(nil, 0.1, 0, 1, 0, offerAll(cands)); got != nil {
+	if got := pick(NewPicker(0.1, 0, 1, 0), cands); got != nil {
 		t.Fatal("picked with zero byte budget")
 	}
 }
@@ -82,7 +86,7 @@ func TestPickPagesMaxScan(t *testing.T) {
 	cands = append(cands, cand{999, 0.001})
 	// Every scanned candidate overshoots; with maxScan 10 the feasible
 	// one at position 100 is never reached.
-	if got := PickPages(nil, 0.01, 1000, 1, 10, offerAll(cands)); got != nil {
+	if got := pick(NewPicker(0.01, 1000, 1, 10), cands); got != nil {
 		t.Fatalf("maxScan not honored: %v", got)
 	}
 }
@@ -98,7 +102,7 @@ func TestPickPagesProperty(t *testing.T) {
 		deltaP := float64(deltaSeed) / 65535
 		limit := int64(limitSeed % (1 << 24))
 		page := int64(pageSeed%64+1) << 12
-		picked := PickPages(nil, deltaP, limit, page, 0, offerAll(cands))
+		picked := pick(NewPicker(deltaP, limit, page, 0), cands)
 		return sumProb(cands, picked) <= deltaP+1e-12 && int64(len(picked))*page <= limit
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -107,7 +111,7 @@ func TestPickPagesProperty(t *testing.T) {
 }
 
 // refCandidate and refPickPages are the collect-then-pick page finder
-// that PickPages streams: the system collected every candidate with its
+// that Picker replaces: the system collected every candidate with its
 // size first, then this loop consumed them in order.
 type refCandidate struct {
 	ID          pages.PageID
@@ -141,8 +145,8 @@ func refPickPages(candidates []refCandidate, deltaP float64, limitBytes int64, m
 	return picked
 }
 
-// Property: on a space of equal-size pages, streaming picks exactly the
-// IDs, in the same order, that collecting every candidate first did,
+// Property: on a space of equal-size pages, the picker takes exactly
+// the IDs, in the same order, that collecting every candidate first did,
 // NaN probabilities and scan caps included.
 func TestPickPagesMatchesReference(t *testing.T) {
 	f := func(probs []uint16, deltaSeed uint16, limitSeed uint16, pageSeed, scanSeed uint8) bool {
@@ -160,7 +164,7 @@ func TestPickPagesMatchesReference(t *testing.T) {
 		deltaP := float64(deltaSeed) / 65535
 		limit := int64(limitSeed) << 8
 		maxScan := int(scanSeed % 16)
-		got := PickPages(nil, deltaP, limit, page, maxScan, offerAll(cands))
+		got := pick(NewPicker(deltaP, limit, page, maxScan), cands)
 		want := refPickPages(ref, deltaP, limit, maxScan)
 		if len(got) != len(want) {
 			return false
@@ -177,26 +181,27 @@ func TestPickPagesMatchesReference(t *testing.T) {
 	}
 }
 
-// The gain of streaming rests on this early exit: once the byte budget
-// left cannot hold a page, the scan is told to stop and no later
-// candidate is examined.
+// The gain of moving as the walk picks rests on this early exit: once
+// the byte budget left cannot hold a page, the picker is done and the
+// walk examines no later candidate.
 func TestPickPagesStopsWhenNoPageFits(t *testing.T) {
 	const page = 2 << 20
-	offers := 0
-	fourth := true
-	got := PickPages(nil, 0.5, 3*page, page, 0, func(offer func(pages.PageID, float64) bool) {
-		for i := 0; i < 100; i++ {
-			offers++
-			if !offer(pages.PageID(i), 1e-4) {
-				break
-			}
+	p := NewPicker(0.5, 3*page, page, 0)
+	offers, picked := 0, 0
+	for i := 0; i < 100 && !p.Done(); i++ {
+		offers++
+		if p.Offer(1e-4) {
+			picked++
 		}
-		fourth = offer(100, 1e-4)
-	})
-	if len(got) != 3 || offers != 3 {
-		t.Fatalf("picked %v after %d offers, want 3 picks after 3 offers", got, offers)
 	}
-	if fourth {
+	if picked != 3 || offers != 3 {
+		t.Fatalf("picked %d after %d offers, want 3 picks after 3 offers", picked, offers)
+	}
+	if p.Offer(1e-4) {
 		t.Fatal("offer after the budget ran out was accepted")
+	}
+	var zero Picker
+	if !zero.Done() || zero.Offer(0) {
+		t.Fatal("the zero Picker is not done")
 	}
 }

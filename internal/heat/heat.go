@@ -42,8 +42,10 @@ type Tracker interface {
 	// Name identifies the tracker configuration (e.g. "exact",
 	// "region/64").
 	Name() string
-	// Touch records one sampled access.
-	Touch(id pages.PageID)
+	// Touch records one sampled access and returns the page's count
+	// after it, cooling included: what Count(id) would return, without
+	// a second lookup.
+	Touch(id pages.PageID) uint32
 	// Cool decays every count, as the systems' periodic cooling does.
 	Cool()
 	// Cools returns how many cooling passes have run.

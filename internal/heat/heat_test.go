@@ -3,6 +3,9 @@ package heat
 import (
 	"strings"
 	"testing"
+
+	"colloid/internal/pages"
+	"colloid/internal/stats"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -98,4 +101,49 @@ func TestNewRegionTrackerPanicsOnBadThreshold(t *testing.T) {
 		}
 	}()
 	NewRegionTracker(1, 64, nil)
+}
+
+// Touch returns the count Count(id) reports right after it, on every
+// tracker kind, through leaf splits and their cascades, cooling passes
+// (self-triggered and explicit, which merge leaves and prime a
+// forecast) and cell growth as the touched ID range widens.
+func TestTouchReturnsCount(t *testing.T) {
+	for _, spec := range []Spec{
+		{},
+		{Kind: Region, RegionPages: 1},
+		{Kind: Region, RegionPages: 64},
+		{Kind: Region, RegionPages: 64, Forecaster: EWMA{Alpha: 0.5}},
+	} {
+		tr := spec.NewTracker(16)
+		rng := stats.NewRNG(11)
+		split, grew := false, false
+		cells := 0
+		for i := 0; i < 40_000; i++ {
+			space := 256 << min(i/5000, 6)
+			var id pages.PageID
+			if rng.Intn(10) < 6 {
+				id = pages.PageID((i/2000*37)%(space-8) + rng.Intn(8)) // a moving hot spot
+			} else {
+				id = pages.PageID(rng.Intn(space))
+			}
+			got := tr.Touch(id)
+			if want := tr.Count(id); got != want {
+				t.Fatalf("%s: touch %d of page %d returned %d, Count says %d", spec, i, id, got, want)
+			}
+			if r, ok := tr.(*RegionTracker); ok {
+				split = split || r.cells[int(id)>>r.logG].sub != nil
+				grew = grew || (cells > 0 && len(r.cells) > cells)
+				cells = len(r.cells)
+			}
+			if i%1500 == 1499 {
+				tr.Cool()
+			}
+		}
+		if tr.Cools() < 40 {
+			t.Fatalf("%s: stream cooled only %d times", spec, tr.Cools())
+		}
+		if spec.Kind == Region && (!grew || (spec.RegionPages > 1 && !split)) {
+			t.Fatalf("%s: stream did not exercise the tracker: grew %v split %v", spec, grew, split)
+		}
+	}
 }

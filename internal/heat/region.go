@@ -2,6 +2,7 @@ package heat
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"colloid/internal/pages"
@@ -160,12 +161,20 @@ func findLeaf(sub []leaf, off int) int {
 	})
 }
 
+// perPage is the leaf's count smeared over its pages: a shift, since
+// leaf sizes are powers of two.
+func (lf leaf) perPage() uint32 {
+	return lf.count >> bits.TrailingZeros32(uint32(lf.size))
+}
+
 // Touch implements Tracker: the cell array grows exactly like the
 // exact tracker's count array, the containing leaf's count rises by
 // one, a leaf crossing its divergence trigger splits along the touched
 // path, and a size-1 leaf crossing the cooling threshold cools the
-// whole tracker.
-func (r *RegionTracker) Touch(id pages.PageID) {
+// whole tracker. The count it returns comes from the leaf it just
+// updated; only after a cooling pass, or in a cell that serves a
+// forecast, does it look the page up again.
+func (r *RegionTracker) Touch(id pages.PageID) uint32 {
 	if id < 0 {
 		panic(fmt.Sprintf("heat: Touch of invalid page id %d", id))
 	}
@@ -187,7 +196,6 @@ func (r *RegionTracker) Touch(id pages.PageID) {
 		r.fextra++
 	}
 	c := &r.cells[b]
-	off := int(id) & (r.g - 1)
 	if c.sub == nil {
 		old := c.count
 		c.count++
@@ -196,13 +204,15 @@ func (r *RegionTracker) Touch(id pages.PageID) {
 		}
 		if r.g > 1 && uint64(c.count) >= r.splitAt(r.g) {
 			c.sub = append(c.sub, leaf{off: 0, size: int32(r.g), count: c.count})
-			r.cascade(c, 0, off)
-		} else if uint64(c.count) >= r.coolAt(r.g) {
-			r.Cool()
+			return r.cascade(c, 0, id)
 		}
-		return
+		if uint64(c.count) >= r.coolAt(r.g) {
+			r.Cool()
+			return r.Count(id)
+		}
+		return r.served(b, id, c.count>>uint(r.logG))
 	}
-	li := findLeaf(c.sub, off)
+	li := findLeaf(c.sub, int(id)&(r.g-1))
 	lf := &c.sub[li]
 	old := lf.count
 	lf.count++
@@ -211,27 +221,42 @@ func (r *RegionTracker) Touch(id pages.PageID) {
 		r.tracked += int(lf.size)
 	}
 	if int(lf.size) > 1 && uint64(lf.count) >= r.splitAt(int(lf.size)) {
-		r.cascade(c, li, off)
-	} else if uint64(lf.count) >= r.coolAt(int(lf.size)) {
-		r.Cool()
+		return r.cascade(c, li, id)
 	}
+	if uint64(lf.count) >= r.coolAt(int(lf.size)) {
+		r.Cool()
+		return r.Count(id)
+	}
+	return r.served(b, id, lf.perPage())
 }
 
-// cascade refines the leaf at index li along cell-relative offset off:
+// served returns per, the per-page count of the leaf a touch of id
+// just updated, unless id's cell b serves a forecast instead.
+func (r *RegionTracker) served(b int, id pages.PageID, per uint32) uint32 {
+	if r.predicted(b) {
+		return r.Count(id)
+	}
+	return per
+}
+
+// cascade refines the leaf at index li along the touched page id:
 // while the leaf exceeds its divergence trigger it splits in half, the
 // touched half taking the rounding-up share (counts conserved exactly),
 // and refinement follows the touched path only — O(log g) leaves per
 // touch. Both halves of a splitting leaf keep count >= size (the
 // trigger guarantees it with coolThreshold >= 2), so the tracked total
-// is unchanged by splits.
-func (r *RegionTracker) cascade(c *cell, li, off int) {
+// is unchanged by splits. It returns the touched page's count, as
+// Touch does.
+func (r *RegionTracker) cascade(c *cell, li int, id pages.PageID) uint32 {
+	off := int(id) & (r.g - 1)
 	for {
 		lf := c.sub[li]
 		if lf.size <= 1 || uint64(lf.count) < r.splitAt(int(lf.size)) {
 			if uint64(lf.count) >= r.coolAt(int(lf.size)) {
 				r.Cool()
+				return r.Count(id)
 			}
-			return
+			return r.served(int(id)>>r.logG, id, lf.perPage())
 		}
 		half := lf.size / 2
 		far := lf.count / 2

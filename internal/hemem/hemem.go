@@ -64,11 +64,13 @@ const numBins = 5
 // index in hotAlt and in bins[bin-1], 0 when absent; bin is one plus
 // the page's bin, 0 for none. A hot page has a count of at least
 // HotThreshold; only the flag is kept, since nothing reads the hot
-// pages in order.
+// pages in order. demoted marks a victim of the running Colloid walk
+// and sits in what would be padding.
 type pageState struct {
 	altPos, binPos int32
 	bin            uint8
 	hot            bool
+	demoted        bool
 }
 
 // System is one HeMem instance managing one address space.
@@ -96,10 +98,11 @@ type System struct {
 	// (Colloid extension; maintained even for vanilla HeMem at
 	// negligible cost so tests can inspect it), in the same order.
 	bins [numBins][]pages.PageID
-	// picked is the page finder's output and draws holds the quantum's
-	// PEBS samples, both reused across quanta.
-	picked []pages.PageID
-	draws  []pages.PageID
+	// victims lists the pages the running Colloid walk demoted, so
+	// their marks clear when it ends; draws holds the quantum's PEBS
+	// samples. Both are reused across quanta.
+	victims []pages.PageID
+	draws   []pages.PageID
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -175,20 +178,20 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 	coolsBefore := s.tracker.Cools()
 	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
 	for _, id := range s.draws {
-		s.tracker.Touch(id)
+		c := s.tracker.Touch(id)
 		if s.tracker.Cools() != coolsBefore {
 			// A cooling pass halved every count; rebuild memberships.
 			s.rebuildLists(ctx)
 			coolsBefore = s.tracker.Cools()
 			continue
 		}
-		s.classify(ctx, id)
+		s.classify(ctx, id, c)
 	}
 }
 
-// classify updates hot/bin membership for one page from its count.
-func (s *System) classify(ctx *sim.Context, id pages.PageID) {
-	c := s.tracker.Count(id)
+// classify updates hot/bin membership for one page from its count c,
+// the value its Touch returned.
+func (s *System) classify(ctx *sim.Context, id pages.PageID, c uint32) {
 	st := &s.state[id]
 	if hot := c >= s.cfg.HotThreshold; hot != st.hot {
 		st.hot = hot
@@ -300,7 +303,7 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 			s.removeAlt(id)
 			continue
 		}
-		if !s.ensureDefaultFree(ctx, p.Bytes) {
+		if !s.ensureDefaultFree(ctx, p.Bytes, false) {
 			return // out of cold victims or budget
 		}
 		err := ctx.Migrator.Move(id, memsys.DefaultTier)
@@ -318,9 +321,10 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 // ensureDefaultFree demotes cold pages out of the default tier until
 // the requested bytes fit. Victims are found by random probing, an
 // O(1) stand-in for HeMem's cold list (most pages are cold, so a few
-// probes suffice). Returns false if no victim could be found or the
-// migration budget ran out.
-func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
+// probes suffice). With mark set, as a Colloid walk asks, each victim
+// is marked demoted and listed in victims until the walk ends. Returns
+// false if no victim could be found or the migration budget ran out.
+func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64, mark bool) bool {
 	for ctx.AS.FreeBytes(memsys.DefaultTier) < bytes {
 		victim := s.findColdVictim(ctx)
 		if victim == pages.NoPage {
@@ -328,6 +332,10 @@ func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
 		}
 		if err := ctx.Migrator.Move(victim, ctx.AS.SpillTier()); err != nil {
 			return false
+		}
+		if mark {
+			s.state[victim].demoted = true
+			s.victims = append(s.victims, victim)
 		}
 	}
 	return true
@@ -358,6 +366,24 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 	if !ok || d.Mode == core.Hold {
 		return
 	}
+	s.walk(ctx, d)
+}
+
+// walk offers the pages in the decision's source tier, hottest bin
+// first, with their estimated access probabilities, and moves each
+// page the picker takes before it offers the next. It returns at the
+// first move that finds no victim or no budget, so nothing is offered
+// after it. The walk is capped: the migration limit bounds how many
+// pages one quantum can move anyway, so walking the entire bin
+// structure would be wasted work.
+//
+// The pages offered are the ones in fromTier when the walk began.
+// ensureDefaultFree demotes random cold pages mid-walk, into fromTier
+// on two tiers, and a victim from a bin the walk has not reached yet
+// would then read as a candidate; the walk skips the pages marked
+// demoted and clears the marks when it ends.
+func (s *System) walk(ctx *sim.Context, d core.Decision) {
+	const maxScan = 32768
 	limitBytes := int64(d.MigrationLimitBytesPerSec * s.cfg.QuantumSec)
 	if b := ctx.Migrator.Budget(); b < limitBytes {
 		limitBytes = b
@@ -369,29 +395,12 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 	} else {
 		fromTier, toTier = memsys.DefaultTier, ctx.AS.SpillTier()
 	}
-	// Pick first, move after: ensureDefaultFree demotes random cold
-	// pages, which would change the tiers a running scan reads.
-	pageBytes := ctx.AS.LiveView().PageBytes
-	s.picked = core.PickPages(s.picked[:0], d.DeltaP, limitBytes, pageBytes, 4096,
-		func(offer func(pages.PageID, float64) bool) { s.candidates(ctx, fromTier, offer) })
-	for _, id := range s.picked {
-		if toTier == memsys.DefaultTier && !s.ensureDefaultFree(ctx, pageBytes) {
-			return
-		}
-		if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
-			return
-		}
+	v := ctx.AS.LiveView()
+	p := core.NewPicker(d.DeltaP, limitBytes, v.PageBytes, 4096)
+	if p.Done() {
+		return
 	}
-}
-
-// candidates offers the pages in fromTier, hottest bin first, with
-// their estimated access probabilities, until offer refuses. The walk
-// is capped: the migration limit bounds how many pages one quantum can
-// move anyway, so walking the entire bin structure would be wasted
-// work.
-func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID, offer func(pages.PageID, float64) bool) {
-	const maxScan = 32768
-	tier := ctx.AS.LiveView().Tier
+	defer s.clearVictims()
 	scanned := 0
 	for b := numBins - 1; b >= 0; b-- {
 		for _, id := range s.bins[b] {
@@ -399,11 +408,30 @@ func (s *System) candidates(ctx *sim.Context, fromTier memsys.TierID, offer func
 			if scanned > maxScan {
 				return
 			}
-			if tier[id] == fromTier && !offer(id, s.tracker.Probability(id)) {
+			if v.Tier[id] != fromTier || s.state[id].demoted {
+				continue
+			}
+			if p.Offer(s.tracker.Probability(id)) {
+				if toTier == memsys.DefaultTier && !s.ensureDefaultFree(ctx, v.PageBytes, true) {
+					return
+				}
+				if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
+					return
+				}
+			}
+			if p.Done() {
 				return
 			}
 		}
 	}
+}
+
+// clearVictims unmarks the pages the walk demoted.
+func (s *System) clearVictims() {
+	for _, id := range s.victims {
+		s.state[id].demoted = false
+	}
+	s.victims = s.victims[:0]
 }
 
 // Stats exposes internals for tests and traces.

@@ -3,6 +3,7 @@ package hemem
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"colloid/internal/core"
 	"colloid/internal/heat"
@@ -32,6 +33,14 @@ func unitContext(t *testing.T) *sim.Context {
 	}
 }
 
+// The walk's demoted mark rides in what was padding: a page's record
+// stays 12 bytes.
+func TestPageStateIsTwelveBytes(t *testing.T) {
+	if n := unsafe.Sizeof(pageState{}); n != 12 {
+		t.Fatalf("pageState is %d bytes, want 12", n)
+	}
+}
+
 func TestBinIndexBoundaries(t *testing.T) {
 	s := New(Config{CoolThreshold: 16})
 	cases := map[uint32]int{1: 0, 3: 0, 4: 1, 7: 2, 12: 3, 15: 4, 16: 4, 100: 4}
@@ -52,7 +61,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.tracker.Touch(id)
 	}
-	s.classify(ctx, id)
+	s.classify(ctx, id, s.tracker.Count(id))
 	if s.state[id].hot {
 		t.Fatal("count 3 classified hot")
 	}
@@ -62,7 +71,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 
 	// Crossing the threshold in the default tier: hot, not in hotAlt.
 	s.tracker.Touch(id)
-	s.classify(ctx, id)
+	s.classify(ctx, id, s.tracker.Count(id))
 	if !s.state[id].hot {
 		t.Fatal("count 4 not hot")
 	}
@@ -79,7 +88,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.tracker.Touch(altID)
 	}
-	s.classify(ctx, altID)
+	s.classify(ctx, altID, s.tracker.Count(altID))
 	if s.state[altID].altPos == 0 {
 		t.Fatal("hot alternate-tier page missing from hotAlt")
 	}
@@ -93,7 +102,7 @@ func TestRebuildAfterCooling(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.tracker.Touch(id)
 	}
-	s.classify(ctx, id)
+	s.classify(ctx, id, s.tracker.Count(id))
 	if bin := int(s.state[id].bin) - 1; bin != 2 {
 		t.Fatalf("bin before cool = %d", bin)
 	}
@@ -110,34 +119,31 @@ func TestRebuildAfterCooling(t *testing.T) {
 	}
 }
 
+// The Colloid walk offers its candidates hottest bin first: with a
+// byte budget of k pages, a Demote walk moves exactly the k hottest of
+// three pages at counts 12, 6 and 2.
 func TestCandidatesOrderedHottestFirst(t *testing.T) {
-	ctx := unitContext(t)
-	s := New(Config{HotThreshold: 2, CoolThreshold: 16})
-	s.ensureTracker(ctx)
-	ids := ctx.AS.LiveIDs()
-	// Three pages at counts 12, 6, 2, all in the default tier.
-	for i, n := range []int{12, 6, 2} {
-		for j := 0; j < n; j++ {
-			s.tracker.Touch(ids[i])
+	for k := 1; k <= 3; k++ {
+		ctx := unitContext(t)
+		ctx.Migrator.BeginQuantum(ctx.QuantumSec)
+		s := New(Config{HotThreshold: 2, CoolThreshold: 16})
+		s.ensureTracker(ctx)
+		ids := ctx.AS.LiveIDs()
+		for i, n := range []int{12, 6, 2} {
+			var c uint32
+			for j := 0; j < n; j++ {
+				c = s.tracker.Touch(ids[i])
+			}
+			s.classify(ctx, ids[i], c)
 		}
-		s.classify(ctx, ids[i])
-	}
-	var got []pages.PageID
-	var probs []float64
-	s.candidates(ctx, memsys.DefaultTier, func(id pages.PageID, prob float64) bool {
-		got = append(got, id)
-		probs = append(probs, prob)
-		return true
-	})
-	if len(got) != 3 {
-		t.Fatalf("candidates = %d", len(got))
-	}
-	// Bins iterate high to low, so the count-12 page comes first.
-	if got[0] != ids[0] {
-		t.Fatalf("first candidate = %d, want hottest %d", got[0], ids[0])
-	}
-	if probs[0] <= probs[2] {
-		t.Fatal("probabilities not descending across bins")
+		// Half a page over k pages, so rounding cannot cut the budget.
+		limit := (float64(k) + 0.5) * pages.HugePageBytes / s.cfg.QuantumSec
+		s.walk(ctx, core.Decision{Mode: core.Demote, DeltaP: 1, MigrationLimitBytesPerSec: limit})
+		for i, id := range ids[:3] {
+			if moved := ctx.AS.Tier(id) != memsys.DefaultTier; moved != (i < k) {
+				t.Fatalf("budget of %d pages: page at rank %d moved = %v", k, i, moved)
+			}
+		}
 	}
 }
 
@@ -147,7 +153,7 @@ func TestEnsureDefaultFreeDemotesCold(t *testing.T) {
 	s.ensureTracker(ctx)
 	// The 8 GiB working set fits entirely in the 32 GiB default tier
 	// under first-fit, so it has free space already.
-	if !s.ensureDefaultFree(ctx, pages.HugePageBytes) {
+	if !s.ensureDefaultFree(ctx, pages.HugePageBytes, false) {
 		t.Fatal("ensureDefaultFree failed with free capacity")
 	}
 	// Fill the default tier with a bigger space to force demotion.
@@ -164,7 +170,7 @@ func TestEnsureDefaultFreeDemotesCold(t *testing.T) {
 	if as.FreeBytes(memsys.DefaultTier) != 0 {
 		t.Fatal("default tier not full under first-fit")
 	}
-	if !s.ensureDefaultFree(ctx2, pages.HugePageBytes) {
+	if !s.ensureDefaultFree(ctx2, pages.HugePageBytes, false) {
 		t.Fatal("could not free one page")
 	}
 	if as.FreeBytes(memsys.DefaultTier) < pages.HugePageBytes {

@@ -123,11 +123,9 @@ type System struct {
 	splitting    bool
 
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
-	// queries, the page finder's output and the quantum's PEBS samples,
-	// reused across quanta.
+	// queries and the quantum's PEBS samples, reused across quanta.
 	hist   []int64
 	hotBuf []pages.PageID
-	picked []pages.PageID
 	draws  []pages.PageID
 }
 
@@ -316,27 +314,32 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	// AppendHot shards it by ID range; per-shard buffers concatenate in
 	// shard index order and truncate to the serial scan's 8192 cap,
 	// yielding the same first-8192-by-ID hot pages at any worker count.
-	// They are offered in that order; the moves follow the pick.
+	// They are offered in that order, and each page the picker takes
+	// moves before the next is offered. The snapshot fixes the
+	// candidates, so the cold pages demoteColdFromDefault demotes on the
+	// way are never offered; the walk ends at the first move that finds
+	// no victim or no budget.
 	const candCap = 8192
 	v := ctx.AS.LiveView()
+	p := core.NewPicker(d.DeltaP, limitBytes, v.PageBytes, 0)
+	if p.Done() {
+		return
+	}
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
 		return v.Tier[id] == fromTier
 	}, candCap)
-	s.picked = core.PickPages(s.picked[:0], d.DeltaP, limitBytes, v.PageBytes, 0,
-		func(offer func(pages.PageID, float64) bool) {
-			for _, id := range s.hotBuf {
-				if !offer(id, s.tracker.Probability(id)) {
+	for _, id := range s.hotBuf {
+		if p.Offer(s.tracker.Probability(id)) {
+			if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < v.PageBytes {
+				if !s.demoteColdFromDefault(ctx, v.PageBytes) {
 					return
 				}
 			}
-		})
-	for _, id := range s.picked {
-		if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < v.PageBytes {
-			if !s.demoteColdFromDefault(ctx, v.PageBytes) {
+			if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
 				return
 			}
 		}
-		if err := ctx.Migrator.Move(id, toTier); errors.Is(err, migrate.ErrLimit) {
+		if p.Done() {
 			return
 		}
 	}
