@@ -40,17 +40,16 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable, skipping (pin: $(STATICCHECK_VERSION))"; \
 	fi
 
-# In-tree static analysis (internal/lint via cmd/colloidlint): nine
+# In-tree static analysis (internal/lint via cmd/colloidlint): eight
 # typed checks enforcing the determinism and convention contracts — no
 # wall clocks, global math/rand, env reads or unsorted map iteration on
 # simulation paths, stats.RNG-only seed flow, "<pkg>: " diagnostic
 # prefixes, obs name grammar, no by-value lock copies, no loop-var/RNG
-# capture or captured writes in goroutines, no references to
-# Deprecated: identifiers, no stale suppressions, no order-dependent
-# float folds. Stdlib-only, so unlike staticcheck it runs even with no
-# module proxy. Findings are diffed against the committed
-# lint.baseline.json (kept empty: fix or //colloid:allow <check>
-# <reason>, don't baseline). The `|| { ...;
+# capture or captured writes in goroutines, no stale suppressions, no
+# order-dependent float folds. Stdlib-only, so unlike staticcheck it
+# runs even with no module proxy. Findings are diffed against the
+# committed lint.baseline.json (kept empty: fix or //colloid:allow
+# <check> <reason>, don't baseline). The `|| { ...;
 # exit 1; }` tail re-asserts the failure explicitly so the nonzero exit
 # survives `make -k`/`make ci` composition instead of scrolling past.
 lint:

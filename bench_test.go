@@ -190,12 +190,6 @@ func benchFig11(b *testing.B, id string) {
 	b.ReportMetric(cellFloat(b, last[len(last)-1]), "best-gain-3x")
 }
 
-// BenchmarkOverhead regenerates the Section 5.1 overhead table.
-func BenchmarkOverhead(b *testing.B) {
-	tab := runExperiment(b, "overhead")
-	b.ReportMetric(float64(len(tab.Rows)), "systems")
-}
-
 // BenchmarkRelated regenerates the Section 6 related-work comparison
 // and reports Colloid's advantage over the better of BATMAN/Carrefour
 // at 3x contention.

@@ -94,8 +94,9 @@ func main() {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Antagonist:      workloads.Intensity2x,
 		Seed:            3,
-	}, sim.WithSystem(&multiTierSystem{}), sim.WithAntagonist(workloads.Intensity2x))
+	}, sim.WithSystem(&multiTierSystem{}))
 	if err != nil {
 		log.Fatal(err)
 	}

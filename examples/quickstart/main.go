@@ -34,9 +34,9 @@ func run(withColloid bool) (sim.Steady, error) {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Antagonist:      workloads.Intensity2x, // 2x contention
 		Seed:            42,
-	}, sim.WithSystem(hemem.New(hemem.Config{Colloid: colloid})),
-		sim.WithAntagonist(workloads.Intensity2x)) // 2x contention
+	}, sim.WithSystem(hemem.New(hemem.Config{Colloid: colloid})))
 	if err != nil {
 		return sim.Steady{}, err
 	}

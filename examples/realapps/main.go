@@ -132,13 +132,13 @@ func simulate(a app, withColloid bool) (float64, error) {
 		Topology:        topo,
 		WorkingSetBytes: a.wsBytes / (2 * memsys.MiB) * (2 * memsys.MiB),
 		Profile:         a.traffic,
+		Antagonist:      workloads.Intensity3x,
 		Seed:            5,
-	}, sim.WithSystem(memtis.New(memtis.Config{Colloid: opts})),
-		sim.WithAntagonist(workloads.Intensity3x))
+	}, sim.WithSystem(memtis.New(memtis.Config{Colloid: opts})))
 	if err != nil {
 		return 0, err
 	}
-	fw := &workloads.FromWeights{Name: a.name, Weights: a.weights, Traffic: a.traffic}
+	fw := &workloads.FromWeights{Weights: a.weights}
 	if err := fw.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		return 0, err
 	}

@@ -34,11 +34,20 @@ type HintFaultScanner struct {
 	as  *pages.AddressSpace
 	rng *stats.RNG
 
-	marked   *OrderedSet
-	markedAt map[pages.PageID]float64 // page -> mark timestamp (sec)
-	cursor   int                      // scan position over page IDs
+	// marks holds the marked pages in marking order, perturbed only by
+	// the swap-removes of faulted pages, so the fault draws visit them
+	// in a deterministic order. isMarked is indexed by page ID.
+	marks    []mark
+	isMarked []bool
+	cursor   int // scan position over page IDs
 
 	scanCarry float64
+}
+
+// mark is one marked page and the time (sec) it was marked.
+type mark struct {
+	page pages.PageID
+	at   float64
 }
 
 // Fault is one hint fault observed during a quantum.
@@ -59,13 +68,12 @@ func NewHintFaultScanner(as *pages.AddressSpace, rng *stats.RNG, scanIntervalSec
 		ScanBatch:       scanBatch,
 		as:              as,
 		rng:             rng,
-		marked:          NewOrderedSet(),
-		markedAt:        make(map[pages.PageID]float64),
+		isMarked:        make([]bool, as.NumPages()),
 	}
 }
 
 // Marked returns how many pages currently carry the protection bit.
-func (h *HintFaultScanner) Marked() int { return h.marked.Len() }
+func (h *HintFaultScanner) Marked() int { return len(h.marks) }
 
 // Step advances the scanner by one quantum ending at nowSec, with the
 // workload issuing totalRatePerSec memory requests. It returns the hint
@@ -73,47 +81,61 @@ func (h *HintFaultScanner) Marked() int { return h.marked.Len() }
 func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []Fault {
 	// Incremental page-table scan: mark this quantum's share of pages.
 	h.scan(nowSec, quantumSec)
-	if h.marked.Len() == 0 || totalRatePerSec <= 0 {
+	if len(h.marks) == 0 || totalRatePerSec <= 0 {
 		return nil
 	}
 	var faults []Fault
-	h.marked.ForEach(func(id pages.PageID) Action {
-		markedAt := h.markedAt[id]
-		if markedAt >= nowSec {
-			// Marked during this step; eligible to fault from the next
-			// quantum on, so time-to-fault measures from the marking.
-			return Keep
+	// A fault swap-removes its mark, so the loop looks at index i again.
+	for i := 0; i < len(h.marks); {
+		m := h.marks[i]
+		ttf, ok := h.draw(m, nowSec, quantumSec, totalRatePerSec)
+		if !ok {
+			i++
+			continue
 		}
-		// Rate of accesses to this page.
-		lambda := h.as.Weight(id) * totalRatePerSec
-		if lambda <= 0 {
-			return Keep
-		}
-		pFault := 1 - math.Exp(-lambda*quantumSec)
-		if h.rng.Float64() >= pFault {
-			return Keep
-		}
-		// The access occurred within this quantum. Draw its offset from
-		// the exponential inter-access distribution conditioned on
-		// landing inside the quantum, so that time-to-fault carries the
-		// 1/(p*r) signal TPP classifies on even when 1/lambda is far
-		// below the quantum length.
-		u := h.rng.Float64()
-		offset := -math.Log(1-u*pFault) / lambda
-		if offset > quantumSec {
-			offset = quantumSec
-		}
-		ttf := (nowSec - quantumSec + offset) - markedAt
-		if ttf < 0 {
-			// The page was marked mid-quantum in an earlier step;
-			// attribute at least the drawn inter-access gap.
-			ttf = offset
-		}
-		faults = append(faults, Fault{Page: id, TimeToFaultSec: ttf})
-		delete(h.markedAt, id)
-		return Drop
-	})
+		faults = append(faults, Fault{Page: m.page, TimeToFaultSec: ttf})
+		h.isMarked[m.page] = false
+		last := len(h.marks) - 1
+		h.marks[i] = h.marks[last]
+		h.marks = h.marks[:last]
+	}
 	return faults
+}
+
+// draw decides whether marked page m faults in the quantum ending at
+// nowSec and, if it does, returns its time-to-fault.
+func (h *HintFaultScanner) draw(m mark, nowSec, quantumSec, totalRatePerSec float64) (float64, bool) {
+	if m.at >= nowSec {
+		// Marked during this step; eligible to fault from the next
+		// quantum on, so time-to-fault measures from the marking.
+		return 0, false
+	}
+	// Rate of accesses to this page.
+	lambda := h.as.Weight(m.page) * totalRatePerSec
+	if lambda <= 0 {
+		return 0, false
+	}
+	pFault := 1 - math.Exp(-lambda*quantumSec)
+	if h.rng.Float64() >= pFault {
+		return 0, false
+	}
+	// The access occurred within this quantum. Draw its offset from the
+	// exponential inter-access distribution conditioned on landing
+	// inside the quantum, so that time-to-fault carries the 1/(p*r)
+	// signal TPP classifies on even when 1/lambda is far below the
+	// quantum length.
+	u := h.rng.Float64()
+	offset := -math.Log(1-u*pFault) / lambda
+	if offset > quantumSec {
+		offset = quantumSec
+	}
+	ttf := (nowSec - quantumSec + offset) - m.at
+	if ttf < 0 {
+		// The page was marked mid-quantum in an earlier step; attribute
+		// at least the drawn inter-access gap.
+		ttf = offset
+	}
+	return ttf, true
 }
 
 // scan marks this quantum's share of pages, resuming from the previous
@@ -130,11 +152,11 @@ func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
 	for examined < n && budget > 0 {
 		id := pages.PageID((h.cursor + examined) % n)
 		examined++
-		if h.marked.Contains(id) {
+		if h.isMarked[id] {
 			continue
 		}
-		h.marked.Add(id)
-		h.markedAt[id] = nowSec
+		h.isMarked[id] = true
+		h.marks = append(h.marks, mark{page: id, at: nowSec})
 		budget--
 	}
 	h.cursor = (h.cursor + examined) % n

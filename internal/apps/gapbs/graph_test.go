@@ -2,6 +2,7 @@ package gapbs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"colloid/internal/paged"
@@ -138,5 +139,18 @@ func TestPageRankInvalidDamping(t *testing.T) {
 	g := testGraph(t, 100, 4)
 	if _, err := PageRank(g, 1.5, 1e-6, 10, nil); err == nil {
 		t.Fatal("damping 1.5 accepted")
+	}
+}
+
+func TestDeterministicKernels(t *testing.T) {
+	g1, _ := GeneratePowerLaw(1000, 8, 0.8, stats.NewRNG(5))
+	g2, _ := GeneratePowerLaw(1000, 8, 0.8, stats.NewRNG(5))
+	r1, err1 := PageRank(g1, 0.85, 1e-6, 100, nil)
+	r2, err2 := PageRank(g2, 0.85, 1e-6, 100, nil)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if r1.Iterations != r2.Iterations || !reflect.DeepEqual(r1.Ranks, r2.Ranks) {
+		t.Fatal("PageRank nondeterministic across identical seeds")
 	}
 }

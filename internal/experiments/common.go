@@ -74,8 +74,8 @@ func paperTopology(latencyScale, bandwidthScale float64) *memsys.Topology {
 // contention intensity; reg (usually ArmContext.Obs, may be nil)
 // receives the run's instrumentation. workers is the sharded
 // page-pipeline worker count (0 = serial); it never changes results.
-// heatSpec (usually Options.Heat) is the default tracking fidelity; an
-// arm-specific sim.WithHeat still overrides it, options apply last.
+// heatSpec (usually Options.Heat) is the tracking fidelity; an arm that
+// sweeps fidelity passes its own spec instead.
 func gupsConfig(topo *memsys.Topology, g *workloads.GUPS, intensity workloads.Intensity, seed uint64, workers int, heatSpec heat.Spec, reg *obs.Registry) sim.Config {
 	return sim.Config{
 		Topology:        topo,

@@ -44,8 +44,8 @@ type Options struct {
 	// simulation (sim.Config.Heat semantics: zero spec = exact). Unlike
 	// ShardWorkers this knob changes results — coarse tracking smears
 	// heat. Experiments that sweep their own fidelity axis (the heat and
-	// tenants families) override it per arm with sim.WithHeat or explicit
-	// cluster specs.
+	// tenants families) replace it per arm with their own spec or
+	// explicit cluster specs.
 	Heat heat.Spec
 }
 
@@ -172,9 +172,6 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // fOps renders a throughput in M ops/s.
 func fOps(v float64) string { return fmt.Sprintf("%.1fM", v/1e6) }
-
-// fGBps renders bytes/sec as GB/s.
-func fGBps(v float64) string { return fmt.Sprintf("%.1fGB/s", v/1e9) }
 
 // fPct renders a fraction as a percentage, clamping negative zero from
 // floating-point residue.

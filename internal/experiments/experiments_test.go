@@ -4,13 +4,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"colloid/internal/obs"
 )
 
 func TestListCoversAllFigures(t *testing.T) {
 	want := []string{
 		"fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig11c",
-		"overhead", "sens",
+		"sens",
 	}
 	got := List()
 	set := make(map[string]bool, len(got))
@@ -114,15 +116,17 @@ func TestFig5ShapeQuick(t *testing.T) {
 	}
 }
 
-func TestOverheadTable(t *testing.T) {
+// Fig 11's arms build their sim.Config by hand, so they must hand the
+// arm's registry to the engine as every other arm does.
+func TestFig11RecordsMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	tab, err := Run("overhead", Options{Quick: true})
-	if err != nil {
+	reg := obs.NewRegistry()
+	if _, err := Run("fig11a", Options{Quick: true, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if reg.Values()["sim_quanta"] == 0 {
+		t.Fatalf("fig11a recorded no sim_quanta: %v", reg.Values())
 	}
 }

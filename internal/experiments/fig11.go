@@ -30,7 +30,6 @@ func init() {
 // profile recorded from actually running it, the traffic profile, and
 // the paper's working-set / default-tier sizing.
 type appSetup struct {
-	name    string
 	weights []float64
 	traffic workloads.Profile
 	// wsBytes is the paper-scale working set; the default tier is
@@ -81,7 +80,6 @@ func buildApp(name string, seed uint64) (*appSetup, error) {
 			return nil, err
 		}
 		setup = &appSetup{
-			name:    name,
 			weights: arena.Profile(),
 			wsBytes: wsBytes,
 			metric:  "exec time",
@@ -110,7 +108,6 @@ func buildApp(name string, seed uint64) (*appSetup, error) {
 			return nil, err
 		}
 		setup = &appSetup{
-			name:    name,
 			weights: st.Arena().Profile(),
 			wsBytes: wsBytes,
 			metric:  "throughput",
@@ -144,7 +141,6 @@ func buildApp(name string, seed uint64) (*appSetup, error) {
 			return nil, err
 		}
 		setup = &appSetup{
-			name:    name,
 			weights: c.Arena().Profile(),
 			wsBytes: wsBytes,
 			metric:  "throughput",
@@ -212,12 +208,15 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 						Topology:        topo,
 						WorkingSetBytes: ws,
 						Profile:         setup.traffic,
+						Antagonist:      intensity,
 						Seed:            ctx.Seed,
-					}, sim.WithSystem(system), sim.WithAntagonist(intensity))
+						Workers:         ctx.Options.ShardWorkers,
+						Obs:             ctx.Obs,
+					}, sim.WithSystem(system))
 					if err != nil {
 						return nil, err
 					}
-					fw := &workloads.FromWeights{Name: setup.name, Weights: setup.weights, Traffic: setup.traffic}
+					fw := &workloads.FromWeights{Weights: setup.weights}
 					if err := fw.Install(e.AS(), e.WorkloadRNG()); err != nil {
 						return nil, err
 					}

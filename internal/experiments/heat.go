@@ -106,7 +106,7 @@ func runHeatFidelity(spec heat.Spec, ctx ArmContext) (any, error) {
 	// Base seed, like runSteady: fidelity rows differ only in the
 	// tracker, so they must run the same workload stream.
 	e, err := newGUPSSim(paperTopology(0, 0), g, workloads.Intensity2x, ctx.Options.Seed,
-		ctx.Options.ShardWorkers, ctx.Options.Heat, ctx.Obs, sim.WithSystem(sys), sim.WithHeat(spec))
+		ctx.Options.ShardWorkers, spec, ctx.Obs, sim.WithSystem(sys))
 	if err != nil {
 		return nil, err
 	}

@@ -16,11 +16,11 @@
 // Since the typed rebuild, every package is loaded through one shared
 // type-checked loader (see load.go): checks see resolved types.Objects
 // — an aliased time import, a cross-package map return, a mutex buried
-// three structs deep — instead of raw identifiers, and tree-wide checks
-// (obsnames, tombstone) correlate facts across packages. Type checking
-// is best-effort: where resolution fails (fixture trees reference
-// packages that are not there), checks fall back to the original
-// syntactic analysis, so a partial tree still lints.
+// three structs deep — instead of raw identifiers, and a tree-wide
+// check (obsnames) correlates facts across packages. Type checking is
+// best-effort: where resolution fails (fixture trees reference packages
+// that are not there), checks fall back to the original syntactic
+// analysis, so a partial tree still lints.
 //
 // A finding can be suppressed in-source with
 //
@@ -90,18 +90,10 @@ type Package struct {
 	Info *types.Info
 }
 
-// ImportPath returns the package's module-qualified import path.
-func (p *Package) ImportPath() string {
-	if p.Path == "" {
-		return p.Module
-	}
-	return p.Module + "/" + p.Path
-}
-
 // Check is one registered analyzer. Exactly one of Run and RunTree is
 // set: Run inspects a single package, RunTree sees every package of the
-// run at once (for cross-package facts such as metric-name collisions
-// or deprecated-identifier references). The staleallow check sets
+// run at once (for cross-package facts such as metric-name
+// collisions). The staleallow check sets
 // neither — it is implemented by the harness itself, which owns the
 // suppression table.
 type Check struct {

@@ -498,33 +498,6 @@ func FanOut(n int, out []int) {
 	}
 }
 
-// TestInjectedTombstoneCaught is the tombstone acceptance probe: a
-// cross-package reference to an identifier whose doc comment carries a
-// Deprecated: marker is caught by name of the tombstone check.
-func TestInjectedTombstoneCaught(t *testing.T) {
-	got := lintTree(t, map[string]string{
-		"internal/old/old.go": `package old
-
-// Legacy returns the pre-rescale factor.
-//
-// Deprecated: use Scale instead.
-func Legacy() int { return 1 }
-
-// Scale returns the factor.
-func Scale() int { return 2 }
-`,
-		"internal/core/bad.go": `package core
-
-import "colloid/internal/old"
-
-func Factor() int { return old.Legacy() }
-`,
-	})
-	if len(got) != 1 || !strings.Contains(got[0], "[tombstone]") || !strings.Contains(got[0], `deprecated identifier "Legacy"`) {
-		t.Fatalf("injected deprecated reference not caught by tombstone, got %q", got)
-	}
-}
-
 // TestInjectedStaleAllowCaught is the staleallow acceptance probe: a
 // //colloid:allow directive on a line where its check no longer fires
 // is itself reported, by name of the staleallow check.
@@ -575,7 +548,7 @@ func Sum(m map[string]float64) float64 {
 func TestCheckRegistry(t *testing.T) {
 	want := []string{
 		"determinism", "floatorder", "gocapture", "lockcopy", "maprange",
-		"msgprefix", "obsnames", "staleallow", "tombstone",
+		"msgprefix", "obsnames", "staleallow",
 	}
 	got := CheckNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {

@@ -22,10 +22,10 @@ const defaultModule = "colloid"
 
 // loader parses and type-checks every package of one lint run. It is
 // the typed core of the framework: packages load once, type-check once,
-// and are shared between the per-package checks, the tree-wide checks
-// (obsnames, tombstone) and the importer that resolves module-local
-// imports — so a check asking "what object is this identifier?" costs a
-// map lookup, not a re-parse.
+// and are shared between the per-package checks, the tree-wide check
+// (obsnames) and the importer that resolves module-local imports — so a
+// check asking "what object is this identifier?" costs a map lookup,
+// not a re-parse.
 //
 // Type checking is best-effort by design. Fixture trees reference
 // packages that do not exist under their root; the type checker records

@@ -23,7 +23,6 @@ package memtis
 import (
 	"errors"
 
-	"colloid/internal/access"
 	"colloid/internal/core"
 	"colloid/internal/heat"
 	"colloid/internal/memsys"
@@ -43,9 +42,9 @@ type Config struct {
 	// CoolEveryQuanta is the periodic cooling cadence (default 16
 	// kmigrated quanta = 8 s).
 	CoolEveryQuanta int
-	// SplitHugePages enables dynamic page size determination (default
-	// on; set SplitsPerQuantum to 0 to disable instead, since the
-	// zero value of a bool cannot distinguish "unset").
+	// SplitsPerQuantum caps how many huge pages one quantum splits
+	// for dynamic page size determination (default 128); a negative
+	// value disables splitting.
 	SplitsPerQuantum int
 	// SplitWeightCap stops splitting once this fraction of the access
 	// weight rests on split pages (default 0.6).
@@ -110,8 +109,11 @@ type System struct {
 	// placement unit (the paper's GUPS hot set is uniform within huge
 	// pages, so sub-page placement resolution changes nothing) and
 	// models the cost — TLB reach lost on hot data — via the MLP
-	// penalty below. Insertion-ordered for reproducibility.
-	split *access.OrderedSet
+	// penalty below. It lists them in split order, perturbed only by
+	// the swap-remove of a coalesced parent, for reproducibility;
+	// isSplit is indexed by page ID and allocated by the first split.
+	split   []pages.PageID
+	isSplit []bool
 
 	hotThreshold uint32
 	sampleCarry  float64
@@ -134,7 +136,6 @@ func New(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	return &System{
 		cfg:         cfg,
-		split:       access.NewOrderedSet(),
 		sampleScale: 1,
 		splitting:   cfg.SplitsPerQuantum > 0,
 	}
@@ -152,7 +153,7 @@ func (s *System) Name() string {
 func (s *System) HotThreshold() uint32 { return s.hotThreshold }
 
 // SplitParents returns how many huge pages are currently split.
-func (s *System) SplitParents() int { return s.split.Len() }
+func (s *System) SplitParents() int { return len(s.split) }
 
 // Step implements sim.System.
 func (s *System) Step(ctx *sim.Context) {
@@ -408,6 +409,9 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 	if ctx.AS.LiveView().PageBytes != pages.HugePageBytes {
 		return // only huge pages split
 	}
+	if s.isSplit == nil {
+		s.isSplit = make([]bool, ctx.AS.NumPages())
+	}
 	// Candidate assembly is the tracker's sharded AppendHot — pure reads
 	// of the counts and the split set — capped at the serial scan's 4096
 	// and truncated in shard index order.
@@ -417,7 +421,7 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 	}
 	const splitCap = 4096
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return !s.split.Contains(id)
+		return !s.isSplit[id]
 	}, splitCap)
 	best := make([]cand, len(s.hotBuf))
 	for i, id := range s.hotBuf {
@@ -432,7 +436,8 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 			}
 		}
 		best[i], best[maxJ] = best[maxJ], best[i]
-		s.split.Add(best[i].id)
+		s.split = append(s.split, best[i].id)
+		s.isSplit[best[i].id] = true
 		ctx.Obs.Counter("memtis_splits").Inc()
 	}
 }
@@ -446,8 +451,10 @@ func (s *System) coalesceSlowly(ctx *sim.Context) {
 		return
 	}
 	s.lastCoalesce = ctx.TimeSec
-	if s.split.Len() > 0 {
-		s.split.Remove(s.split.At(0))
+	if n := len(s.split); n > 0 {
+		s.isSplit[s.split[0]] = false
+		s.split[0] = s.split[n-1]
+		s.split = s.split[:n-1]
 		ctx.Obs.Counter("memtis_coalesces").Inc()
 	}
 }
@@ -456,10 +463,9 @@ func (s *System) coalesceSlowly(ctx *sim.Context) {
 // split regions.
 func (s *System) splitWeightFraction(ctx *sim.Context) float64 {
 	var frac float64
-	s.split.ForEach(func(parent pages.PageID) access.Action {
+	for _, parent := range s.split {
 		frac += ctx.AS.Weight(parent)
-		return access.Keep
-	})
+	}
 	return frac
 }
 

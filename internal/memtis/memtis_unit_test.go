@@ -90,10 +90,10 @@ func TestSplitMarksHottestAndCapsByWeight(t *testing.T) {
 	if s.SplitParents() != 2 {
 		t.Fatalf("split %d parents, want 2", s.SplitParents())
 	}
-	if !s.split.Contains(ids[0]) {
+	if !s.isSplit[ids[0]] {
 		t.Fatal("hottest page not split")
 	}
-	if !s.split.Contains(ids[1]) {
+	if !s.isSplit[ids[1]] {
 		t.Fatal("second-hottest page not split")
 	}
 	// Split weight now 0.7 >= cap 0.5: the next pass must stop and
@@ -112,8 +112,7 @@ func TestCoalesceRemovesOneParentPerInterval(t *testing.T) {
 	s := New(Config{CoalesceIntervalSec: 10})
 	s.ensureTracker(ctx)
 	s.lastCoalesce = 0
-	s.split.Add(1)
-	s.split.Add(2)
+	markSplit(s, ctx, 1, 2)
 	ctx.TimeSec = 5
 	s.coalesceSlowly(ctx)
 	if s.SplitParents() != 2 {
@@ -131,6 +130,15 @@ func TestCoalesceRemovesOneParentPerInterval(t *testing.T) {
 	}
 }
 
+// markSplit records ids as split parents, as splitHotHugePages does.
+func markSplit(s *System, ctx *sim.Context, ids ...pages.PageID) {
+	s.isSplit = make([]bool, ctx.AS.NumPages())
+	for _, id := range ids {
+		s.split = append(s.split, id)
+		s.isSplit[id] = true
+	}
+}
+
 func TestSplitPenaltyScalesWithWeight(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{SplitPenalty: 0.2})
@@ -138,13 +146,50 @@ func TestSplitPenaltyScalesWithWeight(t *testing.T) {
 	ids := ctx.AS.LiveIDs()
 	ctx.AS.SetWeight(ids[0], 0.5)
 	ctx.AS.SetWeight(ids[1], 0.5)
-	s.split.Add(ids[0])
+	markSplit(s, ctx, ids[0])
 	var applied float64
 	ctx.SetInflightScale = func(scale float64) { applied = scale }
 	s.applySplitPenalty(ctx)
 	// Half the weight split at penalty 0.2 -> scale 0.9.
 	if applied < 0.89 || applied > 0.91 {
 		t.Fatalf("scale = %v, want 0.9", applied)
+	}
+}
+
+// TestSplitCoalescePenaltyOrder pins which parent a coalesce drops and
+// the order the penalty sums the split weights in. MEMTIS coalesces
+// once per CoalesceIntervalSec (120 s by default), so no golden run
+// reaches it. The weights' float sum depends on its order: splitting
+// A, B, C, D (hottest first) and then swap-removing the first parent
+// leaves D, B, C, whose weights sum to 0.7000000000000001; B, C, D sums
+// to 0.7 and A, B, C to 0.35000000000000003.
+func TestSplitCoalescePenaltyOrder(t *testing.T) {
+	ctx := unitContext(t, 8)
+	s := New(Config{SplitsPerQuantum: 4, SplitPenalty: 0.5, CoalesceIntervalSec: 10})
+	s.ensureTracker(ctx)
+	ids := ctx.AS.LiveIDs()
+	for i, w := range []float64{0.1, 0.2, 0.05, 0.45} {
+		ctx.AS.SetWeight(ids[i], w)
+		for j := 0; j < 40-10*i; j++ {
+			s.tracker.Touch(ids[i])
+		}
+	}
+	s.hotThreshold = 2
+	s.splitHotHugePages(ctx)
+	if s.SplitParents() != 4 {
+		t.Fatalf("split %d parents, want 4", s.SplitParents())
+	}
+	var applied float64
+	ctx.SetInflightScale = func(scale float64) { applied = scale }
+	ctx.TimeSec = 10
+	s.coalesceSlowly(ctx)
+	if s.SplitParents() != 3 {
+		t.Fatalf("parents = %d after one interval, want 3", s.SplitParents())
+	}
+	s.applySplitPenalty(ctx)
+	// 1 - 0.5*0.7000000000000001.
+	if want := 0.6499999999999999; applied != want {
+		t.Fatalf("scale = %v, want %v", applied, want)
 	}
 }
 

@@ -2,9 +2,11 @@ package migrate
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"colloid/internal/memsys"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 )
 
@@ -199,5 +201,63 @@ func TestFaultFailForcedMoveKeepsBudget(t *testing.T) {
 func TestFaultKindString(t *testing.T) {
 	if FaultStall.String() != "stall" || FaultFail.String() != "fail" {
 		t.Fatalf("FaultKind strings: %q, %q", FaultStall, FaultFail)
+	}
+}
+
+// A throttled or FaultFail move emits at most one event per quantum, and
+// these are the quanta a starved or faulted system repeats: with no
+// trace to keep the event, the move must allocate nothing. A traced
+// registry still records both events with their fields.
+func TestRejectedMovesAllocateNothing(t *testing.T) {
+	as := testSpace(t)
+	id := pageIn(t, as, 0)
+	moves := func(reg *obs.Registry) (throttle, fail func()) {
+		throttled := NewEngine(as, 2, 1) // 1 B/s: no page ever fits
+		throttled.SetObs(reg)
+		failing := NewEngine(as, 2, 0)
+		failing.SetObs(reg)
+		failing.InjectFault(FaultFail, 1000)
+		throttle = func() {
+			throttled.BeginQuantum(0.1)
+			if err := throttled.Move(id, 1); !errors.Is(err, ErrLimit) {
+				t.Fatalf("throttled move = %v, want ErrLimit", err)
+			}
+		}
+		fail = func() {
+			failing.BeginQuantum(0.1)
+			if err := failing.Move(id, 1); !errors.Is(err, ErrInjected) {
+				t.Fatalf("faulted move = %v, want ErrInjected", err)
+			}
+		}
+		return throttle, fail
+	}
+	for name, reg := range map[string]*obs.Registry{
+		"nil":      nil,
+		"untraced": obs.NewRegistry(),
+		"scoped":   obs.NewRegistry().Scoped("tenant.a."),
+	} {
+		throttle, fail := moves(reg)
+		if n := testing.AllocsPerRun(50, throttle); n != 0 {
+			t.Errorf("%s registry: throttled Move makes %v allocations, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(50, fail); n != 0 {
+			t.Errorf("%s registry: FaultFail Move makes %v allocations, want 0", name, n)
+		}
+	}
+
+	root := obs.NewRegistry()
+	root.EnableTrace(0)
+	root.SetTime(1.5)
+	throttle, fail := moves(root.Scoped("tenant.a."))
+	throttle()
+	fail()
+	want := []obs.Event{
+		{TimeSec: 1.5, Kind: "tenant.a." + obs.EvMigrationThrottled, Fields: []obs.Field{
+			obs.F("want_bytes", float64(pages.HugePageBytes)), obs.F("budget_bytes", 0)}},
+		{TimeSec: 1.5, Kind: "tenant.a." + obs.EvMigrationStall, Fields: []obs.Field{
+			obs.F("kind", float64(FaultFail)), obs.F("remaining_quanta", 999)}},
+	}
+	if got := root.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("traced events = %+v, want %+v", got, want)
 	}
 }

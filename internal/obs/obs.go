@@ -72,9 +72,6 @@ const (
 	// EvCounterRecovered is emitted on the first fresh measurement after
 	// a stale window (fields: stale_observes, p).
 	EvCounterRecovered = "counter_recovered"
-	// EvScenarioEvent is emitted when a scenario timeline event fires
-	// (fields: at_sec, index).
-	EvScenarioEvent = "scenario_event"
 )
 
 // Field is one key/value pair attached to an Event. Values are float64
@@ -358,19 +355,15 @@ func (r *Registry) SetTime(tSec float64) {
 // Emit appends an event to the trace (no-op when the registry is nil or
 // the trace is disabled). On a scoped view the event kind carries the
 // view's prefix, so per-tenant events are attributable in the shared
-// trace.
+// trace. The event keeps a copy of fields, so the caller's variadic
+// slice stays on its stack and an Emit that records nothing allocates
+// nothing.
 func (r *Registry) Emit(kind string, fields ...Field) {
-	if r == nil {
+	root := r.root()
+	if root == nil || root.trace == nil {
 		return
 	}
-	if r.parent != nil {
-		r.parent.Emit(r.prefix+kind, fields...)
-		return
-	}
-	if r.trace == nil {
-		return
-	}
-	r.trace.add(Event{TimeSec: r.nowSec, Kind: kind, Fields: fields})
+	root.trace.add(Event{TimeSec: root.nowSec, Kind: r.prefix + kind, Fields: append([]Field(nil), fields...)})
 }
 
 // Events returns the traced events in emission order.

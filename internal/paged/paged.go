@@ -48,9 +48,6 @@ func NewArena(pageBytes int64) *Arena {
 	return &Arena{pageBytes: int32(pageBytes)}
 }
 
-// PageBytes returns the arena page size.
-func (a *Arena) PageBytes() int64 { return int64(a.pageBytes) }
-
 // Pages returns the number of pages the arena spans so far.
 func (a *Arena) Pages() int { return int(a.nextPage) + boolToInt(a.nextOff > 0) }
 

@@ -8,13 +8,12 @@ import (
 	"colloid/internal/workloads"
 )
 
-// Options are commutative: an engine built with WithProfile before
+// Options are commutative: an engine built with WithSystem before
 // WithScenario must be indistinguishable from one built the other way
-// around, both before the scenario fires (option value wins) and after
-// (the ProfileSwitch replaces it). Same for WithAntagonist against an
-// AntagonistStep timeline.
+// around, both before the scenario fires (Config's profile and
+// intensity hold) and after (the ProfileSwitch and the AntagonistStep
+// replace them).
 func TestOptionOrderCommutesWithScenario(t *testing.T) {
-	base := smallProfile("base")
 	switched := smallProfile("switched")
 	sw := &scenario.Scenario{Name: "switch", Events: []scenario.Event{
 		scenario.ProfileSwitch{AtSec: 0.5, Profile: switched},
@@ -26,7 +25,8 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 			Topology:        smallTopo(),
 			WorkingSetBytes: 60 * tPage,
 			PageBytes:       tPage,
-			Profile:         smallProfile("config"),
+			Profile:         smallProfile("base"),
+			Antagonist:      workloads.Intensity1x,
 			Seed:            11,
 		}, opts...)
 		if err != nil {
@@ -45,9 +45,8 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 		return pre, post
 	}
 	orders := map[string][]Option{
-		"profile-then-scenario": {WithProfile(base), WithAntagonist(workloads.Intensity1x), WithScenario(sw)},
-		"scenario-then-profile": {WithScenario(sw), WithAntagonist(workloads.Intensity1x), WithProfile(base)},
-		"antagonist-last":       {WithScenario(sw), WithProfile(base), WithAntagonist(workloads.Intensity1x)},
+		"system-then-scenario": {WithSystem(nopSystem{}), WithScenario(sw)},
+		"scenario-then-system": {WithScenario(sw), WithSystem(nopSystem{})},
 	}
 	var wantOps float64
 	first := true
@@ -74,22 +73,4 @@ func TestOptionOrderCommutesWithScenario(t *testing.T) {
 type Engine0State struct {
 	Profile string
 	Cores   int
-}
-
-// WithAntagonist must override the intensity set in Config.Antagonist.
-func TestWithAntagonistOverridesConfig(t *testing.T) {
-	e, err := New(Config{
-		Topology:        smallTopo(),
-		WorkingSetBytes: 40 * tPage,
-		PageBytes:       tPage,
-		Profile:         smallProfile("p"),
-		Antagonist:      workloads.Intensity3x,
-		Seed:            12,
-	}, WithAntagonist(workloads.Intensity1x))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.AntagonistCores(); got != workloads.Intensity1x.Cores() {
-		t.Fatalf("antagonist cores = %d, want WithAntagonist's %d", got, workloads.Intensity1x.Cores())
-	}
 }

@@ -321,26 +321,6 @@ func TestScenarioMigrationStallBlocksSystemMoves(t *testing.T) {
 	}
 }
 
-func TestOptionsOverrideConfig(t *testing.T) {
-	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
-	g := workloads.DefaultGUPS()
-	alt := g.Profile()
-	alt.Name = "alt-profile"
-	e, err := New(Config{
-		Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
-		Profile: g.Profile(), Seed: 20,
-	}, WithAntagonist(workloads.Intensity2x), WithProfile(alt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.antagonist.Cores; got != workloads.Intensity2x.Cores() {
-		t.Fatalf("WithAntagonist installed %d cores, want %d", got, workloads.Intensity2x.Cores())
-	}
-	if e.Tenant(0).Profile().Name != "alt-profile" {
-		t.Fatalf("WithProfile did not replace the profile: %q", e.Tenant(0).Profile().Name)
-	}
-}
-
 func TestWithScenarioValidatesAtConstruction(t *testing.T) {
 	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
 	g := workloads.DefaultGUPS()

@@ -11,7 +11,7 @@
 // sampler — against one shared physical topology. New is the one
 // constructor. Tier capacity is always arbitrated through a
 // memsys.Ledger and proactive migration bandwidth through a
-// migrate.SharedBudget. Named tenants (WithTenant/WithTenants) fork
+// migrate.SharedBudget. Named tenants (WithTenants) fork
 // their RNG streams from their names and report under "tenant.<name>."
 // namespaces in the shared obs registry. Without them the engine holds
 // one unnamed tenant — the paper's single workload — with a one-row
@@ -197,11 +197,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validateAntagonist checks the typed intensity. (The raw-core-count
-// alias AntagonistCores that this once rejected with a migration hint
-// is fully deleted: the field is gone, so stale call sites fail to
-// compile, and the lint tombstone check guards any future deprecation
-// the same way.)
+// validateAntagonist checks the typed intensity.
 func (c Config) validateAntagonist() []error {
 	var errs []error
 	if c.Antagonist < 0 {
@@ -288,7 +284,7 @@ type event struct {
 	fn func(*Engine)
 }
 
-// TenantSpec declares one named tenant (see WithTenant). Tenants are
+// TenantSpec declares one named tenant (see WithTenants). Tenants are
 // ordered by Name internally, so the set of specs — not the order they
 // were registered in — determines every result bit.
 type TenantSpec struct {
@@ -422,12 +418,9 @@ type Engine struct {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	system     System
-	profile    *workloads.Profile
-	antagonist *workloads.Intensity
-	scenario   *scenario.Scenario
-	tenants    []TenantSpec
-	heat       *heat.Spec
+	system   System
+	scenario *scenario.Scenario
+	tenants  []TenantSpec
 }
 
 // WithSystem installs the unnamed tenant's tiering system (nil for a
@@ -435,33 +428,6 @@ type buildOptions struct {
 // conflicts with named tenants: each TenantSpec carries its own System.
 func WithSystem(s System) Option {
 	return func(o *buildOptions) { o.system = s }
-}
-
-// WithProfile sets the unnamed tenant's traffic profile, overriding
-// Config.Profile. It conflicts with named tenants: each TenantSpec
-// carries its own Profile.
-func WithProfile(p workloads.Profile) Option {
-	return func(o *buildOptions) { o.profile = &p }
-}
-
-// WithAntagonist seeds the contention generator from the paper's 0x-3x
-// intensity scale, overriding Config.Antagonist. The antagonist is
-// machine-wide (it models co-located streaming traffic, not a tenant).
-func WithAntagonist(intensity workloads.Intensity) Option {
-	return func(o *buildOptions) {
-		v := intensity
-		o.antagonist = &v
-	}
-}
-
-// WithHeat selects the access-tracking fidelity, overriding
-// Config.Heat: the zero spec is exact per-page counting, Kind
-// heat.Region tracks at region granularity with optional forecasting.
-// This is the machine-wide default — systems read it from Context.Heat
-// when building their trackers; a TenantSpec.Heat override takes
-// precedence for that tenant alone.
-func WithHeat(spec heat.Spec) Option {
-	return func(o *buildOptions) { o.heat = &spec }
 }
 
 // WithScenario installs a disturbance timeline: the scenario is
@@ -479,15 +445,9 @@ func WithScenario(sc *scenario.Scenario) Option {
 	return func(o *buildOptions) { o.scenario = sc }
 }
 
-// WithTenant adds one named tenant; an engine with named tenants has
-// no unnamed one. See TenantSpec; may be repeated and mixed with
-// WithTenants.
-func WithTenant(spec TenantSpec) Option {
-	return func(o *buildOptions) { o.tenants = append(o.tenants, spec) }
-}
-
-// WithTenants adds several named tenants (see WithTenant).
-// Registration order never matters: tenants are ordered by name.
+// WithTenants adds named tenants; an engine with named tenants has no
+// unnamed one. See TenantSpec; it may be repeated. Registration order
+// never matters: tenants are ordered by name.
 func WithTenants(specs ...TenantSpec) Option {
 	return func(o *buildOptions) { o.tenants = append(o.tenants, specs...) }
 }
@@ -500,9 +460,8 @@ func WithTenants(specs ...TenantSpec) Option {
 // RNG streams. Install each tenant's workload weights through Tenant(i)
 // before running.
 //
-// Without WithTenant/WithTenants the engine holds one unnamed tenant
-// built from Config.WorkingSetBytes, Config.Profile (or WithProfile),
-// the WithSystem system and Config's migration limit as its own cap.
+// Without WithTenants the engine holds one unnamed tenant built from
+// Config.WorkingSetBytes, Config.Profile, the WithSystem system and Config's migration limit as its own cap.
 // Its one-row ledger always reports physical capacity and its two
 // migration buckets accrue and drain together, so it behaves as the
 // paper's single workload. It differs from a named tenant in three
@@ -514,18 +473,9 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&bo)
 	}
-	if bo.antagonist != nil {
-		cfg.Antagonist = *bo.antagonist
-	}
-	if bo.heat != nil {
-		cfg.Heat = *bo.heat
-	}
 	unnamed := len(bo.tenants) == 0
 	var specs []TenantSpec
 	if unnamed {
-		if bo.profile != nil {
-			cfg.Profile = *bo.profile
-		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -667,9 +617,6 @@ func namedSpecs(cfg Config, bo *buildOptions) ([]TenantSpec, error) {
 	var errs []error
 	if bo.system != nil {
 		errs = append(errs, fmt.Errorf("sim: WithSystem conflicts with tenants (set System per TenantSpec)"))
-	}
-	if bo.profile != nil {
-		errs = append(errs, fmt.Errorf("sim: WithProfile conflicts with tenants (set Profile per TenantSpec)"))
 	}
 	if cfg.WorkingSetBytes != 0 {
 		errs = append(errs, fmt.Errorf("sim: Config.WorkingSetBytes must be unset with tenants (size each TenantSpec)"))

@@ -145,13 +145,12 @@ func TestClusterConstructionRejections(t *testing.T) {
 		want string
 	}{
 		{"WithSystem", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(ok...), WithSystem(nopSystem{})}, "WithSystem conflicts"},
-		{"WithProfile", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(ok...), WithProfile(smallProfile("x"))}, "WithProfile conflicts"},
 		{"Config.WorkingSetBytes", Config{Topology: topo, PageBytes: tPage, WorkingSetBytes: tPage}, []Option{WithTenants(ok...)}, "WorkingSetBytes must be unset"},
 		{"Config.Profile", Config{Topology: topo, PageBytes: tPage, Profile: smallProfile("x")}, []Option{WithTenants(ok...)}, "Profile must be unset"},
 		{"duplicate names", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(spec("a", 40), spec("a", 40))}, "duplicate tenant name"},
-		{"unnamed", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenant(TenantSpec{WorkingSetBytes: tPage, Profile: smallProfile("x")})}, "tenant name required"},
+		{"unnamed", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(TenantSpec{WorkingSetBytes: tPage, Profile: smallProfile("x")})}, "tenant name required"},
 		{"oversubscribed", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(spec("a", 400), spec("b", 400))}, "exceeding topology capacity"},
-		{"negative quota", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenant(TenantSpec{Name: "a", WorkingSetBytes: tPage, Profile: smallProfile("a"), CapacityQuota: []int64{-1, 0}})}, "negative capacity quota"},
+		{"negative quota", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(TenantSpec{Name: "a", WorkingSetBytes: tPage, Profile: smallProfile("a"), CapacityQuota: []int64{-1, 0}})}, "negative capacity quota"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

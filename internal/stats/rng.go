@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
 // simulator and the tiering systems: a deterministic splittable RNG,
-// exponentially weighted moving averages, streaming summaries, histograms,
-// and a bounded Zipf generator.
+// exponentially weighted moving averages, streaming summaries and a
+// bounded Zipf generator.
 //
 // Everything here is deterministic given a seed so that experiments are
 // reproducible run-to-run; nothing reads the wall clock.

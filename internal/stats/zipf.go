@@ -58,9 +58,6 @@ func zetaApprox(n int64, s float64) float64 {
 	return sum
 }
 
-// N returns the size of the support.
-func (z *Zipf) N() int64 { return z.n }
-
 // Draw returns the next sample in [0, n); rank 0 is the most popular.
 func (z *Zipf) Draw(r *RNG) int64 {
 	u := r.Float64()

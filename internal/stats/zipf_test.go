@@ -95,47 +95,3 @@ func TestZipfProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	if got := h.Quantile(0.5); math.Abs(got-50) > 2 {
-		t.Fatalf("p50 = %v, want ~50", got)
-	}
-	if got := h.Quantile(0.99); math.Abs(got-99) > 2 {
-		t.Fatalf("p99 = %v, want ~99", got)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-}
-
-func TestHistogramOverflow(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Observe(-5)
-	h.Observe(15)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Quantile(0) != 0 || h.Quantile(1) != 10 {
-		t.Fatalf("overflow quantiles wrong: %v %v", h.Quantile(0), h.Quantile(1))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(s, 50); math.Abs(got-5.5) > 1e-9 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(s, 0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(s, 100); got != 10 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-}

@@ -8,13 +8,12 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"colloid/internal/sim"
 )
 
 // WriteTableCSV writes header+rows as CSV. Unit suffixes in cells are
-// preserved; use NumericizeCell to strip them downstream if needed.
+// preserved.
 func WriteTableCSV(w io.Writer, columns []string, rows [][]string) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(columns); err != nil {
@@ -27,17 +26,6 @@ func WriteTableCSV(w io.Writer, columns []string, rows [][]string) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// NumericizeCell strips the unit suffixes colloidsim tables use so a
-// cell parses as a float ("12.3M" -> "12.3", "1.53x" -> "1.53",
-// "4.4%" -> "4.4").
-func NumericizeCell(cell string) string {
-	s := strings.TrimSpace(cell)
-	for _, suf := range []string{"Mops", "GB/s", "MB/s", "ns", "M", "x", "%"} {
-		s = strings.TrimSuffix(s, suf)
-	}
-	return s
 }
 
 // WriteSamplesCSV writes a simulation trace: one row per sample with

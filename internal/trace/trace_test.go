@@ -29,22 +29,6 @@ func TestWriteTableCSV(t *testing.T) {
 	}
 }
 
-func TestNumericizeCell(t *testing.T) {
-	cases := map[string]string{
-		"12.3M":   "12.3",
-		"1.53x":   "1.53",
-		"4.4%":    "4.4",
-		"350.1ns": "350.1",
-		"2.5GB/s": "2.5",
-		"7":       "7",
-	}
-	for in, want := range cases {
-		if got := NumericizeCell(in); got != want {
-			t.Errorf("NumericizeCell(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestWriteSamplesCSV(t *testing.T) {
 	samples := []sim.Sample{
 		{

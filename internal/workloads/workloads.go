@@ -1,8 +1,8 @@
 // Package workloads defines the memory workloads used throughout the
 // evaluation: the GUPS microbenchmark (Section 2.1), the sequential
 // memory antagonist that generates memory interconnect contention, and
-// skewed workloads (Zipf, hot/cold) standing in for the real
-// applications' access distributions. A workload supplies two things:
+// replays of the per-page access histograms recorded from the executed
+// applications in internal/apps. A workload supplies two things:
 // per-page access weights over an address space, and the closed-loop
 // traffic profile (cores, per-core memory-level parallelism, access
 // pattern, read/write mix) the simulator's solver consumes.
@@ -251,18 +251,6 @@ func (i Intensity) String() string { return fmt.Sprintf("%dx", int(i)) }
 // antagonist (5 cores per step).
 func AntagonistForIntensity(intensity Intensity) Antagonist {
 	return Antagonist{Cores: intensity.Cores()}
-}
-
-// IntensityForCores maps a raw antagonist core count back onto the
-// paper's intensity scale. ok is false when cores is negative or not a
-// whole number of intensity steps — the deprecated raw-cores
-// configuration paths use this to reject values the typed scale cannot
-// express.
-func IntensityForCores(cores int) (Intensity, bool) {
-	if cores < 0 || cores%CoresPerIntensity != 0 {
-		return 0, false
-	}
-	return Intensity(cores / CoresPerIntensity), true
 }
 
 // Source renders the antagonist as a solver source pinned to the

@@ -187,65 +187,13 @@ func TestAntagonistIntensityMapping(t *testing.T) {
 	}
 }
 
-// IntensityForCores is the inverse of Intensity.Cores on the typed
-// scale, and rejects core counts the scale cannot express.
-func TestIntensityForCoresRoundTrip(t *testing.T) {
-	for _, i := range []Intensity{Intensity0x, Intensity1x, Intensity2x, Intensity3x, 7} {
-		got, ok := IntensityForCores(i.Cores())
-		if !ok || got != i {
-			t.Errorf("IntensityForCores(%d) = (%v, %v), want (%v, true)", i.Cores(), got, ok, i)
-		}
-	}
-	for _, cores := range []int{-5, 1, CoresPerIntensity + 2, 3 * CoresPerIntensity / 2} {
-		if got, ok := IntensityForCores(cores); ok {
-			t.Errorf("IntensityForCores(%d) = (%v, true), want rejection", cores, got)
-		}
-	}
-}
-
-func TestZipfKVInstall(t *testing.T) {
-	as := testSpace(t)
-	z := DefaultSiloYCSBC()
-	if err := z.Install(as, stats.NewRNG(4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sumWeights(as); math.Abs(got-1) > 1e-6 {
-		t.Fatalf("weights sum to %v", got)
-	}
-	ws := SortedPageWeights(as)
-	// Zipf skew: the hottest page should carry far more than the median.
-	if ws[0] < 10*ws[len(ws)/2] {
-		t.Fatalf("insufficient skew: max=%v median=%v", ws[0], ws[len(ws)/2])
-	}
-}
-
-func TestHotColdInstall(t *testing.T) {
-	as := testSpace(t)
-	h := DefaultCacheLib()
-	if err := h.Install(as, stats.NewRNG(5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := sumWeights(as); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("weights sum to %v", got)
-	}
-	ws := SortedPageWeights(as)
-	nHot := int(0.2 * float64(len(ws)))
-	hotMass := 0.0
-	for _, w := range ws[:nHot] {
-		hotMass += w
-	}
-	if math.Abs(hotMass-0.9) > 0.01 {
-		t.Fatalf("hot mass = %v, want ~0.9", hotMass)
-	}
-}
-
 func TestFromWeights(t *testing.T) {
 	as := testSpace(t)
 	n := as.NumPages()
 	ws := make([]float64, n)
 	ws[0] = 3
 	ws[1] = 1
-	fw := &FromWeights{Name: "replay", Weights: ws, Traffic: Profile{Name: "replay", Cores: 4, Inflight: 2}}
+	fw := &FromWeights{Weights: ws}
 	if err := fw.Install(as, nil); err != nil {
 		t.Fatal(err)
 	}
