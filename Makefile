@@ -81,13 +81,17 @@ bench:
 # One-iteration smoke of the instrumentation-overhead benchmark: proves
 # the obs plumbing still runs end to end without paying for a full
 # benchstat-quality measurement. Also one iteration of the sampler
-# benchmark (Sample against SampleN, ns per draw) and of HeMem's
-# Colloid walk (ns and allocs per walk, which must stay 0; perfbench
-# has no per-walk row), so they keep compiling and running.
+# benchmark (Sample against SampleN, ns per draw), of HeMem's Colloid
+# walk (ns and allocs per walk, which must stay 0; perfbench has no
+# per-walk row) and of a GUPS hot-set shift on 2^20 pages with the
+# sampler rebuild it forces (ns and allocs per shift; the shift itself
+# allocates only its permutation prefix), so they keep compiling and
+# running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
 	$(GO) test -run '^$$' -bench='^BenchmarkSampler$$' -benchtime=1x ./internal/access/
 	$(GO) test -run '^$$' -bench='^BenchmarkColloidWalk$$' -benchtime=1x -benchmem ./internal/hemem/
+	$(GO) test -run '^$$' -bench='^BenchmarkShiftHotSet$$' -benchtime=1x -benchmem ./internal/workloads/
 
 # One-iteration smoke of the multi-tenant cluster: the quick tenants
 # experiment (8 tenants, both arbitration policies, heat modes exact +

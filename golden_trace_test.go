@@ -142,6 +142,70 @@ func TestGoldenFaultWindowTraces(t *testing.T) {
 	}
 }
 
+// TestGoldenShiftTraces pins a run that crosses two hot-set shifts: the
+// TestGoldenFaultWindowTraces setup with WorkloadShift events at 1.5 s
+// and 3.5 s in place of the fault windows, so the second shift draws
+// its permutation from the stream the first leaves. Each system then
+// re-converges on a new hot set twice. The fold adds the final tier
+// shares and the migrator's totals to the trace, so a shift that
+// changes a weight, the order the per-tier sums accumulate in, or the
+// draws after it shows up even where placement agrees.
+func TestGoldenShiftTraces(t *testing.T) {
+	golden := map[string]uint64{
+		"hemem":          0x5d6c9ac33739f66c,
+		"hemem+colloid":  0x19f2aebbc5a54e09,
+		"tpp":            0x3b044411383c1009,
+		"tpp+colloid":    0x9c245eeaa5ee01f9,
+		"memtis":         0xd9f3b73cc1761c33,
+		"memtis+colloid": 0x0e845ef15883e4db,
+	}
+	for name, mk := range goldenSystems {
+		name, mk := name, mk
+		for _, w := range goldenWorkerCounts() {
+			w := w
+			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
+				g := workloads.DefaultGUPS()
+				shifts := &scenario.Scenario{Name: "golden-shifts", Events: []scenario.Event{
+					scenario.WorkloadShift{AtSec: 1.5, Shift: g.ShiftHotSet},
+					scenario.WorkloadShift{AtSec: 3.5, Shift: g.ShiftHotSet},
+				}}
+				e, err := sim.New(sim.Config{
+					Topology:        memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote()),
+					WorkingSetBytes: g.WorkingSetBytes,
+					Profile:         g.Profile(),
+					Antagonist:      workloads.Intensity3x,
+					Seed:            42,
+					Workers:         w,
+				}, sim.WithSystem(mk()), sim.WithScenario(shifts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Run(5); err != nil {
+					t.Fatal(err)
+				}
+				bytes, moves, _, _ := e.Tenant(0).Migrator().Totals()
+				if moves == 0 {
+					t.Fatal("no applied moves: the arm must migrate around the shifts")
+				}
+				d := simtest.NewDigest()
+				d.Samples(e.Tenant(0).Samples())
+				d.Placement(e.AS())
+				for _, v := range e.AS().TierShare() {
+					d.F64(v)
+				}
+				d.I64(bytes)
+				d.I64(moves)
+				if got := d.Sum(); got != golden[name] {
+					t.Fatalf("shift checksum = %#x, golden %#x — a hot-set shift or the run after it changed (workers=%d)", got, golden[name], w)
+				}
+			})
+		}
+	}
+}
+
 // traceChecksum folds every sample and the final placement into one
 // FNV-1a hash (via the shared simtest.Digest stream); any bit-level
 // difference in the run's observable behaviour changes it.

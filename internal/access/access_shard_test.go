@@ -110,6 +110,24 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 			checkWeightedCDF(t, s, seed, guideEdges(s)...)
 		}
 	}
+	// GUPS's shape: a scattered hot third at 28 times a cold page's
+	// weight. A hot page then spans about 2.8 buckets, so the backfill
+	// crosses runs of empty buckets between the filled ones.
+	for _, n := range []int{64, 1000, 5000} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			s := gupsSampler(t, n, seed)
+			runs := 0
+			for j := 0; j+2 < len(s.guide); j++ {
+				if s.guide[j] == s.guide[j+2] {
+					runs++
+				}
+			}
+			if runs == 0 {
+				t.Fatalf("%d pages, seed %d: no run of two empty buckets", n, seed)
+			}
+			checkWeightedCDF(t, s, seed, guideEdges(s)...)
+		}
+	}
 	// Subnormal weights overflow k/total to +Inf: every draw then lands
 	// in the last bucket, which must still search the whole CDF.
 	as := shardTestSpace(t)
@@ -122,6 +140,25 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 		t.Fatalf("scale = %v, want +Inf", s.scale)
 	}
 	checkWeightedCDF(t, s, 1, guideEdges(s)...)
+}
+
+// gupsSampler builds a sampler over n 4 KiB pages whose random third
+// weighs 28 and the rest 1.
+func gupsSampler(t *testing.T, n int, seed uint64) *Sampler {
+	t.Helper()
+	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
+	as, err := pages.NewAddressSpace(topo, int64(n)*pages.BasePageBytes, pages.BasePageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(seed)
+	as.SetWeights(func(pages.PageID) float64 { return 1 })
+	for _, id := range rng.Perm(nil, n, n/3) {
+		as.SetWeight(pages.PageID(id), 28)
+	}
+	s := NewSampler(as, rng)
+	s.Sample() // builds the CDF
+	return s
 }
 
 // guideEdges returns the CDF value at each guide bucket's lower edge.

@@ -59,13 +59,13 @@ func GeneratePowerLaw(numNodes int, avgDegree int, skew float64, rng *stats.RNG)
 	zipf := stats.NewZipf(int64(numNodes), skew)
 	// Random vertex relabeling so hot vertices scatter across pages
 	// (Zipf rank 0..k would otherwise cluster at the start).
-	label := rng.Perm(numNodes)
+	label := rng.Perm(nil, numNodes, numNodes)
 
 	srcs := make([]int32, numEdges)
 	dsts := make([]int32, numEdges)
 	for i := int64(0); i < numEdges; i++ {
 		srcs[i] = int32(rng.Intn(numNodes))
-		dsts[i] = int32(label[zipf.Draw(rng)])
+		dsts[i] = label[zipf.Draw(rng)]
 	}
 	g := &Graph{
 		numNodes: numNodes,

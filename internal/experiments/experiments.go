@@ -40,12 +40,13 @@ type Options struct {
 	// the shard index, never the worker — so this is purely a wall-clock
 	// knob.
 	ShardWorkers int
-	// Heat is the default access-tracking fidelity for every GUPS-driven
-	// simulation (sim.Config.Heat semantics: zero spec = exact). Unlike
-	// ShardWorkers this knob changes results — coarse tracking smears
-	// heat. Experiments that sweep their own fidelity axis (the heat and
-	// tenants families) replace it per arm with their own spec or
-	// explicit cluster specs.
+	// Heat is the default heat-tracking granularity of every simulation
+	// an experiment runs, GUPS-driven or replaying an application's
+	// recorded weights (sim.Config.Heat semantics: zero spec = exact).
+	// Unlike ShardWorkers this knob changes results — coarse tracking
+	// smears heat. Experiments that sweep their own fidelity axis (the
+	// heat and tenants families) replace it per arm with their own spec
+	// or explicit cluster specs.
 	Heat heat.Spec
 }
 

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"colloid/internal/heat"
 	"colloid/internal/obs"
+	"colloid/internal/sim"
 )
 
 func TestListCoversAllFigures(t *testing.T) {
@@ -113,6 +115,40 @@ func TestFig5ShapeQuick(t *testing.T) {
 		if colloid < 0.9*vanilla {
 			t.Errorf("0x col %d: colloid %.3g < vanilla %.3g", i, colloid, vanilla)
 		}
+	}
+}
+
+// Fig 11's arms build their sim.Config by hand, so they must hand the
+// default heat granularity (colloidsim -region/-forecast) to the engine
+// as every other arm does: MEMTIS tracking 64-page regions must run
+// differently from MEMTIS tracking pages exactly.
+func TestFig11FollowsHeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two simulations")
+	}
+	const name = "gapbs/memtis/3x/colloid=false"
+	run := func(spec heat.Spec) sim.Steady {
+		o := Options{Quick: true, Heat: spec}.withDefaults()
+		arms, err := fig11Arms(o, "gapbs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arms {
+			if a.Name == name {
+				res, err := a.Run(ArmContext{Experiment: "fig11a", Index: i, Seed: armSeed("fig11a", i, o.Seed), Options: o})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.(sim.Steady)
+			}
+		}
+		t.Fatalf("no arm %q", name)
+		return sim.Steady{}
+	}
+	exact := run(heat.Spec{})
+	region := run(heat.Spec{Kind: heat.Region, RegionPages: 64})
+	if exact.OpsPerSec == region.OpsPerSec && exact.AppShare[0] == region.AppShare[0] {
+		t.Fatalf("%s: region/64 heat gives the exact run's %v ops/s and default share %v; the arm ignores Options.Heat", name, exact.OpsPerSec, exact.AppShare[0])
 	}
 }
 

@@ -211,6 +211,7 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 						Antagonist:      intensity,
 						Seed:            ctx.Seed,
 						Workers:         ctx.Options.ShardWorkers,
+						Heat:            ctx.Options.Heat,
 						Obs:             ctx.Obs,
 					}, sim.WithSystem(system))
 					if err != nil {

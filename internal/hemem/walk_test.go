@@ -71,7 +71,7 @@ func walkSystem(t testing.TB, seed uint64, spec heat.Spec) (*System, *sim.Contex
 
 // reheat draws a new hot set and folds quanta quanta of samples into s.
 func reheat(s *System, ctx *sim.Context, rng *stats.RNG, quanta int) {
-	hot := rng.Perm(walkPages)[:200]
+	hot := rng.Perm(nil, walkPages, 200)
 	for id := 0; id < walkPages; id++ {
 		ctx.AS.SetWeight(pages.PageID(id), 0.3/walkPages)
 	}

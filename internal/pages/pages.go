@@ -70,9 +70,9 @@ type AddressSpace struct {
 }
 
 // Version increments whenever the weight distribution changes
-// (SetWeight). Samplers use it to cache derived structures across
-// quanta; placement moves do not bump it because they do not change
-// what the PMU would sample.
+// (SetWeight, SetWeights). Samplers use it to cache derived structures
+// across quanta; placement moves do not bump it because they do not
+// change what the PMU would sample.
 func (as *AddressSpace) Version() uint64 { return as.version }
 
 // check panics with a descriptive message when id does not name a page
@@ -151,6 +151,28 @@ func (as *AddressSpace) SetWeight(id PageID, w float64) {
 	as.totalWeight += delta
 	as.weight[id] = w
 	as.version++
+}
+
+// SetWeights sets every page's weight to weight(id), in page-ID order,
+// and bumps the version once. The per-tier and total sums take the same
+// additions, in the same order, that a SetWeight loop over the IDs
+// makes, so they hold the same bits. It panics on a negative weight, as
+// SetWeight does, leaving the pages before it updated.
+func (as *AddressSpace) SetWeights(weight func(id PageID) float64) {
+	as.version++
+	total := as.totalWeight
+	for i, old := range as.weight {
+		w := weight(PageID(i))
+		if w < 0 {
+			as.totalWeight = total
+			panic("pages: negative weight")
+		}
+		delta := w - old
+		as.tierWeight[as.tier[i]] += delta
+		total += delta
+		as.weight[i] = w
+	}
+	as.totalWeight = total
 }
 
 // Weight returns the page's current weight. It panics on NoPage or an

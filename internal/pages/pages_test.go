@@ -239,6 +239,105 @@ func TestChurnConservation(t *testing.T) {
 	}
 }
 
+// SetWeights must leave exactly the state a SetWeight loop over the IDs
+// leaves: bit-equal weights, per-tier and total sums and so shares,
+// on 2- and 3-tier spaces whose pages have moved across tiers, with
+// weights going 0→w, w→0, w→w and w→w'. It bumps the version once, and
+// a negative weight panics with SetWeight's message.
+func TestSetWeightsMatchesSetWeight(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		topo *memsys.Topology
+	}{
+		{"2-tier", testTopology(t)},
+		{"3-tier", memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote(), memsys.CXLTier(4*memsys.GiB))},
+	} {
+		name, topo := c.name, c.topo
+		bulk, err := NewAddressSpace(topo, 8*memsys.GiB, HugePageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop, _ := NewAddressSpace(topo, 8*memsys.GiB, HugePageBytes)
+		n := bulk.NumPages()
+		rng := rand.New(rand.NewSource(7))
+		before := make([]float64, n)
+		after := make([]float64, n)
+		for i := range before {
+			w, w2 := rng.Float64()/float64(n), rng.Float64()/float64(n)
+			switch i % 4 {
+			case 0: // 0 -> w
+				after[i] = w
+			case 1: // w -> 0
+				before[i] = w
+			case 2: // w -> w
+				before[i], after[i] = w, w
+			case 3: // w -> w'
+				before[i], after[i] = w, w2
+			}
+		}
+		for _, as := range []*AddressSpace{bulk, loop} {
+			for i, w := range before {
+				as.SetWeight(PageID(i), w)
+			}
+		}
+		for op := 0; op < n; op++ {
+			id, to := PageID(rng.Intn(n)), memsys.TierID(rng.Intn(topo.NumTiers()))
+			if err := bulk.Move(id, to); err == nil {
+				if err := loop.Move(id, to); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for tier := 0; tier < topo.NumTiers(); tier++ {
+			if bulk.TierBytes(memsys.TierID(tier)) == 0 {
+				t.Fatalf("%s: tier %d holds no page after the moves", name, tier)
+			}
+		}
+		v := bulk.Version()
+		bulk.SetWeights(func(id PageID) float64 { return after[id] })
+		for i, w := range after {
+			loop.SetWeight(PageID(i), w)
+		}
+		if bulk.Version() != v+1 {
+			t.Fatalf("%s: version %d -> %d, want one bump", name, v, bulk.Version())
+		}
+		for i := range after {
+			if a, b := bulk.weight[i], loop.weight[i]; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: page %d weight %v, SetWeight loop gives %v", name, i, a, b)
+			}
+		}
+		for tier, a := range bulk.TierShare() {
+			if b := loop.TierShare()[tier]; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: tier %d share %v, SetWeight loop gives %v", name, tier, a, b)
+			}
+		}
+		if a, b := bulk.DefaultShare(), loop.DefaultShare(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: DefaultShare %v, SetWeight loop gives %v", name, a, b)
+		}
+		if a, b := bulk.totalWeight, loop.totalWeight; math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: total weight %v, SetWeight loop gives %v", name, a, b)
+		}
+	}
+	as := testSpace(t, 4)
+	recovered := func(f func()) (got any) {
+		defer func() { got = recover() }()
+		f()
+		return nil
+	}
+	want := recovered(func() { as.SetWeight(5, -1) })
+	got := recovered(func() {
+		as.SetWeights(func(id PageID) float64 {
+			if id == 5 {
+				return -1
+			}
+			return 0.1
+		})
+	})
+	if want == nil || got != want {
+		t.Fatalf("SetWeights panics with %v, SetWeight with %v", got, want)
+	}
+}
+
 func TestLiveViewAliasesState(t *testing.T) {
 	as := testSpace(t, 4)
 	ids := as.LiveIDs()

@@ -135,15 +135,30 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
+// Perm returns the first min(k, n) entries of a pseudo-random
+// permutation of [0, n), in dst's storage when its capacity exceeds k.
+// It runs an inside-out Fisher–Yates shuffle and makes all n draws, so
+// the stream after it does not depend on k, but stores only the kept
+// prefix: past it, step i's draw j moves p[j] to slot i, which is not
+// kept, and writes i into slot j, which is kept only when j < k. n must
+// fit an int32, as every page ID does.
+func (r *RNG) Perm(dst []int32, n, k int) []int32 {
+	k = min(k, n)
+	// p[k] is a sink: a draw past the prefix stores there instead of
+	// branching on whether it landed in the prefix.
+	if cap(dst) < k+1 {
+		dst = make([]int32, k+1)
 	}
-	return p
+	p := dst[:k+1]
+	for i := 0; i < k; i++ {
+		j := r.Uint64n(uint64(i) + 1)
+		p[i] = p[j]
+		p[j] = int32(i)
+	}
+	for i := k; i < n; i++ {
+		p[min(r.Uint64n(uint64(i)+1), uint64(k))] = int32(i)
+	}
+	return p[:k]
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

@@ -118,13 +118,57 @@ func TestNormFloat64Moments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(9)
-	p := r.Perm(100)
+	p := r.Perm(nil, 100, 100)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {
 			t.Fatalf("not a permutation: %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// refPerm is the full inside-out Fisher–Yates permutation Perm drew
+// before it kept only a prefix: the reference its prefix must equal,
+// draw for draw.
+func refPerm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
+// Perm(dst, n, k) must return the first min(k, n) entries of the full
+// permutation and leave the stream where the full one does, so a
+// workload asking for a shorter prefix draws everything after it
+// unchanged. dst's storage is reused when large enough.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	var dst []int32
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, n := range []int{0, 1, 2, 7, 64, 1000, 4097} {
+			for _, k := range []int{0, 1, n / 3, n - 1, n, n + 1} {
+				if k < 0 {
+					continue
+				}
+				ra, rb := NewRNG(seed), NewRNG(seed)
+				ref := refPerm(ra, n)[:min(k, n)]
+				dst = rb.Perm(dst, n, k)
+				if len(dst) != len(ref) {
+					t.Fatalf("seed %d: Perm(n=%d, k=%d) has %d entries, want %d", seed, n, k, len(dst), len(ref))
+				}
+				for i, v := range ref {
+					if int(dst[i]) != v {
+						t.Fatalf("seed %d: Perm(n=%d, k=%d)[%d] = %d, want %d", seed, n, k, i, dst[i], v)
+					}
+				}
+				if a, b := ra.Uint64(), rb.Uint64(); a != b {
+					t.Fatalf("seed %d: Uint64 after Perm(n=%d, k=%d) = %d, want %d", seed, n, k, b, a)
+				}
+			}
+		}
 	}
 }
 
@@ -183,8 +227,8 @@ func TestUint64nPinnedDraws(t *testing.T) {
 			t.Errorf("n=%d: Uint64 after 64 draws = %d, want %d", c.n, next, c.next)
 		}
 	}
-	want := []int{3, 7, 4, 2, 1, 6, 9, 8, 5, 0}
-	if got := NewRNG(10).Perm(10); !slices.Equal(got, want) {
+	want := []int32{3, 7, 4, 2, 1, 6, 9, 8, 5, 0}
+	if got := NewRNG(10).Perm(nil, 10, 10); !slices.Equal(got, want) {
 		t.Errorf("Perm(10) = %v, want %v", got, want)
 	}
 }

@@ -19,8 +19,8 @@ type FromWeights struct {
 
 // Install normalizes and applies the weights.
 func (f *FromWeights) Install(as *pages.AddressSpace, _ *stats.RNG) error {
-	ids := as.LiveIDs()
-	if len(ids) == 0 {
+	numPages := as.NumPages()
+	if numPages == 0 {
 		return fmt.Errorf("workloads: empty address space")
 	}
 	if len(f.Weights) == 0 {
@@ -36,21 +36,18 @@ func (f *FromWeights) Install(as *pages.AddressSpace, _ *stats.RNG) error {
 	if total <= 0 {
 		return fmt.Errorf("workloads: profile has no mass")
 	}
-	n := len(f.Weights)
-	if n > len(ids) {
-		n = len(ids)
-	}
+	n := min(len(f.Weights), numPages)
 	var overflow float64
 	for i := n; i < len(f.Weights); i++ {
 		overflow += f.Weights[i]
 	}
-	per := overflow / total / float64(len(ids))
-	for i, id := range ids {
+	per := overflow / total / float64(numPages)
+	as.SetWeights(func(id pages.PageID) float64 {
 		w := per
-		if i < n {
-			w += f.Weights[i] / total
+		if int(id) < n {
+			w += f.Weights[id] / total
 		}
-		as.SetWeight(id, w)
-	}
+		return w
+	})
 	return nil
 }

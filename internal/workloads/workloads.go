@@ -158,8 +158,7 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 	if nHot <= 0 || nHot > n {
 		return fmt.Errorf("workloads: hot set of %d pages infeasible over %d pages", nHot, n)
 	}
-	g.hot, g.nHot = markHot(g.hot, rng.Perm(n), nHot)
-	g.applyWeights(as)
+	g.shift(as, rng, nHot)
 	return nil
 }
 
@@ -167,40 +166,39 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 // one (the Figure 9 access-pattern dynamism: old hot pages become cold,
 // a different random set becomes hot).
 func (g *GUPS) ShiftHotSet(as *pages.AddressSpace, rng *stats.RNG) {
-	nHot := int(g.HotSetBytes / as.Get(0).Bytes)
-	g.hot, g.nHot = markHot(g.hot, rng.Perm(as.NumPages()), nHot)
-	g.applyWeights(as)
+	g.shift(as, rng, int(g.HotSetBytes/as.Get(0).Bytes))
 }
 
-// markHot returns a dense hot set over len(perm) pages, reusing hot's
-// storage: hot[id] is true exactly for the first nHot page IDs of perm
-// (page IDs run 0..n-1, so a permutation of n indices is one of page
-// IDs). It also returns how many pages it marked.
-func markHot(hot []bool, perm []int, nHot int) ([]bool, int) {
-	if cap(hot) < len(perm) {
-		hot = make([]bool, len(perm))
+// shift draws a hot set of nHot pages, the first nHot entries of a
+// random permutation of the page IDs, and reweights every page in one
+// pass. Once the hot-set marks exist, the permutation's prefix is the
+// only allocation, and it is dropped on return, so nothing of it stays
+// live between shifts.
+func (g *GUPS) shift(as *pages.AddressSpace, rng *stats.RNG, nHot int) {
+	n := as.NumPages()
+	perm := rng.Perm(nil, n, nHot)
+	if cap(g.hot) < n {
+		g.hot = make([]bool, n)
 	} else {
-		hot = hot[:len(perm)]
-		clear(hot)
+		g.hot = g.hot[:n]
+		clear(g.hot)
 	}
-	marked := 0
-	for ; marked < nHot && marked < len(perm); marked++ {
-		hot[perm[marked]] = true
+	for _, id := range perm {
+		g.hot[id] = true
 	}
-	return hot, marked
-}
-
-func (g *GUPS) applyWeights(as *pages.AddressSpace) {
-	nAll := len(g.hot)
-	hotW := g.HotProb/float64(g.nHot) + (1-g.HotProb)/float64(nAll)
-	coldW := (1 - g.HotProb) / float64(nAll)
-	for id, hot := range g.hot {
-		if hot {
-			as.SetWeight(pages.PageID(id), hotW)
-		} else {
-			as.SetWeight(pages.PageID(id), coldW)
+	g.nHot = len(perm)
+	coldW := (1 - g.HotProb) / float64(n)
+	hotW := g.HotProb/float64(g.nHot) + coldW
+	// Indexing by hotness, with the index set by a conditional move,
+	// spares a misprediction on each of the random hot pages.
+	ws := [2]float64{coldW, hotW}
+	as.SetWeights(func(id pages.PageID) float64 {
+		hot := 0
+		if g.hot[id] {
+			hot = 1
 		}
-	}
+		return ws[hot]
+	})
 }
 
 // IsHot reports whether the page is currently in the hot set.

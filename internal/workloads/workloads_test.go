@@ -115,6 +115,20 @@ func TestGUPSShiftHotSet(t *testing.T) {
 	}
 }
 
+// A shift allocates only its permutation prefix, which it drops: the
+// hot-set marks and the weights reuse their storage.
+func TestGUPSShiftAllocatesOnce(t *testing.T) {
+	as := testSpace(t)
+	g := DefaultGUPS()
+	rng := stats.NewRNG(3)
+	if err := g.Install(as, rng); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { g.ShiftHotSet(as, rng) }); allocs != 1 {
+		t.Fatalf("ShiftHotSet allocates %v times, want 1", allocs)
+	}
+}
+
 func TestGUPSValidate(t *testing.T) {
 	bad := []*GUPS{
 		{WorkingSetBytes: 0, HotSetBytes: 1, HotProb: 0.9, ObjectBytes: 64, Cores: 1},
