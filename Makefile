@@ -7,10 +7,10 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify fmt vet staticcheck lint lint-fixtures race bench bench-smoke bench-tenants bench-heat bench-check bench-diff clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures inline-check race bench bench-smoke bench-tenants bench-heat bench-check bench-diff clean
 
 # Everything CI gates on.
-ci: verify fmt vet staticcheck lint race bench-smoke bench-tenants bench-heat bench-check
+ci: verify fmt vet staticcheck lint inline-check race bench-smoke bench-tenants bench-heat bench-check
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
@@ -63,6 +63,34 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/lint/ ./cmd/colloidlint/
 
+# The small functions on the per-sample path must stay inlinable: the
+# generator step and its float draw, the sampler's bucket and scan, a
+# page's tier read and HeMem's bin index. Each is a file and a function
+# the compiler's -m report must call `can inline`; an edit that puts a
+# call back on every draw fails here, not in a noisy end-to-end run.
+# Float64 sits 5 under the inlining budget of 80.
+INLINE_FUNCS := \
+	'internal/stats/rng.go:(*RNG).Uint64' \
+	'internal/stats/rng.go:(*RNG).Float64' \
+	'internal/access/access.go:(*Sampler).bucket' \
+	'internal/access/access.go:(*Sampler).scan' \
+	'internal/pages/pages.go:(*AddressSpace).Tier' \
+	'internal/hemem/hemem.go:(*System).binIndex'
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/stats/ ./internal/access/ ./internal/pages/ ./internal/hemem/ 2>&1) || { \
+		echo "$$out" >&2; exit 1; \
+	}; \
+	out=$$(echo "$$out" | sed -E 's/:[0-9]+:[0-9]+: /: /'); \
+	fail=0; \
+	for want in $(INLINE_FUNCS); do \
+		file=$${want%%:*}; fn=$${want#*:}; \
+		echo "$$out" | grep -qxF "$$file: can inline $$fn" || { \
+			echo "inline-check: $$fn in $$file no longer inlines" >&2; fail=1; \
+		}; \
+	done; \
+	exit $$fail
+
 # Race-detector pass over the parallel experiment runner, the engine,
 # the scenario/fault-injection subsystem, the migration engine, the
 # address space, (since the sharded per-quantum pipeline) the access
@@ -83,14 +111,17 @@ bench:
 # benchstat-quality measurement. Also one iteration of the sampler
 # benchmark (Sample against SampleN, ns per draw), of HeMem's Colloid
 # walk (ns and allocs per walk, which must stay 0; perfbench has no
-# per-walk row) and of a GUPS hot-set shift on 2^20 pages with the
-# sampler rebuild it forces (ns and allocs per shift; the shift itself
-# allocates only its permutation prefix), so they keep compiling and
-# running.
+# per-walk row), of one quantum of HeMem's PEBS sampling on a
+# paper-gups-sized space (ns per sample: draw, touch and classify) and
+# of a GUPS hot-set shift on 2^20 pages with the sampler rebuild it
+# forces (ns and allocs per shift; the rebuild allocates nothing, so
+# the one allocation is the shift's permutation prefix), so they keep
+# compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
 	$(GO) test -run '^$$' -bench='^BenchmarkSampler$$' -benchtime=1x ./internal/access/
 	$(GO) test -run '^$$' -bench='^BenchmarkColloidWalk$$' -benchtime=1x -benchmem ./internal/hemem/
+	$(GO) test -run '^$$' -bench='^BenchmarkSamplePEBS$$' -benchtime=1x -benchmem ./internal/hemem/
 	$(GO) test -run '^$$' -bench='^BenchmarkShiftHotSet$$' -benchtime=1x -benchmem ./internal/workloads/
 
 # One-iteration smoke of the multi-tenant cluster: the quick tenants

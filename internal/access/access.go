@@ -78,13 +78,29 @@ type Sampler struct {
 	guide   []int32 // k+1 entries, guide[k] = len(cum); PageID is int32, so indices fit
 	scale   float64 // k/total
 
+	// parts holds the rebuild's per-shard partials. countPass and
+	// fillPass are its two sharded passes, bound once: shard.Run lets
+	// its callback escape, so a closure made per rebuild would allocate.
+	parts               [shard.DefaultShards]cdfShard
+	countPass, fillPass func(sh int)
+
 	mSamples  *obs.Counter
 	mRebuilds *obs.Counter
 }
 
+// cdfShard is one shard's partials in a CDF rebuild.
+type cdfShard struct {
+	weighted    int     // weighted pages
+	total       float64 // their weight, summed in page order
+	first, last int     // first and last weighted index; hi and -1 when there is none
+	base        float64 // prefix weight before the shard
+}
+
 // NewSampler returns a sampler over as using rng.
 func NewSampler(as *pages.AddressSpace, rng *stats.RNG) *Sampler {
-	return &Sampler{as: as, rng: rng, workers: 1}
+	s := &Sampler{as: as, rng: rng, workers: 1}
+	s.countPass, s.fillPass = s.countShard, s.fillShard
+	return s
 }
 
 // SetObs installs the metrics registry (nil disables instrumentation).
@@ -102,65 +118,32 @@ func (s *Sampler) SetWorkers(w int) {
 	s.workers = w
 }
 
+// rebuild recomputes cum and the guide from the current weights. It
+// allocates only to grow cum or the guide.
 func (s *Sampler) rebuild() {
 	s.mRebuilds.Inc()
-	v := s.as.LiveView()
-	n := len(v.Weight)
+	n := s.as.NumPages()
 	plan := shard.NewPlan(n)
-	// Pass 1: per-shard count of weighted pages, local weight total and
-	// first and last weighted index (hi and -1 when there is none).
-	var counts [shard.DefaultShards]int
-	var totals [shard.DefaultShards]float64
-	var firsts, lasts [shard.DefaultShards]int
-	shard.Run(s.workers, plan.Shards, func(sh int) {
-		lo, hi := plan.Range(sh)
-		c := 0
-		acc := 0.0
-		first, last := hi, -1
-		for i, w := range v.Weight[lo:hi] {
-			if w > 0 {
-				if c == 0 {
-					first = lo + i
-				}
-				c++
-				acc += w
-				last = lo + i
-			}
-		}
-		counts[sh] = c
-		totals[sh] = acc
-		firsts[sh], lasts[sh] = first, last
-	})
+	shard.Run(s.workers, plan.Shards, s.countPass)
 	// Ordered reduce: per-shard starting prefix weight.
-	var base [shard.DefaultShards]float64
 	weighted := 0
 	acc := 0.0
 	s.first, s.last = n, -1
-	for sh := 0; sh < plan.Shards; sh++ {
-		base[sh] = acc
-		acc += totals[sh]
-		weighted += counts[sh]
-		if counts[sh] > 0 {
-			s.first = min(s.first, firsts[sh])
-			s.last = lasts[sh]
+	for sh := range s.parts[:plan.Shards] {
+		p := &s.parts[sh]
+		p.base = acc
+		acc += p.total
+		weighted += p.weighted
+		if p.weighted > 0 {
+			s.first = min(s.first, p.first)
+			s.last = p.last
 		}
 	}
 	if cap(s.cum) < n {
 		s.cum = make([]float64, n)
 	}
 	s.cum = s.cum[:n]
-	// Pass 2: fill each shard's slice of the CDF from its own seed.
-	shard.Run(s.workers, plan.Shards, func(sh int) {
-		lo, hi := plan.Range(sh)
-		cum := s.cum[lo:hi]
-		acc := base[sh]
-		for i, w := range v.Weight[lo:hi] {
-			if w > 0 {
-				acc += w
-			}
-			cum[i] = acc
-		}
-	})
+	shard.Run(s.workers, plan.Shards, s.fillPass)
 	// Seam clamp: set each shard's leading weightless entries to the
 	// entry before the shard, then raise its leading entries below that
 	// entry to it. Serial and in shard order, so the result is the same
@@ -172,7 +155,7 @@ func (s *Sampler) rebuild() {
 		}
 		prev := s.cum[lo-1]
 		i := lo
-		for ; i < firsts[sh]; i++ {
+		for ; i < s.parts[sh].first; i++ {
 			s.cum[i] = prev
 		}
 		for ; i < hi && s.cum[i] < prev; i++ {
@@ -186,6 +169,43 @@ func (s *Sampler) rebuild() {
 	s.fillGuide(weighted)
 	s.version = s.as.Version()
 	s.built = true
+}
+
+// countShard is the rebuild's first pass over shard sh: it counts the
+// shard's weighted pages, sums their weight and finds the first and
+// last of them.
+func (s *Sampler) countShard(sh int) {
+	w := s.as.LiveView().Weight
+	lo, hi := shard.NewPlan(len(w)).Range(sh)
+	c := 0
+	acc := 0.0
+	first, last := hi, -1
+	for i, x := range w[lo:hi] {
+		if x > 0 {
+			if c == 0 {
+				first = lo + i
+			}
+			c++
+			acc += x
+			last = lo + i
+		}
+	}
+	s.parts[sh] = cdfShard{weighted: c, total: acc, first: first, last: last}
+}
+
+// fillShard is the rebuild's second pass: it fills shard sh's slice of
+// cum from the shard's own starting prefix weight.
+func (s *Sampler) fillShard(sh int) {
+	w := s.as.LiveView().Weight
+	lo, hi := shard.NewPlan(len(w)).Range(sh)
+	cum := s.cum[lo:hi]
+	acc := s.parts[sh].base
+	for i, x := range w[lo:hi] {
+		if x > 0 {
+			acc += x
+		}
+		cum[i] = acc
+	}
 }
 
 // fillGuide rebuilds the guide table of max(1, weighted) buckets over

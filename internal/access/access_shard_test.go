@@ -30,7 +30,7 @@ func TestSamplerWorkerInvariant(t *testing.T) {
 	draw := func(workers int) []pages.PageID {
 		as := shardTestSpace(t)
 		rng := stats.NewRNG(11)
-		for _, id := range as.LiveIDs() {
+		for id := range pages.PageID(as.NumPages()) {
 			if rng.Float64() < 0.7 { // leave some zero-weight pages
 				as.SetWeight(id, rng.Float64())
 			}
@@ -39,7 +39,7 @@ func TestSamplerWorkerInvariant(t *testing.T) {
 		s.SetWorkers(workers)
 		out := s.SampleN(nil, 512)
 		// Mutate weights to force a second rebuild mid-stream.
-		as.SetWeight(as.LiveIDs()[3], 2.0)
+		as.SetWeight(3, 2.0)
 		return s.SampleN(out, 512)
 	}
 	want := draw(1)
@@ -53,6 +53,28 @@ func TestSamplerWorkerInvariant(t *testing.T) {
 				t.Fatalf("workers=%d: sample %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// A rebuild keeps its per-shard partials in the sampler and binds its
+// passes once, so once cum and the guide have capacity it allocates
+// nothing: a hot-set shift then pays only for its permutation prefix.
+func TestSamplerRebuildAllocatesNothing(t *testing.T) {
+	as := shardTestSpace(t)
+	for id := range pages.PageID(as.NumPages()) {
+		as.SetWeight(id, float64(id%7))
+	}
+	s := NewSampler(as, stats.NewRNG(5))
+	s.Sample()
+	allocs := testing.AllocsPerRun(20, func() {
+		as.SetWeight(3, as.Weight(3)+1)
+		s.Sample()
+	})
+	if allocs != 0 {
+		t.Fatalf("a rebuild allocated %v objects, want 0", allocs)
+	}
+	if s.version != as.Version() {
+		t.Fatalf("sampler built at version %d, space at %d: the runs did not rebuild", s.version, as.Version())
 	}
 }
 
@@ -131,7 +153,7 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 	// Subnormal weights overflow k/total to +Inf: every draw then lands
 	// in the last bucket, which must still search the whole CDF.
 	as := shardTestSpace(t)
-	for _, id := range as.LiveIDs()[:100] {
+	for id := range pages.PageID(100) {
 		as.SetWeight(id, math.SmallestNonzeroFloat64)
 	}
 	s := NewSampler(as, stats.NewRNG(1))
@@ -208,7 +230,7 @@ func TestSampleNMatchesSample(t *testing.T) {
 	}
 	spaces := []space{{"all-subnormal", func(seed uint64) *Sampler {
 		as := shardTestSpace(t)
-		for _, id := range as.LiveIDs()[:100] {
+		for id := range pages.PageID(100) {
 			as.SetWeight(id, math.SmallestNonzeroFloat64)
 		}
 		return NewSampler(as, stats.NewRNG(seed))
@@ -257,12 +279,11 @@ func TestSampleNMatchesSample(t *testing.T) {
 			t.Fatalf("SampleN = %v, want %d draws of page %d", got, n, id)
 		}
 	}
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 1)
-	only(s.SampleN(nil, 10), 10, ids[0])
-	as.SetWeight(ids[0], 0)
-	as.SetWeight(ids[7], 1)
-	only(s.SampleN(nil, 2*sampleChunk+1), 2*sampleChunk+1, ids[7])
+	as.SetWeight(0, 1)
+	only(s.SampleN(nil, 10), 10, 0)
+	as.SetWeight(0, 0)
+	as.SetWeight(7, 1)
+	only(s.SampleN(nil, 2*sampleChunk+1), 2*sampleChunk+1, 7)
 }
 
 // weightedCDF is the reference the dense CDF must agree with: s's

@@ -21,12 +21,11 @@ func testSpace(t *testing.T) *pages.AddressSpace {
 
 func TestSamplerMatchesWeights(t *testing.T) {
 	as := testSpace(t)
-	ids := as.LiveIDs()
 	// Two hot pages at 0.4 each, rest share 0.2.
-	as.SetWeight(ids[0], 0.4)
-	as.SetWeight(ids[1], 0.4)
-	rest := 0.2 / float64(len(ids)-2)
-	for _, id := range ids[2:] {
+	as.SetWeight(0, 0.4)
+	as.SetWeight(1, 0.4)
+	rest := 0.2 / float64(as.NumPages()-2)
+	for id := pages.PageID(2); int(id) < as.NumPages(); id++ {
 		as.SetWeight(id, rest)
 	}
 	s := NewSampler(as, stats.NewRNG(1))
@@ -35,7 +34,7 @@ func TestSamplerMatchesWeights(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		counts[s.Sample()]++
 	}
-	for _, id := range ids[:2] {
+	for id := range pages.PageID(2) {
 		got := float64(counts[id]) / draws
 		if math.Abs(got-0.4) > 0.01 {
 			t.Errorf("page %d sampled at %v, want ~0.4", id, got)
@@ -53,25 +52,24 @@ func TestSamplerEmptyWeights(t *testing.T) {
 
 func TestSamplerTracksWeightChanges(t *testing.T) {
 	as := testSpace(t)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 1)
+	as.SetWeight(0, 1)
 	s := NewSampler(as, stats.NewRNG(3))
-	if got := s.Sample(); got != ids[0] {
-		t.Fatalf("sample = %d, want %d", got, ids[0])
+	if got := s.Sample(); got != 0 {
+		t.Fatalf("sample = %d, want 0", got)
 	}
 	// Shift all the weight to another page; sampler must follow.
-	as.SetWeight(ids[0], 0)
-	as.SetWeight(ids[7], 1)
+	as.SetWeight(0, 0)
+	as.SetWeight(7, 1)
 	for i := 0; i < 100; i++ {
-		if got := s.Sample(); got != ids[7] {
-			t.Fatalf("sample after shift = %d, want %d", got, ids[7])
+		if got := s.Sample(); got != 7 {
+			t.Fatalf("sample after shift = %d, want 7", got)
 		}
 	}
 }
 
 func TestSampleN(t *testing.T) {
 	as := testSpace(t)
-	as.SetWeight(as.LiveIDs()[0], 1)
+	as.SetWeight(0, 1)
 	s := NewSampler(as, stats.NewRNG(4))
 	got := s.SampleN(nil, 50)
 	if len(got) != 50 {
@@ -151,10 +149,9 @@ func TestFreqTrackerCoolDropsZeros(t *testing.T) {
 
 func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 	as := testSpace(t)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 0.9)
-	rest := 0.1 / float64(len(ids)-1)
-	for _, id := range ids[1:] {
+	as.SetWeight(0, 0.9)
+	rest := 0.1 / float64(as.NumPages()-1)
+	for id := pages.PageID(1); int(id) < as.NumPages(); id++ {
 		as.SetWeight(id, rest)
 	}
 	h := NewHintFaultScanner(as, stats.NewRNG(5), 1.0, 0)
@@ -164,7 +161,7 @@ func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 	for q := 0; q < 1000 && hotFaultAt < 0; q++ {
 		now += 0.01
 		for _, f := range h.Step(now, 0.01, rate) {
-			if f.Page == ids[0] {
+			if f.Page == 0 {
 				hotFaultAt = now
 			}
 		}
@@ -181,17 +178,16 @@ func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 
 func TestHintFaultColdPageFaultsSlowly(t *testing.T) {
 	as := testSpace(t)
-	ids := as.LiveIDs()
 	// One hot page, one barely-accessed page.
-	as.SetWeight(ids[0], 1-1e-7)
-	as.SetWeight(ids[1], 1e-7)
+	as.SetWeight(0, 1-1e-7)
+	as.SetWeight(1, 1e-7)
 	h := NewHintFaultScanner(as, stats.NewRNG(6), 1.0, 0)
 	const rate = 1e6
 	now := 0.0
 	for q := 0; q < 100; q++ {
 		now += 0.01
 		for _, f := range h.Step(now, 0.01, rate) {
-			if f.Page == ids[1] {
+			if f.Page == 1 {
 				t.Fatalf("cold page (lambda=0.1/s) faulted within %vs", now)
 			}
 		}
@@ -200,8 +196,7 @@ func TestHintFaultColdPageFaultsSlowly(t *testing.T) {
 
 func TestHintFaultRemarking(t *testing.T) {
 	as := testSpace(t)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 1)
+	as.SetWeight(0, 1)
 	h := NewHintFaultScanner(as, stats.NewRNG(7), 0.5, 0)
 	now := 0.0
 	faults := 0
@@ -245,11 +240,10 @@ func TestTimeToFaultEstimatesProbability(t *testing.T) {
 	// average time-to-fault for a page with probability p under rate r
 	// should be ~1/(p*r).
 	as := testSpace(t)
-	ids := as.LiveIDs()
 	const pHot = 0.02
-	as.SetWeight(ids[0], pHot)
-	rest := (1 - pHot) / float64(len(ids)-1)
-	for _, id := range ids[1:] {
+	as.SetWeight(0, pHot)
+	rest := (1 - pHot) / float64(as.NumPages()-1)
+	for id := pages.PageID(1); int(id) < as.NumPages(); id++ {
 		as.SetWeight(id, rest)
 	}
 	h := NewHintFaultScanner(as, stats.NewRNG(9), 0.05, 0)
@@ -259,7 +253,7 @@ func TestTimeToFaultEstimatesProbability(t *testing.T) {
 	for q := 0; q < 200000 && w.N() < 300; q++ {
 		now += 0.001
 		for _, f := range h.Step(now, 0.001, rate) {
-			if f.Page == ids[0] && f.TimeToFaultSec > 0 {
+			if f.Page == 0 && f.TimeToFaultSec > 0 {
 				w.Observe(f.TimeToFaultSec)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"colloid/internal/access"
-	"colloid/internal/memsys"
 	"colloid/internal/pages"
 	"colloid/internal/stats"
 )
@@ -218,7 +217,7 @@ func comparePageCounts(t *testing.T, what string, e, r []pageCount) {
 func syntheticView(n int) pages.View {
 	return pages.View{
 		Weight:    make([]float64, n),
-		Tier:      make([]memsys.TierID, n),
+		Tier:      make([]uint8, n),
 		PageBytes: pages.BasePageBytes,
 	}
 }

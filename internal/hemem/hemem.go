@@ -76,6 +76,9 @@ type pageState struct {
 // System is one HeMem instance managing one address space.
 type System struct {
 	cfg Config
+	// edges[b] is the least count in bin b+1, set once by New from
+	// CoolThreshold; binIndex counts the edges a count reaches.
+	edges [numBins - 1]uint32
 	// tracker is built lazily from Context.Heat on the first step, so
 	// one sim.Config knob switches HeMem between exact and region
 	// tracking without code changes here.
@@ -112,7 +115,15 @@ type System struct {
 
 // New returns a HeMem instance.
 func New(cfg Config) *System {
-	return &System{cfg: cfg.withDefaults()}
+	s := &System{cfg: cfg.withDefaults()}
+	// Bin b holds the counts with count*numBins/CoolThreshold = b, so
+	// it starts at the ceiling of b*CoolThreshold/numBins. The product
+	// needs 64 bits; the quotient fits a count.
+	ct := uint64(s.cfg.CoolThreshold)
+	for i := range s.edges {
+		s.edges[i] = uint32((uint64(i+1)*ct + numBins - 1) / numBins)
+	}
+	return s
 }
 
 // Name identifies the system.
@@ -261,12 +272,22 @@ func (s *System) removeBin(id pages.PageID) {
 	st.bin, st.binPos = 0, 0
 }
 
+// binIndex returns count's frequency bin, min(count*numBins /
+// CoolThreshold, numBins-1), as the number of bin edges count reaches.
+// The four compares are written out and each sets a flag, so a sample
+// pays no division and no branch on its count.
 func (s *System) binIndex(count uint32) int {
-	b := int(count) * numBins / int(s.cfg.CoolThreshold)
-	if b >= numBins {
-		b = numBins - 1
+	e := &s.edges
+	return b2i(count >= e[0]) + b2i(count >= e[1]) + b2i(count >= e[2]) + b2i(count >= e[3])
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return b
+	return 0
 }
 
 // rebuildLists reconstructs hot/bin memberships after a cooling pass.
@@ -408,7 +429,7 @@ func (s *System) walk(ctx *sim.Context, d core.Decision) {
 			if scanned > maxScan {
 				return
 			}
-			if v.Tier[id] != fromTier || s.state[id].demoted {
+			if memsys.TierID(v.Tier[id]) != fromTier || s.state[id].demoted {
 				continue
 			}
 			if p.Offer(s.tracker.Probability(id)) {

@@ -2,6 +2,7 @@ package hemem
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -51,11 +52,38 @@ func TestBinIndexBoundaries(t *testing.T) {
 	}
 }
 
+// binIndex's edge compares must give the bin the division gives, in 64
+// bits so no product wraps: every count up to three times the threshold
+// (capped), the counts around each edge and the largest count.
+func TestBinIndexMatchesDivision(t *testing.T) {
+	for _, ct := range []uint32{2, 3, 5, 16, 17, 1000, 1 << 20, math.MaxUint32} {
+		s := New(Config{CoolThreshold: ct})
+		var counts []uint32
+		for c := range uint32(3 * min(ct, 100_000)) {
+			counts = append(counts, c)
+		}
+		for _, e := range s.edges {
+			for d := -2; d <= 2; d++ {
+				if c := int64(e) + int64(d); c >= 0 && c <= math.MaxUint32 {
+					counts = append(counts, uint32(c))
+				}
+			}
+		}
+		counts = append(counts, math.MaxUint32)
+		for _, c := range counts {
+			want := int(min(uint64(c)*numBins/uint64(ct), numBins-1))
+			if got := s.binIndex(c); got != want {
+				t.Fatalf("CoolThreshold %d: binIndex(%d) = %d, want %d", ct, c, got, want)
+			}
+		}
+	}
+}
+
 func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	ctx := unitContext(t)
 	s := New(Config{HotThreshold: 4, CoolThreshold: 16})
 	s.ensureTracker(ctx)
-	id := ctx.AS.LiveIDs()[0]
+	id := pages.PageID(0)
 
 	// Below the hot threshold: binned but not hot.
 	for i := 0; i < 3; i++ {
@@ -81,7 +109,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 
 	// Same count for an alternate-tier page: joins the promotion list.
 	// (The small test space fits in the default tier, so move one.)
-	altID := ctx.AS.LiveIDs()[1]
+	altID := pages.PageID(1)
 	if err := ctx.AS.Move(altID, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +126,7 @@ func TestRebuildAfterCooling(t *testing.T) {
 	ctx := unitContext(t)
 	s := New(Config{HotThreshold: 4, CoolThreshold: 16})
 	s.ensureTracker(ctx)
-	id := ctx.AS.LiveIDs()[0]
+	id := pages.PageID(0)
 	for i := 0; i < 7; i++ {
 		s.tracker.Touch(id)
 	}
@@ -128,20 +156,19 @@ func TestCandidatesOrderedHottestFirst(t *testing.T) {
 		ctx.Migrator.BeginQuantum(ctx.QuantumSec)
 		s := New(Config{HotThreshold: 2, CoolThreshold: 16})
 		s.ensureTracker(ctx)
-		ids := ctx.AS.LiveIDs()
 		for i, n := range []int{12, 6, 2} {
 			var c uint32
 			for j := 0; j < n; j++ {
-				c = s.tracker.Touch(ids[i])
+				c = s.tracker.Touch(pages.PageID(i))
 			}
-			s.classify(ctx, ids[i], c)
+			s.classify(ctx, pages.PageID(i), c)
 		}
 		// Half a page over k pages, so rounding cannot cut the budget.
 		limit := (float64(k) + 0.5) * pages.HugePageBytes / s.cfg.QuantumSec
 		s.walk(ctx, core.Decision{Mode: core.Demote, DeltaP: 1, MigrationLimitBytesPerSec: limit})
-		for i, id := range ids[:3] {
-			if moved := ctx.AS.Tier(id) != memsys.DefaultTier; moved != (i < k) {
-				t.Fatalf("budget of %d pages: page at rank %d moved = %v", k, i, moved)
+		for id := range pages.PageID(3) {
+			if moved := ctx.AS.Tier(id) != memsys.DefaultTier; moved != (int(id) < k) {
+				t.Fatalf("budget of %d pages: page at rank %d moved = %v", k, id, moved)
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func refMigrateColloid(s *System, ctx *sim.Context, d core.Decision) {
 				if scanned > maxScan {
 					return
 				}
-				if tier[id] == fromTier && !offer(id, s.tracker.Probability(id)) {
+				if memsys.TierID(tier[id]) == fromTier && !offer(id, s.tracker.Probability(id)) {
 					return
 				}
 			}
@@ -208,10 +208,12 @@ func TestColloidWalkMatchesPickThenMove(t *testing.T) {
 				}
 				after := ctx.AS.LiveView().Tier
 				for id := range after {
+					wasDefault := memsys.TierID(before[id]) == memsys.DefaultTier
+					isDefault := memsys.TierID(after[id]) == memsys.DefaultTier
 					switch {
-					case before[id] == memsys.DefaultTier && after[id] != memsys.DefaultTier && st.mode == core.Promote && s.state[id].bin != 0:
+					case wasDefault && !isDefault && st.mode == core.Promote && s.state[id].bin != 0:
 						binnedVictims++
-					case before[id] != memsys.DefaultTier && after[id] == memsys.DefaultTier && s.state[id].bin == 1:
+					case !wasDefault && isDefault && s.state[id].bin == 1:
 						bottomPromotions++
 					}
 				}
@@ -267,7 +269,7 @@ func compareTwins(t *testing.T, label string, ref, got *sim.Context) {
 type walkFixture struct {
 	s     *System
 	ctx   *sim.Context
-	tiers []memsys.TierID
+	tiers []uint8
 	rng   stats.RNG
 	d     core.Decision
 }
@@ -298,7 +300,8 @@ func (f *walkFixture) restore(tb testing.TB, m *migrate.Engine) {
 	f.ctx.Migrator = m
 	// Out of the default tier first, so the moves in find room.
 	for _, into := range []bool{false, true} {
-		for id, t := range f.tiers {
+		for id, b := range f.tiers {
+			t := memsys.TierID(b)
 			if (t == memsys.DefaultTier) == into && f.ctx.AS.Tier(pages.PageID(id)) != t {
 				if err := f.ctx.AS.Move(pages.PageID(id), t); err != nil {
 					tb.Fatal(err)

@@ -327,7 +327,7 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 		return
 	}
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return v.Tier[id] == fromTier
+		return memsys.TierID(v.Tier[id]) == fromTier
 	}, candCap)
 	for _, id := range s.hotBuf {
 		if p.Offer(s.tracker.Probability(id)) {

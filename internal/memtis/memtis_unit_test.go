@@ -35,11 +35,10 @@ func TestHotThresholdSizesToDefaultTier(t *testing.T) {
 	ctx := unitContext(t, 72)
 	s := New(Config{})
 	s.ensureTracker(ctx)
-	ids := ctx.AS.LiveIDs()
 	// 12288 pages (24 GiB) at count 10; the rest at count 1.
-	for i, id := range ids {
+	for id := range pages.PageID(ctx.AS.NumPages()) {
 		n := 1
-		if i < 12288 {
+		if id < 12288 {
 			n = 10
 		}
 		for j := 0; j < n; j++ {
@@ -62,7 +61,7 @@ func TestHotThresholdAllFitReturnsOne(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{})
 	s.ensureTracker(ctx)
-	for _, id := range ctx.AS.LiveIDs()[:100] {
+	for id := range pages.PageID(100) {
 		s.tracker.Touch(id)
 	}
 	if got := s.computeHotThreshold(ctx); got != 1 {
@@ -74,15 +73,14 @@ func TestSplitMarksHottestAndCapsByWeight(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{SplitsPerQuantum: 2, SplitWeightCap: 0.5})
 	s.ensureTracker(ctx)
-	ids := ctx.AS.LiveIDs()
 	// Three candidates above threshold with distinct counts and
 	// weights.
-	ctx.AS.SetWeight(ids[0], 0.4)
-	ctx.AS.SetWeight(ids[1], 0.3)
-	ctx.AS.SetWeight(ids[2], 0.3)
+	ctx.AS.SetWeight(0, 0.4)
+	ctx.AS.SetWeight(1, 0.3)
+	ctx.AS.SetWeight(2, 0.3)
 	for i, n := range []int{20, 10, 5} {
 		for j := 0; j < n; j++ {
-			s.tracker.Touch(ids[i])
+			s.tracker.Touch(pages.PageID(i))
 		}
 	}
 	s.hotThreshold = 2
@@ -90,10 +88,10 @@ func TestSplitMarksHottestAndCapsByWeight(t *testing.T) {
 	if s.SplitParents() != 2 {
 		t.Fatalf("split %d parents, want 2", s.SplitParents())
 	}
-	if !s.isSplit[ids[0]] {
+	if !s.isSplit[0] {
 		t.Fatal("hottest page not split")
 	}
-	if !s.isSplit[ids[1]] {
+	if !s.isSplit[1] {
 		t.Fatal("second-hottest page not split")
 	}
 	// Split weight now 0.7 >= cap 0.5: the next pass must stop and
@@ -143,10 +141,9 @@ func TestSplitPenaltyScalesWithWeight(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{SplitPenalty: 0.2})
 	s.ensureTracker(ctx)
-	ids := ctx.AS.LiveIDs()
-	ctx.AS.SetWeight(ids[0], 0.5)
-	ctx.AS.SetWeight(ids[1], 0.5)
-	markSplit(s, ctx, ids[0])
+	ctx.AS.SetWeight(0, 0.5)
+	ctx.AS.SetWeight(1, 0.5)
+	markSplit(s, ctx, 0)
 	var applied float64
 	ctx.SetInflightScale = func(scale float64) { applied = scale }
 	s.applySplitPenalty(ctx)
@@ -167,11 +164,10 @@ func TestSplitCoalescePenaltyOrder(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{SplitsPerQuantum: 4, SplitPenalty: 0.5, CoalesceIntervalSec: 10})
 	s.ensureTracker(ctx)
-	ids := ctx.AS.LiveIDs()
 	for i, w := range []float64{0.1, 0.2, 0.05, 0.45} {
-		ctx.AS.SetWeight(ids[i], w)
+		ctx.AS.SetWeight(pages.PageID(i), w)
 		for j := 0; j < 40-10*i; j++ {
-			s.tracker.Touch(ids[i])
+			s.tracker.Touch(pages.PageID(i))
 		}
 	}
 	s.hotThreshold = 2
@@ -198,9 +194,8 @@ func TestDemoteColdFromDefaultPicksBelowThreshold(t *testing.T) {
 	s := New(Config{})
 	s.ensureTracker(ctx)
 	s.hotThreshold = 5
-	ids := ctx.AS.LiveIDs()
 	// Make a slice of pages hot so the prober must avoid them.
-	for _, id := range ids[:64] {
+	for id := range pages.PageID(64) {
 		for j := 0; j < 6; j++ {
 			s.tracker.Touch(id)
 		}
@@ -209,7 +204,7 @@ func TestDemoteColdFromDefaultPicksBelowThreshold(t *testing.T) {
 		t.Fatal("could not demote a cold page")
 	}
 	// The demoted page must be cold (no hot page moved).
-	for _, id := range ids[:64] {
+	for id := range pages.PageID(64) {
 		if ctx.AS.Tier(id) != memsys.DefaultTier {
 			t.Fatal("hot page was demoted")
 		}

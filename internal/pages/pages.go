@@ -14,7 +14,9 @@
 // The per-page fields live in parallel slices (structure-of-arrays)
 // indexed by PageID, so the sharded per-quantum pipeline can scan a
 // contiguous address range without dragging cold fields through the
-// cache. The Page struct remains the unit of the public API; Get
+// cache. A page's tier takes one byte, so a space spans at most 256
+// tiers and a placement read touches an eighth of the bytes a TierID
+// would. The Page struct remains the unit of the public API; Get
 // assembles one from the slices.
 package pages
 
@@ -30,6 +32,10 @@ type PageID int32
 
 // NoPage is the zero PageID sentinel for "no such page".
 const NoPage PageID = -1
+
+// maxTiers is the most tiers a space can span: a page's tier is stored
+// in one byte.
+const maxTiers = 1 << 8
 
 // BasePageBytes and HugePageBytes are the two page sizes the systems
 // manage (4 KB and 2 MB).
@@ -59,9 +65,10 @@ type Page struct {
 type AddressSpace struct {
 	topo      *memsys.Topology
 	pageBytes int64
-	// Per-page fields, SoA, indexed by PageID.
+	// Per-page fields, SoA, indexed by PageID; tier holds a TierID
+	// below maxTiers.
 	weight []float64
-	tier   []memsys.TierID
+	tier   []uint8
 
 	tierBytes   []int64
 	tierWeight  []float64
@@ -98,6 +105,9 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 	if n > 1<<28 {
 		return nil, fmt.Errorf("pages: %d pages is unreasonably many; raise the page size", n)
 	}
+	if topo.NumTiers() > maxTiers {
+		return nil, fmt.Errorf("pages: %d tiers exceed the %d a page's one-byte tier can name", topo.NumTiers(), maxTiers)
+	}
 	if totalBytes > topo.TotalCapacity() {
 		return nil, fmt.Errorf("pages: working set %d exceeds total capacity %d", totalBytes, topo.TotalCapacity())
 	}
@@ -105,7 +115,7 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 		topo:       topo,
 		pageBytes:  pageBytes,
 		weight:     make([]float64, n),
-		tier:       make([]memsys.TierID, n),
+		tier:       make([]uint8, n),
 		tierBytes:  make([]int64, topo.NumTiers()),
 		tierWeight: make([]float64, topo.NumTiers()),
 	}
@@ -113,7 +123,7 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 	for t := 0; t < topo.NumTiers() && idx < int(n); t++ {
 		free := topo.Capacity(memsys.TierID(t))
 		for idx < int(n) && free >= pageBytes {
-			as.tier[idx] = memsys.TierID(t)
+			as.tier[idx] = uint8(t)
 			as.tierBytes[t] += pageBytes
 			free -= pageBytes
 			idx++
@@ -135,7 +145,7 @@ func (as *AddressSpace) Get(id PageID) Page {
 	return Page{
 		ID:     id,
 		Bytes:  as.pageBytes,
-		Tier:   as.tier[id],
+		Tier:   memsys.TierID(as.tier[id]),
 		Weight: as.weight[id],
 	}
 }
@@ -186,7 +196,7 @@ func (as *AddressSpace) Weight(id PageID) float64 {
 // out-of-range ID.
 func (as *AddressSpace) Tier(id PageID) memsys.TierID {
 	as.check(id, "Tier")
-	return as.tier[id]
+	return memsys.TierID(as.tier[id])
 }
 
 // NumTiers returns the number of tiers the space spans.
@@ -255,7 +265,7 @@ func (as *AddressSpace) Move(id PageID, to memsys.TierID) error {
 	if int(to) < 0 || int(to) >= len(as.tierBytes) {
 		return fmt.Errorf("pages: move to invalid tier %d", to)
 	}
-	from := as.tier[id]
+	from := memsys.TierID(as.tier[id])
 	if from == to {
 		return nil
 	}
@@ -264,7 +274,7 @@ func (as *AddressSpace) Move(id PageID, to memsys.TierID) error {
 	}
 	as.tierBytes[from] -= as.pageBytes
 	as.tierWeight[from] -= as.weight[id]
-	as.tier[id] = to
+	as.tier[id] = uint8(to)
 	as.tierBytes[to] += as.pageBytes
 	as.tierWeight[to] += as.weight[id]
 	return nil
@@ -274,26 +284,18 @@ func (as *AddressSpace) Move(id PageID, to memsys.TierID) error {
 // the address space.
 func (as *AddressSpace) ForEachLive(fn func(p Page)) {
 	for i, w := range as.weight {
-		fn(Page{ID: PageID(i), Bytes: as.pageBytes, Tier: as.tier[i], Weight: w})
+		fn(Page{ID: PageID(i), Bytes: as.pageBytes, Tier: memsys.TierID(as.tier[i]), Weight: w})
 	}
-}
-
-// LiveIDs returns the IDs of all pages, 0..NumPages()-1.
-func (as *AddressSpace) LiveIDs() []PageID {
-	out := make([]PageID, len(as.weight))
-	for i := range out {
-		out[i] = PageID(i)
-	}
-	return out
 }
 
 // View is a read-only dense snapshot of the address space for sharded
 // scans: the SoA per-page fields indexed by PageID plus the page size.
-// The slices alias the address space's storage — they are valid until
-// the next mutation and must not be written through.
+// Tier[id] is page id's memsys.TierID in one byte. The slices alias the
+// address space's storage — they are valid until the next mutation and
+// must not be written through.
 type View struct {
 	Weight    []float64
-	Tier      []memsys.TierID
+	Tier      []uint8
 	PageBytes int64
 }
 

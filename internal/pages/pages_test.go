@@ -3,6 +3,7 @@ package pages
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,11 +55,58 @@ func TestInvalidSizes(t *testing.T) {
 	}
 }
 
+// manyTiers returns a topology of n tiers: the default tier and n-1
+// CXL expanders of 1 GiB each.
+func manyTiers(n int) *memsys.Topology {
+	cfgs := []memsys.TierConfig{memsys.DualSocketXeonDefault()}
+	for len(cfgs) < n {
+		cfgs = append(cfgs, memsys.CXLTier(memsys.GiB))
+	}
+	return memsys.MustTopology(cfgs...)
+}
+
+// A page's tier is one byte: a space over more tiers than a byte names
+// is refused, and in one over 256 tiers every accessor reads the last
+// tier back.
+func TestOneByteTierLimit(t *testing.T) {
+	_, err := NewAddressSpace(manyTiers(maxTiers+1), 4*HugePageBytes, HugePageBytes)
+	if err == nil || !strings.HasPrefix(err.Error(), "pages: ") {
+		t.Fatalf("%d tiers: err = %v, want a pages: error", maxTiers+1, err)
+	}
+	as, err := NewAddressSpace(manyTiers(maxTiers), 4*HugePageBytes, HugePageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const last = memsys.TierID(maxTiers - 1)
+	if err := as.Move(1, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Move(2, last+1); err == nil {
+		t.Fatalf("move to tier %d of %d accepted", last+1, maxTiers)
+	}
+	if got := as.Tier(1); got != last {
+		t.Fatalf("Tier = %d, want %d", got, last)
+	}
+	if got := as.Get(1).Tier; got != last {
+		t.Fatalf("Get().Tier = %d, want %d", got, last)
+	}
+	var tiers []memsys.TierID
+	as.ForEachLive(func(p Page) { tiers = append(tiers, p.Tier) })
+	if want := []memsys.TierID{0, last, 0, 0}; !slices.Equal(tiers, want) {
+		t.Fatalf("ForEachLive tiers = %v, want %v", tiers, want)
+	}
+	if got := as.LiveView().Tier; !slices.Equal(got, []uint8{0, uint8(last), 0, 0}) {
+		t.Fatalf("LiveView().Tier = %v", got)
+	}
+	if got := as.TierBytes(last); got != HugePageBytes {
+		t.Fatalf("TierBytes(%d) = %d, want %d", last, got, HugePageBytes)
+	}
+}
+
 func TestSetWeightUpdatesShares(t *testing.T) {
 	as := testSpace(t, 4)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 0.75)
-	as.SetWeight(ids[1], 0.25)
+	as.SetWeight(0, 0.75)
+	as.SetWeight(1, 0.25)
 	share := as.TierShare()
 	if math.Abs(share[0]-1) > 1e-12 {
 		t.Fatalf("default share = %v, want 1 (all weight in default)", share[0])
@@ -70,20 +118,19 @@ func TestSetWeightUpdatesShares(t *testing.T) {
 
 func TestMoveUpdatesAggregates(t *testing.T) {
 	as := testSpace(t, 4)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 0.6)
-	as.SetWeight(ids[1], 0.4)
-	if err := as.Move(ids[0], 1); err != nil {
+	as.SetWeight(0, 0.6)
+	as.SetWeight(1, 0.4)
+	if err := as.Move(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(as.DefaultShare()-0.4) > 1e-12 {
 		t.Fatalf("p after move = %v, want 0.4", as.DefaultShare())
 	}
-	if as.Tier(ids[0]) != 1 {
+	if as.Tier(0) != 1 {
 		t.Fatal("page tier not updated")
 	}
 	// Move back.
-	if err := as.Move(ids[0], 0); err != nil {
+	if err := as.Move(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(as.DefaultShare()-1) > 1e-12 {
@@ -129,7 +176,7 @@ func TestSpillTier(t *testing.T) {
 
 func TestMoveNoopSameTier(t *testing.T) {
 	as := testSpace(t, 4)
-	id := as.LiveIDs()[0]
+	id := PageID(0)
 	before := as.TierBytes(0)
 	if err := as.Move(id, as.Tier(id)); err != nil {
 		t.Fatal(err)
@@ -173,8 +220,7 @@ func TestBadIDAccessors(t *testing.T) {
 
 func TestTierShareInto(t *testing.T) {
 	as := testSpace(t, 4)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[0], 0.75)
+	as.SetWeight(0, 0.75)
 	buf := make([]float64, 0, as.NumTiers())
 	got := as.TierShareInto(buf)
 	want := as.TierShare()
@@ -197,15 +243,14 @@ func TestTierShareInto(t *testing.T) {
 // ForEachLive stays ID-ordered.
 func TestChurnConservation(t *testing.T) {
 	as := testSpace(t, 8)
-	ids := as.LiveIDs()
 	rng := rand.New(rand.NewSource(1))
-	for _, id := range ids {
-		as.SetWeight(id, rng.Float64()/float64(len(ids)))
+	for id := range PageID(as.NumPages()) {
+		as.SetWeight(id, rng.Float64()/float64(as.NumPages()))
 	}
 	for op := 0; op < 1000; op++ {
-		id := ids[rng.Intn(len(ids))]
+		id := PageID(rng.Intn(as.NumPages()))
 		if rng.Intn(2) == 0 {
-			as.SetWeight(id, rng.Float64()/float64(len(ids)))
+			as.SetWeight(id, rng.Float64()/float64(as.NumPages()))
 		} else {
 			_ = as.Move(id, memsys.TierID(rng.Intn(as.NumTiers()))) // capacity failures are fine
 		}
@@ -340,14 +385,13 @@ func TestSetWeightsMatchesSetWeight(t *testing.T) {
 
 func TestLiveViewAliasesState(t *testing.T) {
 	as := testSpace(t, 4)
-	ids := as.LiveIDs()
-	as.SetWeight(ids[3], 0.5)
+	as.SetWeight(3, 0.5)
 	v := as.LiveView()
 	if len(v.Weight) != as.NumPages() || len(v.Tier) != as.NumPages() {
 		t.Fatalf("view covers %d/%d pages, want %d", len(v.Weight), len(v.Tier), as.NumPages())
 	}
-	if v.Weight[ids[3]] != 0.5 {
-		t.Fatalf("view weight = %v, want 0.5", v.Weight[ids[3]])
+	if v.Weight[3] != 0.5 {
+		t.Fatalf("view weight = %v, want 0.5", v.Weight[3])
 	}
 	if v.PageBytes != HugePageBytes {
 		t.Fatalf("view page bytes = %d", v.PageBytes)
@@ -359,14 +403,13 @@ func TestLiveViewAliasesState(t *testing.T) {
 // TierShare sums to 1 when weights exist.
 func TestAggregateInvariant(t *testing.T) {
 	as := testSpace(t, 8)
-	ids := as.LiveIDs()
 	f := func(ops []struct {
 		Idx  uint16
 		W    uint16
 		Tier bool
 	}) bool {
 		for _, op := range ops {
-			id := ids[int(op.Idx)%len(ids)]
+			id := PageID(int(op.Idx) % as.NumPages())
 			as.SetWeight(id, float64(op.W)/65535.0)
 			to := memsys.TierID(0)
 			if op.Tier {

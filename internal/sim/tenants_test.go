@@ -32,9 +32,8 @@ func spec(name string, wssPages int64) TenantSpec {
 // installUniform gives every page equal weight so the solver sees
 // a well-formed share vector without a full workload install.
 func installUniform(as *pages.AddressSpace) {
-	ids := as.LiveIDs()
-	w := 1.0 / float64(len(ids))
-	for _, id := range ids {
+	w := 1.0 / float64(as.NumPages())
+	for id := range pages.PageID(as.NumPages()) {
 		as.SetWeight(id, w)
 	}
 }

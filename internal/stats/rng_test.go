@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +259,60 @@ func TestSplitStringLabelsIndependent(t *testing.T) {
 	}
 	if len(seen) < 149 {
 		t.Fatalf("labeled streams collide: %d/150 distinct draws", len(seen))
+	}
+}
+
+// refXoshiro is the xoshiro256** step written statement by statement,
+// as in the reference implementation; Uint64 must give its stream.
+type refXoshiro [4]uint64
+
+func refRotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+
+func (s *refXoshiro) next() uint64 {
+	result := refRotl(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = refRotl(s[3], 45)
+	return result
+}
+
+// Uint64 and Float64 must give the reference step's stream, bit for
+// bit, from fresh seeds and from Split, SplitString and Fork children:
+// every golden rests on it.
+func TestUint64MatchesReference(t *testing.T) {
+	type stream struct {
+		name string
+		r    *RNG
+	}
+	var streams []stream
+	for _, seed := range []uint64{0, 1, 42, 1<<63 + 1, math.MaxUint64} {
+		streams = append(streams, stream{"seed " + strconv.FormatUint(seed, 10), NewRNG(seed)})
+	}
+	parent := NewRNG(7)
+	streams = append(streams,
+		stream{"Split", parent.Split(3)},
+		stream{"SplitString", parent.SplitString("fig5")},
+		stream{"Fork", parent.Fork("tenant-0")},
+		stream{"parent after Split", parent})
+	for _, st := range streams {
+		name, r := st.name, st.r
+		ref := refXoshiro(r.s)
+		for i := 0; i < 100_000; i++ {
+			want := ref.next()
+			if i%2 == 0 {
+				if got := r.Uint64(); got != want {
+					t.Fatalf("%s: draw %d: Uint64 = %#x, reference %#x", name, i, got, want)
+				}
+			} else if got, wantF := r.Float64(), float64(want>>11)/(1<<53); got != wantF {
+				t.Fatalf("%s: draw %d: Float64 = %v, reference %v", name, i, got, wantF)
+			}
+		}
+		if r.s != [4]uint64(ref) {
+			t.Fatalf("%s: state %x after 10^5 draws, reference %x", name, r.s, ref)
+		}
 	}
 }

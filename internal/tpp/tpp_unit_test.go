@@ -89,7 +89,7 @@ func TestOnFaultVanillaPromotesOnlyHot(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{HotTTFSec: 0.01})
 	// Move a page to the alternate tier to be the fault target.
-	id := ctx.AS.LiveIDs()[0]
+	id := pages.PageID(0)
 	if err := ctx.AS.Move(id, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOnFaultVanillaPromotesOnlyHot(t *testing.T) {
 func TestOnFaultColloidRespectsBudgetAndMode(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{})
-	id := ctx.AS.LiveIDs()[0]
+	id := pages.PageID(0)
 	if err := ctx.AS.Move(id, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOnFaultColloidRespectsBudgetAndMode(t *testing.T) {
 	}
 
 	// Budget smaller than the page's probability: skip.
-	id2 := ctx.AS.LiveIDs()[1]
+	id2 := pages.PageID(1)
 	if err := ctx.AS.Move(id2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +160,12 @@ func TestOnFaultColloidRespectsBudgetAndMode(t *testing.T) {
 func TestFindColdVictimPrefersLargestTTF(t *testing.T) {
 	ctx := unitContext(t, 8)
 	s := New(Config{})
-	ids := ctx.AS.LiveIDs()
 	// Everything recently faulted with small ttf except one cold page.
 	s.lastTTF = make([]float64, ctx.AS.NumPages())
-	for _, id := range ids {
+	for id := range pages.PageID(ctx.AS.NumPages()) {
 		s.lastTTF[id] = 1e-4
 	}
-	cold := ids[len(ids)/2]
+	cold := pages.PageID(ctx.AS.NumPages() / 2)
 	s.lastTTF[cold] = 0.5
 	// Probing is random; run repeatedly and require the cold page wins
 	// decisively when probed.

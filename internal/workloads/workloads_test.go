@@ -211,8 +211,7 @@ func TestFromWeights(t *testing.T) {
 	if err := fw.Install(as, nil); err != nil {
 		t.Fatal(err)
 	}
-	ids := as.LiveIDs()
-	if got := as.Weight(ids[0]); math.Abs(got-0.75) > 1e-9 {
+	if got := as.Weight(0); math.Abs(got-0.75) > 1e-9 {
 		t.Fatalf("page 0 weight = %v, want 0.75", got)
 	}
 	if got := sumWeights(as); math.Abs(got-1) > 1e-9 {
