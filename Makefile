@@ -47,16 +47,24 @@ staticcheck:
 # prefixes, obs name grammar, no by-value lock copies, no loop-var/RNG
 # capture or captured writes in goroutines, no stale suppressions, no
 # order-dependent float folds. Stdlib-only, so unlike staticcheck it
-# runs even with no module proxy. Findings are diffed against the
-# committed lint.baseline.json (kept empty: fix or //colloid:allow
-# <check> <reason>, don't baseline). The `|| { ...;
-# exit 1; }` tail re-asserts the failure explicitly so the nonzero exit
-# survives `make -k`/`make ci` composition instead of scrolling past.
+# runs even with no module proxy. The whole tree must type-check:
+# colloidlint exits 2 on a parse or type error (or an unreadable
+# baseline) and 1 on findings, and the binary is built first because
+# `go run` turns every nonzero status into 1. Findings are diffed
+# against the committed lint.baseline.json (kept empty: fix or
+# //colloid:allow <check> <reason>, don't baseline). The target exits
+# with colloidlint's own status, so the failure survives `make -k`/
+# `make ci` composition instead of scrolling past.
 lint:
-	@$(GO) run ./cmd/colloidlint -json -baseline lint.baseline.json ./... || { \
-		echo "lint: non-baselined findings above; fix them (do not grow lint.baseline.json)" >&2; \
-		exit 1; \
-	}
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/colloidlint" ./cmd/colloidlint || exit 2; \
+	"$$dir/colloidlint" -json -baseline lint.baseline.json ./...; status=$$?; \
+	case $$status in \
+	0) ;; \
+	1) echo "lint: non-baselined findings above; fix them (do not grow lint.baseline.json)" >&2 ;; \
+	*) echo "lint: colloidlint could not load the tree or the baseline; fix the error above (no findings were checked)" >&2 ;; \
+	esac; \
+	exit $$status
 
 # Fast iteration loop for check development: only the lint engine's own
 # tests (fixture golden file, injected-violation probes, driver flags).

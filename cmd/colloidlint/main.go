@@ -13,13 +13,16 @@
 // equivalent; both walk recursively, skipping testdata, vendor and
 // hidden directories). With no arguments it lints ./... — the whole
 // repository when run from the root, which is how `make lint` invokes
-// it. Findings print as
+// it. A subtree lints inside its module: ./internal/... reports exactly
+// the ./... findings under internal/. Findings print as
 //
 //	file:line: [check] message
 //
-// or, under -json, as a JSON array of objects carrying the same fields
-// plus the finding's content-addressed id. Any unsuppressed finding
-// makes the exit status nonzero. A finding is suppressed by a
+// with the file relative to the module root, or, under -json, as a JSON
+// array of objects carrying the same fields plus the finding's
+// content-addressed id. Any unsuppressed finding makes the exit status
+// 1; a tree that does not parse or type-check, a bad flag or an
+// unreadable baseline makes it 2. A finding is suppressed by a
 // `//colloid:allow <check> <reason>` comment on the offending line or
 // alone on the line above; the reason is mandatory.
 //

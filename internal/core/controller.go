@@ -129,13 +129,10 @@ type Decision struct {
 // two-tier system (tier 0 = default; with more tiers, alternates are
 // aggregated — see MultiController for fully general topologies).
 type Controller struct {
-	opts  Options
-	meter *cha.Meter
-	occ   []*stats.EWMA
-	rate  []*stats.EWMA
-	pLo   float64
-	pHi   float64
-	n     int
+	opts    Options
+	measure measure
+	pLo     float64
+	pHi     float64
 
 	// Instrumentation. lastMode tracks transitions; deadbandHit is set
 	// by computeShift so Observe can attribute a Hold to the deadband.
@@ -176,17 +173,10 @@ func NewController(numTiers int, opts Options) *Controller {
 		o.EWMAAlpha = 1 // EWMA with alpha 1 tracks raw samples exactly
 	}
 	c := &Controller{
-		opts:  o,
-		meter: cha.NewMeter(numTiers),
-		occ:   make([]*stats.EWMA, numTiers),
-		rate:  make([]*stats.EWMA, numTiers),
-		pLo:   0,
-		pHi:   1,
-		n:     numTiers,
-	}
-	for i := range c.occ {
-		c.occ[i] = stats.NewEWMA(o.EWMAAlpha)
-		c.rate[i] = stats.NewEWMA(o.EWMAAlpha)
+		opts:    o,
+		measure: newMeasure(numTiers, o),
+		pLo:     0,
+		pHi:     1,
 	}
 	c.reg = o.Obs
 	c.mObserves = c.reg.Counter("ctrl_observes")
@@ -223,7 +213,7 @@ func (c *Controller) Observe(snap cha.Snapshot) (d Decision, ok bool) {
 	}
 	c.lastTimeNs = snap.TimeNs
 	c.timePrimed = true
-	meas, ready := c.meter.Observe(snap)
+	lat, rate, totalRate, ready := c.measure.observe(snap)
 	if !ready {
 		return Decision{}, false
 	}
@@ -234,45 +224,15 @@ func (c *Controller) Observe(snap cha.Snapshot) (d Decision, ok bool) {
 			obs.F("p", c.lastP))
 		c.staleObserves = 0
 	}
-	// EWMA-smooth occupancy and rate independently (Section 3.1), then
-	// derive latency from the smoothed signals.
-	lat := make([]float64, c.n)
-	rate := make([]float64, c.n)
-	var totalRate float64
-	for t := 0; t < c.n; t++ {
-		o := c.occ[t].Observe(meas[t].Occupancy)
-		r := c.rate[t].Observe(meas[t].RatePerSec)
-		rate[t] = r
-		totalRate += r
-		if r > 0 {
-			// Rate in requests/ns for the Little's-law division.
-			lat[t] = o / (r * 1e-9)
-		}
-	}
 	if totalRate <= 0 {
 		return Decision{}, false
-	}
-	// A tier whose traffic has (all but) vanished cannot be measured:
-	// its occupancy and rate EWMAs decay together, freezing the
-	// Little's-law ratio at a stale value. Treat such tiers as idle —
-	// running at their unloaded latency when a prior is available,
-	// otherwise 0 (which biases toward sending traffic back so the
-	// tier becomes measurable again).
-	for t := 0; t < c.n; t++ {
-		if rate[t] <= totalRate*1e-6 {
-			if len(c.opts.UnloadedLatencyNs) == c.n {
-				lat[t] = c.opts.UnloadedLatencyNs[t]
-			} else {
-				lat[t] = 0
-			}
-		}
 	}
 	// Aggregate alternates: p is the default tier's share; the
 	// alternate latency is the rate-weighted mean over alternates.
 	p := rate[0] / totalRate
 	lD := lat[0]
 	var lA, aRate float64
-	for t := 1; t < c.n; t++ {
+	for t := 1; t < len(lat); t++ {
 		lA += lat[t] * rate[t]
 		aRate += rate[t]
 	}
@@ -318,6 +278,73 @@ func (c *Controller) Observe(snap cha.Snapshot) (d Decision, ok bool) {
 		d.MigrationLimitBytesPerSec = m
 	}
 	return c.finish(d), true
+}
+
+// measure is the measurement stage both controllers share (Section
+// 3.1): per-tier occupancy and rate EWMAs over a CHA meter, Little's-law
+// latencies derived from the smoothed signals, and the unloaded-latency
+// prior for tiers too idle to measure.
+type measure struct {
+	meter    *cha.Meter
+	occ      []*stats.EWMA
+	rate     []*stats.EWMA
+	unloaded []float64 // per-tier unloaded latencies; nil without a prior
+}
+
+func newMeasure(numTiers int, o Options) measure {
+	m := measure{
+		meter: cha.NewMeter(numTiers),
+		occ:   make([]*stats.EWMA, numTiers),
+		rate:  make([]*stats.EWMA, numTiers),
+	}
+	if len(o.UnloadedLatencyNs) == numTiers {
+		m.unloaded = o.UnloadedLatencyNs
+	}
+	for i := range m.occ {
+		m.occ[i] = stats.NewEWMA(o.EWMAAlpha)
+		m.rate[i] = stats.NewEWMA(o.EWMAAlpha)
+	}
+	return m
+}
+
+// observe folds a cumulative snapshot into the EWMAs and returns the
+// smoothed per-tier latencies and rates with their total. ready is
+// false while the meter primes on its first snapshot; a total of 0
+// means the interval carried no traffic.
+func (m *measure) observe(snap cha.Snapshot) (lat, rate []float64, total float64, ready bool) {
+	meas, ready := m.meter.Observe(snap)
+	if !ready {
+		return nil, nil, 0, false
+	}
+	// EWMA-smooth occupancy and rate independently, then derive latency
+	// from the smoothed signals.
+	lat = make([]float64, len(m.occ))
+	rate = make([]float64, len(m.occ))
+	for t := range m.occ {
+		o := m.occ[t].Observe(meas[t].Occupancy)
+		r := m.rate[t].Observe(meas[t].RatePerSec)
+		rate[t] = r
+		total += r
+		if r > 0 {
+			// Rate in requests/ns for the Little's-law division.
+			lat[t] = o / (r * 1e-9)
+		}
+	}
+	// A tier whose traffic has (all but) vanished cannot be measured:
+	// its occupancy and rate EWMAs decay together, freezing the
+	// Little's-law ratio at a stale value. Treat such tiers as idle —
+	// running at their unloaded latency when a prior is available,
+	// otherwise 0 (which biases toward sending traffic back so the
+	// tier becomes measurable again).
+	for t := range lat {
+		if rate[t] <= total*1e-6 {
+			lat[t] = 0
+			if m.unloaded != nil {
+				lat[t] = m.unloaded[t]
+			}
+		}
+	}
+	return lat, rate, total, true
 }
 
 // finish records instrumentation for an emitted decision: decision and

@@ -3,7 +3,6 @@ package core
 import (
 	"colloid/internal/cha"
 	"colloid/internal/memsys"
-	"colloid/internal/stats"
 )
 
 // MultiDecision is one quantum's outcome for a general (>= 2 tier)
@@ -38,12 +37,9 @@ type MultiDecision struct {
 // reduces to behaviour close to Algorithm 2's halving steps for two
 // tiers.
 type MultiController struct {
-	opts  Options
-	gain  float64
-	meter *cha.Meter
-	occ   []*stats.EWMA
-	rate  []*stats.EWMA
-	n     int
+	opts    Options
+	gain    float64
+	measure measure
 }
 
 // NewMultiController returns a controller for numTiers >= 2. gain in
@@ -56,59 +52,19 @@ func NewMultiController(numTiers int, opts Options, gain float64) *MultiControll
 		gain = 0.5
 	}
 	o := opts.withDefaults()
-	m := &MultiController{
-		opts:  o,
-		gain:  gain,
-		meter: cha.NewMeter(numTiers),
-		occ:   make([]*stats.EWMA, numTiers),
-		rate:  make([]*stats.EWMA, numTiers),
-		n:     numTiers,
-	}
-	for i := range m.occ {
-		m.occ[i] = stats.NewEWMA(o.EWMAAlpha)
-		m.rate[i] = stats.NewEWMA(o.EWMAAlpha)
-	}
-	return m
+	return &MultiController{opts: o, gain: gain, measure: newMeasure(numTiers, o)}
 }
 
 // Observe consumes a cumulative CHA snapshot and returns the decision;
 // ok is false while priming or without traffic.
 func (m *MultiController) Observe(snap cha.Snapshot) (d MultiDecision, ok bool) {
-	meas, ready := m.meter.Observe(snap)
-	if !ready {
+	lat, rate, totalRate, ready := m.measure.observe(snap)
+	if !ready || totalRate <= 0 {
 		return MultiDecision{}, false
-	}
-	lat := make([]float64, m.n)
-	rate := make([]float64, m.n)
-	var totalRate float64
-	for t := 0; t < m.n; t++ {
-		o := m.occ[t].Observe(meas[t].Occupancy)
-		r := m.rate[t].Observe(meas[t].RatePerSec)
-		rate[t] = r
-		totalRate += r
-		if r > 0 {
-			lat[t] = o / (r * 1e-9)
-		}
-	}
-	if totalRate <= 0 {
-		return MultiDecision{}, false
-	}
-	// Tiers with no traffic have an undefined Little's-law latency;
-	// substitute the unloaded-latency prior when available (an idle
-	// tier runs unloaded), else 0, which marks it as a promotion
-	// target.
-	for t := 0; t < m.n; t++ {
-		if rate[t] <= totalRate*1e-6 {
-			if len(m.opts.UnloadedLatencyNs) == m.n {
-				lat[t] = m.opts.UnloadedLatencyNs[t]
-			} else {
-				lat[t] = 0
-			}
-		}
 	}
 	// Extreme tiers by measured latency.
 	fast, slow := 0, 0
-	for t := 1; t < m.n; t++ {
+	for t := 1; t < len(lat); t++ {
 		if lat[t] < lat[fast] {
 			fast = t
 		}

@@ -52,14 +52,6 @@ var forbiddenEnvFuncs = map[string]bool{
 func runDeterminism(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
-		// imported maps each watched package's local name to its path,
-		// for selectors type information does not cover.
-		imported := map[string]string{}
-		for _, path := range []string{"time", "os", "math/rand", "math/rand/v2"} {
-			if name := importName(file, path); name != "" {
-				imported[name] = path
-			}
-		}
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err == nil && (path == "math/rand" || path == "math/rand/v2") && p.Path != "internal/stats" {
@@ -67,26 +59,14 @@ func runDeterminism(p *Package) []Finding {
 					fmt.Sprintf("import of %s outside internal/stats; derive randomness from a stats.RNG stream (Split/SplitString)", path)))
 			}
 		}
-		if len(imported) == 0 {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			// Typed-first: a resolved selector names its package
-			// authoritatively (aliases included); a selector resolved to
-			// a variable or field is definitely not one of ours.
-			pkgPath, name, kind := p.pkgRef(sel)
-			if kind == selUnknown {
-				if base, ok := sel.X.(*ast.Ident); ok {
-					pkgPath, name, kind = imported[base.Name], sel.Sel.Name, selPkg
-				}
-			}
-			if kind == selPkg {
-				if msg := determinismRef(p.Path, pkgPath, name); msg != "" {
-					out = append(out, p.finding("determinism", sel, msg))
+			// The selector's package resolves through its import, so
+			// aliases count and a variable named time does not.
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkgPath, name, ok := p.pkgRef(sel); ok {
+					if msg := determinismRef(p.Path, pkgPath, name); msg != "" {
+						out = append(out, p.finding("determinism", sel, msg))
+					}
 				}
 			}
 			return true

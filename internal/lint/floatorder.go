@@ -24,9 +24,8 @@ import (
 //     indexed per-shard slots in shard-index order remain exact and
 //     pass.
 //
-// The check is typed (it must know the target is a float); sites the
-// loader could not resolve are left to maprange/gocapture's coarser
-// nets.
+// The check reads each target's type, so it flags float folds only;
+// maprange and gocapture cast the coarser nets over every type.
 func init() {
 	Register(&Check{
 		Name: "floatorder",
@@ -43,9 +42,6 @@ var compoundOps = map[token.Token]bool{
 }
 
 func runFloatOrder(p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	seen := map[string]bool{}
 	var out []Finding
 	add := func(f Finding) {
@@ -62,7 +58,7 @@ func runFloatOrder(p *Package) []Finding {
 			if !ok {
 				return true
 			}
-			if isMap, known := p.mapTyped(rs.X); !known || !isMap {
+			if !p.isMap(rs.X) {
 				return true
 			}
 			ast.Inspect(rs.Body, func(m ast.Node) bool {

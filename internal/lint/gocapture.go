@@ -82,7 +82,6 @@ type concurrentBody struct {
 // included, in source order. It is the one walk gocapture and
 // floatorder share.
 func concurrentBodies(p *Package, file *ast.File) []*concurrentBody {
-	shardPkg := importName(file, p.internalPkg("internal/shard"))
 	concurrent := map[*ast.FuncLit]bool{}
 	var out []*concurrentBody
 	var walk func(n ast.Node, loopVars map[string]bool)
@@ -103,7 +102,7 @@ func concurrentBodies(p *Package, file *ast.File) []*concurrentBody {
 		case *ast.GoStmt:
 			lit, _ = v.Call.Fun.(*ast.FuncLit)
 		case *ast.CallExpr:
-			lit = shardRunLit(p, v, shardPkg)
+			lit = shardRunLit(p, v)
 		}
 		if lit != nil {
 			concurrent[lit] = true
@@ -196,20 +195,11 @@ func (b *concurrentBody) declared() map[string]bool {
 }
 
 // shardRunLit returns the FuncLit callback of a shard.Run call (nil for
-// any other call), resolved through type information when available (so
-// wrappers and aliases can't hide the call) and falling back to the
-// syntactic matcher otherwise: a selector on the shard import, or a
-// bare Run inside package shard itself.
-func shardRunLit(p *Package, call *ast.CallExpr, shardPkg string) *ast.FuncLit {
-	isRun := false
-	if obj := p.calleeObj(call); obj != nil {
-		isRun = obj.Name() == "Run" && obj.Pkg() != nil && obj.Pkg().Path() == p.internalPkg("internal/shard")
-	} else if name, ok := pkgSelector(call.Fun, shardPkg); ok {
-		isRun = name == "Run"
-	} else if id, ok := call.Fun.(*ast.Ident); ok {
-		isRun = id.Name == "Run" && p.Path == "internal/shard"
-	}
-	if !isRun || len(call.Args) == 0 {
+// any other call). The callee resolves to its object, so aliases of the
+// shard import and a bare Run inside package shard itself are seen.
+func shardRunLit(p *Package, call *ast.CallExpr) *ast.FuncLit {
+	obj := p.calleeObj(call)
+	if obj == nil || obj.Name() != "Run" || obj.Pkg() == nil || obj.Pkg().Path() != p.internalPkg("internal/shard") || len(call.Args) == 0 {
 		return nil
 	}
 	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
@@ -267,7 +257,7 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 			// scheduling-dependent draw inside the callee.
 			for _, arg := range v.Args {
 				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok || b.locals[id.Name] || flaggedRNG[id.Name] || b.loopVars[id.Name] || !isRNGExpr(p, id) {
+				if !ok || b.locals[id.Name] || flaggedRNG[id.Name] || b.loopVars[id.Name] || !isStatsRNG(p, p.exprType(id)) {
 					continue
 				}
 				flaggedRNG[id.Name] = true
@@ -334,16 +324,6 @@ func isAppendCall(e ast.Expr) bool {
 	}
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "append"
-}
-
-// isRNGExpr reports whether the identifier holds a stats.RNG stream:
-// typed when resolution reached it (a *stats.RNG or stats.RNG value),
-// otherwise by the conservative name convention ("rng" exactly).
-func isRNGExpr(p *Package, id *ast.Ident) bool {
-	if t := p.exprType(id); t != nil {
-		return isStatsRNG(p, t)
-	}
-	return id.Name == "rng"
 }
 
 // isStatsRNG reports whether t is (a pointer to) the stats.RNG type.

@@ -4,72 +4,33 @@ import (
 	"go/ast"
 	"go/token"
 	"strconv"
-	"strings"
 )
-
-// importName returns the name under which file imports path ("" when it
-// does not): the explicit alias when present, otherwise the path's last
-// element.
-func importName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-// pkgSelector reports whether e is a selector on the package imported
-// under name (name != "") and returns the selected identifier.
-func pkgSelector(e ast.Expr, name string) (string, bool) {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || name == "" {
-		return "", false
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok || base.Name != name {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
 
 // leadingString extracts the leading compile-time string of an
 // expression: a string literal, the leftmost literal of a `"lit" + x`
 // concatenation, or the format literal of a fmt.Sprintf call. The
 // second result is false when no literal prefix is visible statically.
-func leadingString(e ast.Expr, sprintfName string) (string, bool) {
+func (p *Package) leadingString(e ast.Expr) (string, bool) {
 	switch v := e.(type) {
 	case *ast.BasicLit:
 		if v.Kind != token.STRING {
 			return "", false
 		}
 		s, err := strconv.Unquote(v.Value)
-		if err != nil {
-			return "", false
-		}
-		return s, true
+		return s, err == nil
 	case *ast.BinaryExpr:
 		if v.Op != token.ADD {
 			return "", false
 		}
-		return leadingString(v.X, sprintfName)
+		return p.leadingString(v.X)
 	case *ast.CallExpr:
-		if name, ok := pkgSelector(v.Fun, sprintfName); ok && name == "Sprintf" && len(v.Args) > 0 {
-			return leadingString(v.Args[0], sprintfName)
+		if sel, ok := v.Fun.(*ast.SelectorExpr); ok && len(v.Args) > 0 {
+			if path, name, ok := p.pkgRef(sel); ok && path == "fmt" && name == "Sprintf" {
+				return p.leadingString(v.Args[0])
+			}
 		}
 	case *ast.ParenExpr:
-		return leadingString(v.X, sprintfName)
+		return p.leadingString(v.X)
 	}
 	return "", false
 }
@@ -77,33 +38,4 @@ func leadingString(e ast.Expr, sprintfName string) (string, bool) {
 // finding builds a Finding positioned at n.
 func (p *Package) finding(check string, n ast.Node, msg string) Finding {
 	return Finding{Pos: p.Fset.Position(n.Pos()), Check: check, Msg: msg}
-}
-
-// isMapType reports whether the syntactic type expression is a map.
-func isMapType(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.ParenExpr:
-		return isMapType(v.X)
-	}
-	return false
-}
-
-// isMapExpr reports whether the value expression evidently produces a
-// map: make(map[...]...), a map composite literal, or a conversion to a
-// map type.
-func isMapExpr(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.CallExpr:
-		if fn, ok := v.Fun.(*ast.Ident); ok && fn.Name == "make" && len(v.Args) > 0 {
-			return isMapType(v.Args[0])
-		}
-		return isMapType(v.Fun)
-	case *ast.CompositeLit:
-		return v.Type != nil && isMapType(v.Type)
-	case *ast.ParenExpr:
-		return isMapExpr(v.X)
-	}
-	return false
 }

@@ -13,14 +13,13 @@
 // violations at lint time, on every PR, instead of when a golden
 // checksum mysteriously drifts.
 //
-// Since the typed rebuild, every package is loaded through one shared
-// type-checked loader (see load.go): checks see resolved types.Objects
-// — an aliased time import, a cross-package map return, a mutex buried
-// three structs deep — instead of raw identifiers, and a tree-wide
-// check (obsnames) correlates facts across packages. Type checking is
-// best-effort: where resolution fails (fixture trees reference packages
-// that are not there), checks fall back to the original syntactic
-// analysis, so a partial tree still lints.
+// Every package is loaded through one shared type-checked loader (see
+// load.go): checks see resolved types.Objects — an aliased time import,
+// a cross-package map return, a mutex buried three structs deep —
+// instead of raw identifiers, and a tree-wide check (obsnames)
+// correlates facts across packages. A tree that does not parse or
+// type-check is an error rather than a partial lint, so each check has
+// exactly one, typed, reading of the code.
 //
 // A finding can be suppressed in-source with
 //
@@ -40,6 +39,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -66,8 +66,8 @@ func (f Finding) String() string {
 // Package is one parsed, type-checked, non-test Go package handed to
 // each check.
 type Package struct {
-	// Path is the slash-separated directory path relative to the lint
-	// root ("internal/core", "cmd/colloidsim"). Checks use it for
+	// Path is the slash-separated directory path relative to the
+	// module root ("internal/core", "cmd/colloidsim"). Checks use it for
 	// package allowlists.
 	Path string
 	// Module is the module path the tree was loaded under ("colloid"
@@ -81,12 +81,11 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the parsed non-test files, sorted by file name.
 	Files []*ast.File
-	// Types is the type-checked package (possibly marked incomplete
-	// when the tree is partial; never nil after loading).
+	// Types is the type-checked package.
 	Types *types.Package
 	// Info holds the resolved identifier uses, definitions, expression
-	// types and selections. Lookups that miss mean "no type information
-	// here" and checks must degrade to syntax.
+	// types and selections of a package that type-checked without
+	// error.
 	Info *types.Info
 }
 
@@ -232,24 +231,32 @@ func sortedKeys(m map[string]bool) []string {
 
 // Tree lints every non-test package under root (skipping testdata,
 // hidden directories and vendor) with the registered checks and returns
-// the surviving findings sorted by position. Paths in the findings are
-// relative to root.
+// the surviving findings sorted by position. A package that does not
+// parse or type-check makes it return an error naming the file and
+// line.
 func Tree(root string) ([]Finding, error) {
 	return TreeChecks(root, Checks())
 }
 
 // TreeChecks is Tree with an explicit check list (used by tests and by
-// the driver's -checks flag). All packages load — and type-check —
-// before any check runs, so tree-wide checks see the full picture.
+// colloidlint's -checks flag). A subtree lints inside its module: the
+// whole module loads and is checked, so imports resolve, package paths
+// and allowlists read as they do from the module root and tree-wide
+// checks see every package; only the findings under root are kept. File
+// paths in findings are relative to the module root.
 func TreeChecks(root string, checks []*Check) ([]Finding, error) {
-	dirs, err := packageDirs(root)
+	modRoot, sub, err := moduleRoot(root)
 	if err != nil {
 		return nil, err
 	}
-	l := newLoader(root)
+	dirs, err := packageDirs(modRoot)
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader(modRoot)
 	var pkgs []*Package
 	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
+		rel, err := filepath.Rel(modRoot, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +272,39 @@ func TreeChecks(root string, checks []*Check) ([]Finding, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	return runChecks(pkgs, checks), nil
+	out := runChecks(pkgs, checks)
+	if sub == "." {
+		return out, nil
+	}
+	kept := out[:0]
+	for _, f := range out {
+		if strings.HasPrefix(f.Pos.Filename, sub+"/") {
+			kept = append(kept, f)
+		}
+	}
+	return kept, nil
+}
+
+// moduleRoot returns the directory a lint of dir loads — the nearest
+// directory at or above dir holding a go.mod — and dir's slash path
+// inside it ("." when they are the same). A tree with no go.mod above
+// it, or one under a testdata directory (fixture trees), is its own
+// root.
+func moduleRoot(dir string) (root, sub string, err error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", "", err
+	}
+	for d := abs; filepath.Base(d) != "testdata"; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			sub, err := filepath.Rel(d, abs)
+			return d, filepath.ToSlash(sub), err
+		}
+		if d == filepath.Dir(d) {
+			break
+		}
+	}
+	return abs, ".", nil
 }
 
 // runChecks runs the selected checks over the loaded tree, applies

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,6 +38,39 @@ func lintTree(t *testing.T, files map[string]string) []string {
 	return out
 }
 
+// heatStandIn is the slice of colloid/internal/heat the probes name.
+const heatStandIn = `package heat
+
+// Kind selects a tracker's granularity.
+type Kind int
+
+// Region tracks heat per run of pages.
+const Region Kind = 1
+
+// Spec configures a tracker.
+type Spec struct {
+	Kind        Kind
+	RegionPages int
+}
+`
+
+// withStandIns adds the fixture tree's internal/shard and internal/stats
+// stand-ins and a minimal internal/heat to a probe tree, so a probe
+// that imports them type-checks.
+func withStandIns(t *testing.T, files map[string]string) map[string]string {
+	t.Helper()
+	out := map[string]string{"internal/heat/heat.go": heatStandIn}
+	for _, rel := range []string{"internal/shard/shard.go", "internal/stats/stats.go"} {
+		src, err := os.ReadFile(filepath.Join("testdata", "src", filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[rel] = string(src)
+	}
+	maps.Copy(out, files)
+	return out
+}
+
 // TestGoldenFixtures pins the exact file:line: [check] message output
 // over the known-bad/known-good fixture tree.
 func TestGoldenFixtures(t *testing.T) {
@@ -68,6 +102,31 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("repo not lint-clean: %s", f)
+	}
+}
+
+// TestTypeErrorFailsLoad pins the strict loader: a tree that does not
+// type-check is an error naming the file and line, not a partial lint.
+func TestTypeErrorFailsLoad(t *testing.T) {
+	cases := map[string]string{
+		"undefined name": `package core
+
+func Quantum() float64 { return quantumSec }
+`,
+		"missing import": `package core
+
+import "colloid/internal/stats"
+
+func Stream() *stats.RNG { return nil }
+`,
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := Tree(writeTree(t, map[string]string{"internal/core/bad.go": src}))
+			if err == nil || !strings.HasPrefix(err.Error(), "lint: internal/core/bad.go:3:") {
+				t.Fatalf("want a lint: internal/core/bad.go:3: error, got %v", err)
+			}
+		})
 	}
 }
 
@@ -116,6 +175,7 @@ func Dump(m map[string]float64, tr *Trace) {
 // package is caught by name of the determinism check — new package
 // directories are covered by Tree without registration. Each probe
 // yields the import and the rand.New and rand.NewSource constructors.
+// Probe trees carry stand-ins for the packages they import.
 func TestInjectedMathRandCaught(t *testing.T) {
 	cases := []struct {
 		name, file, src string
@@ -160,7 +220,7 @@ func randomFidelity() *heat.Spec {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := lintTree(t, map[string]string{tc.file: tc.src})
+			got := lintTree(t, withStandIns(t, map[string]string{tc.file: tc.src}))
 			if len(got) != 3 {
 				t.Fatalf("want import + rand.New + rand.NewSource findings, got %q", got)
 			}
@@ -178,7 +238,8 @@ func randomFidelity() *heat.Spec {
 // stream — worker-count-dependent, the exact bug per-shard Split
 // streams and per-tenant Forks exist to prevent — is caught by name of
 // the gocapture check in every package that fans out, as is a shared
-// slice appended in completion order.
+// slice appended in completion order. Probe trees carry stand-ins for
+// the packages they import.
 func TestInjectedSharedStreamCaught(t *testing.T) {
 	cases := []struct {
 		name, file, src string
@@ -245,7 +306,7 @@ func scaleTouches(rng *stats.RNG, perTenant []uint64) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := lintTree(t, map[string]string{tc.file: tc.src})
+			got := lintTree(t, withStandIns(t, map[string]string{tc.file: tc.src}))
 			if len(got) != len(tc.want) {
 				t.Fatalf("want %d findings (%q), got %q", len(tc.want), tc.want, got)
 			}

@@ -27,12 +27,10 @@ const defaultModule = "colloid"
 // check asking "what object is this identifier?" costs a map lookup,
 // not a re-parse.
 //
-// Type checking is best-effort by design. Fixture trees reference
-// packages that do not exist under their root; the type checker records
-// those imports as broken and carries on, and every check falls back to
-// the syntactic analysis wherever type information is missing. On the
-// real repository the tree is complete and the typed facts are
-// authoritative.
+// Type checking is strict: the first parse or type error ends the load,
+// so every check reads complete type information. A fixture or probe
+// tree therefore carries stand-ins for the module-local packages it
+// imports.
 type loader struct {
 	root    string
 	module  string
@@ -84,7 +82,9 @@ func (l *loader) pkg(rel string) (*Package, error) {
 		return nil, err
 	}
 	if p != nil {
-		l.typecheck(p)
+		if err := l.typecheck(p); err != nil {
+			return nil, err
+		}
 	}
 	l.pkgs[rel] = p
 	return p, nil
@@ -137,29 +137,27 @@ func (l *loader) parse(rel string) (*Package, error) {
 	return pkg, nil
 }
 
-// typecheck runs go/types over the parsed files, tolerating errors:
-// unresolved imports and partial fixture code leave gaps in Info rather
-// than failing the load.
-func (l *loader) typecheck(p *Package) {
+// typecheck runs go/types over the parsed files and returns its first
+// error, positioned at the offending file and line.
+func (l *loader) typecheck(p *Package) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{
-		Importer:                 (*treeImporter)(l),
-		Error:                    func(error) {}, // best-effort: partial trees still yield partial Info
-		DisableUnusedImportCheck: true,
-		FakeImportC:              true,
-	}
+	conf := types.Config{Importer: (*treeImporter)(l)}
 	path := l.module
 	if p.Path != "" {
 		path = l.module + "/" + p.Path
 	}
-	tpkg, _ := conf.Check(path, l.fset, p.Files, info)
+	tpkg, err := conf.Check(path, l.fset, p.Files, info)
+	if err != nil {
+		return fmt.Errorf("lint: %w", err)
+	}
 	p.Types = tpkg
 	p.Info = info
+	return nil
 }
 
 // treeImporter resolves imports for the type checker: module-local
@@ -181,7 +179,7 @@ func (t *treeImporter) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p == nil || p.Types == nil {
+		if p == nil {
 			return nil, fmt.Errorf("lint: no package in %q", rel)
 		}
 		return p.Types, nil

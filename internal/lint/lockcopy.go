@@ -18,9 +18,8 @@ import (
 // Flagged copy sites: passing such a value as a call argument,
 // assigning it from an existing value (identifier, field, element or
 // deref — fresh composite literals and function results initialize
-// rather than copy), and binding it as a `range` value variable. The
-// check is fully typed; files the loader could not resolve produce no
-// findings.
+// rather than copy), and binding it as a `range` value variable. Lock
+// state is found through each value's type, however deeply it nests.
 func init() {
 	Register(&Check{
 		Name: "lockcopy",
@@ -36,9 +35,6 @@ var syncNoCopyTypes = map[string]bool{
 }
 
 func runLockCopy(p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	seen := map[string]bool{}
 	var out []Finding
 	report := func(n ast.Node, how string, lock string) {
@@ -101,7 +97,7 @@ func runLockCopy(p *Package) []Finding {
 // rangeValueType resolves the type of a range statement's value
 // variable: `:=`-defined identifiers live in Defs rather than Types.
 func (p *Package) rangeValueType(e ast.Expr) types.Type {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok && p.Info != nil {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 		if obj := p.Info.Defs[id]; obj != nil {
 			return obj.Type()
 		}
@@ -140,7 +136,7 @@ func isBuiltinLockSafe(p *Package, call *ast.CallExpr) bool {
 	}
 	switch id.Name {
 	case "len", "cap", "new", "delete", "clear", "print", "println":
-		return p.isBuiltinOrUnknown(id)
+		return p.isBuiltin(id)
 	}
 	return false
 }

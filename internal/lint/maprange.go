@@ -24,14 +24,9 @@ import (
 // order-independent sites (e.g. integer accumulation, which commutes)
 // carry a //colloid:allow maprange <reason> suppression.
 //
-// Map detection is typed-first: where the loader resolved the range
-// operand's type, that answer is authoritative (cross-package map
-// returns included). Where type information is missing (partial fixture
-// trees), the original syntactic heuristic applies: an expression
-// counts as a map when it is an identifier declared with a map type or
-// assigned a make(map...)/map literal in scope, a selector whose field
-// name is map-typed anywhere in the package, or a call to a package
-// function whose first result is a map.
+// A range operand counts as a map by its type, so cross-package map
+// returns and named map types are seen and slices named like maps are
+// not.
 func init() {
 	Register(&Check{
 		Name: "maprange",
@@ -60,15 +55,7 @@ var sortFuncs = map[string]bool{
 	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
-// pkgMapInfo is the package-wide name-based map-type index.
-type pkgMapInfo struct {
-	fields map[string]bool // struct field names with a map type
-	funcs  map[string]bool // func/method names whose first result is a map
-	vars   map[string]bool // package-level var names with a map type
-}
-
 func runMapRange(p *Package) []Finding {
-	info := collectMapInfo(p)
 	seen := map[string]bool{}
 	var out []Finding
 	for _, file := range p.Files {
@@ -77,21 +64,9 @@ func runMapRange(p *Package) []Finding {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			locals := localMapVars(fn)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				// Typed-first: the resolved type of the range operand is
-				// authoritative both ways — it sees cross-package map
-				// returns the name heuristic cannot, and clears the
-				// heuristic's name-collision false positives.
-				isMap, known := p.mapTyped(rs.X)
-				if !known {
-					isMap = isMapValued(rs.X, locals, info)
-				}
-				if !isMap {
+				if !ok || !p.isMap(rs.X) {
 					return true
 				}
 				for _, f := range checkMapBody(p, fn, rs) {
@@ -106,120 +81,6 @@ func runMapRange(p *Package) []Finding {
 		}
 	}
 	return out
-}
-
-// collectMapInfo scans every file of the package for map-typed struct
-// fields, map-returning functions and package-level map variables.
-func collectMapInfo(p *Package) *pkgMapInfo {
-	info := &pkgMapInfo{
-		fields: map[string]bool{},
-		funcs:  map[string]bool{},
-		vars:   map[string]bool{},
-	}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.StructType:
-				for _, f := range v.Fields.List {
-					if isMapType(f.Type) {
-						for _, name := range f.Names {
-							info.fields[name.Name] = true
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				res := v.Type.Results
-				if res != nil && len(res.List) > 0 && isMapType(res.List[0].Type) {
-					info.funcs[v.Name.Name] = true
-				}
-			}
-			return true
-		})
-		for _, decl := range file.Decls {
-			gen, ok := decl.(*ast.GenDecl)
-			if !ok || gen.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gen.Specs {
-				vs := spec.(*ast.ValueSpec)
-				typed := vs.Type != nil && isMapType(vs.Type)
-				for i, name := range vs.Names {
-					if typed || (i < len(vs.Values) && isMapExpr(vs.Values[i])) {
-						info.vars[name.Name] = true
-					}
-				}
-			}
-		}
-	}
-	return info
-}
-
-// localMapVars walks one function for identifiers that evidently hold
-// maps: map-typed parameters, receivers and results, and assignments
-// from make(map...)/map literals.
-func localMapVars(fn *ast.FuncDecl) map[string]bool {
-	locals := map[string]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			if isMapType(f.Type) {
-				for _, name := range f.Names {
-					locals[name.Name] = true
-				}
-			}
-		}
-	}
-	addFields(fn.Recv)
-	addFields(fn.Type.Params)
-	addFields(fn.Type.Results)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || i >= len(v.Rhs) {
-					continue
-				}
-				if isMapExpr(v.Rhs[i]) {
-					locals[id.Name] = true
-				}
-			}
-		case *ast.ValueSpec:
-			typed := v.Type != nil && isMapType(v.Type)
-			for i, name := range v.Names {
-				if typed || (i < len(v.Values) && isMapExpr(v.Values[i])) {
-					locals[name.Name] = true
-				}
-			}
-		case *ast.FuncLit:
-			addFields(v.Type.Params)
-			addFields(v.Type.Results)
-		}
-		return true
-	})
-	return locals
-}
-
-// isMapValued applies the syntactic heuristic to a range operand.
-func isMapValued(e ast.Expr, locals map[string]bool, info *pkgMapInfo) bool {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return locals[v.Name] || info.vars[v.Name]
-	case *ast.SelectorExpr:
-		return info.fields[v.Sel.Name]
-	case *ast.CallExpr:
-		switch fun := v.Fun.(type) {
-		case *ast.Ident:
-			return info.funcs[fun.Name]
-		case *ast.SelectorExpr:
-			return info.funcs[fun.Sel.Name]
-		}
-	case *ast.ParenExpr:
-		return isMapValued(v.X, locals, info)
-	}
-	return false
 }
 
 // checkMapBody inspects one map-range body for order-sensitive writes.

@@ -30,8 +30,6 @@ func runMsgPrefix(p *Package) []Finding {
 	want := p.Name + ": "
 	var out []Finding
 	for _, file := range p.Files {
-		fmtName := importName(file, "fmt")
-		errorsName := importName(file, "errors")
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -42,20 +40,14 @@ func runMsgPrefix(p *Package) []Finding {
 			case *ast.Ident:
 				// Only the predeclared panic builtin; a shadowing local
 				// function resolves to a non-builtin object and is skipped.
-				if fun.Name == "panic" && p.isBuiltinOrUnknown(fun) {
+				if fun.Name == "panic" && p.isBuiltin(fun) {
 					kind = "panic"
 				}
 			case *ast.SelectorExpr:
-				if pkgPath, name, sk := p.pkgRef(fun); sk == selPkg {
+				if pkgPath, name, ok := p.pkgRef(fun); ok {
 					if pkgPath == "fmt" && name == "Errorf" {
 						kind = "fmt.Errorf"
 					} else if pkgPath == "errors" && name == "New" {
-						kind = "errors.New"
-					}
-				} else if sk == selUnknown {
-					if name, ok := pkgSelector(fun, fmtName); ok && name == "Errorf" {
-						kind = "fmt.Errorf"
-					} else if name, ok := pkgSelector(fun, errorsName); ok && name == "New" {
 						kind = "errors.New"
 					}
 				}
@@ -63,7 +55,7 @@ func runMsgPrefix(p *Package) []Finding {
 			if kind == "" {
 				return true
 			}
-			lit, ok := leadingString(call.Args[0], fmtName)
+			lit, ok := p.leadingString(call.Args[0])
 			if !ok || strings.HasPrefix(lit, "%") || strings.HasPrefix(lit, want) {
 				return true
 			}

@@ -68,7 +68,7 @@ func runObsNames(pkgs []*Package) []Finding {
 	var out []Finding
 	var regs []obsRegistration
 	for _, p := range pkgs {
-		if p.Path == "internal/obs" || p.Info == nil {
+		if p.Path == "internal/obs" {
 			continue
 		}
 		for _, file := range p.Files {
@@ -148,7 +148,7 @@ func obsSprintfFormat(p *Package, e ast.Expr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if pkgPath, name, kind := p.pkgRef(sel); kind != selPkg || pkgPath != "fmt" || name != "Sprintf" {
+	if pkgPath, name, ok := p.pkgRef(sel); !ok || pkgPath != "fmt" || name != "Sprintf" {
 		return "", false
 	}
 	format, isConst := p.constString(call.Args[0])
@@ -181,7 +181,7 @@ func checkObsScope(p *Package, arg ast.Expr) []Finding {
 		}
 		return nil
 	}
-	lead, leadOK := leadingString(arg, importName(fileOf(p, arg), "fmt"))
+	lead, leadOK := p.leadingString(arg)
 	if i := strings.IndexByte(lead, '%'); i >= 0 {
 		lead = lead[:i]
 	}
@@ -189,7 +189,7 @@ func checkObsScope(p *Package, arg ast.Expr) []Finding {
 		return []Finding{p.finding("obsnames", arg,
 			"obs scope prefix must open with a constant namespace segment ending in \".\" (the `\"tenant.\" + name + \".\"` idiom) so the static namespace tree stays enumerable")}
 	}
-	if last, ok := trailingString(arg); ok && !strings.HasSuffix(last, ".") {
+	if last, ok := p.trailingString(arg); ok && !strings.HasSuffix(last, ".") {
 		return []Finding{p.finding("obsnames", arg,
 			fmt.Sprintf("obs scope prefix's trailing literal %q must end with \".\" so scoped names cannot fuse with the dynamic part", last))}
 	}
@@ -198,24 +198,14 @@ func checkObsScope(p *Package, arg ast.Expr) []Finding {
 
 // trailingString extracts the rightmost compile-time literal of a
 // string concatenation (ok=false when the tail is dynamic).
-func trailingString(e ast.Expr) (string, bool) {
+func (p *Package) trailingString(e ast.Expr) (string, bool) {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.BasicLit:
-		return leadingString(v, "")
+		return p.leadingString(v)
 	case *ast.BinaryExpr:
-		return trailingString(v.Y)
+		return p.trailingString(v.Y)
 	}
 	return "", false
-}
-
-// fileOf finds the parsed file containing n (nil-safe for importName).
-func fileOf(p *Package, n ast.Node) *ast.File {
-	for _, file := range p.Files {
-		if file.Pos() <= n.Pos() && n.Pos() < file.End() {
-			return file
-		}
-	}
-	return p.Files[0]
 }
 
 // obsKindCollisions reports every constant name registered under more

@@ -6,64 +6,30 @@ import (
 	"go/types"
 )
 
-// selKind classifies what the type checker says about a selector's base
-// identifier, so checks can choose between typed facts and the
-// syntactic fallback per node instead of per run.
-type selKind int
-
-const (
-	// selUnknown means type information does not cover the selector;
-	// the check should fall back to its syntactic heuristic.
-	selUnknown selKind = iota
-	// selOther means the base resolved to something that is not a
-	// package name (a variable, a field); the node is definitely not a
-	// package-qualified reference and the syntactic fallback must not
-	// run (it would false-positive on shadowing).
-	selOther
-	// selPkg means the selector is a resolved package-qualified
-	// reference; pkgPath/name are authoritative.
-	selPkg
-)
-
-// pkgRef resolves sel as a package-qualified reference through type
-// info: any alias of time.Now comes back as ("time", "Now", selPkg).
-func (p *Package) pkgRef(sel *ast.SelectorExpr) (pkgPath, name string, kind selKind) {
-	if p.Info == nil {
-		return "", "", selUnknown
+// pkgRef resolves sel as a package-qualified reference: any alias of
+// time.Now comes back as ("time", "Now", true). ok is false when the
+// selector's base is not a package name (a variable, a field, a call).
+func (p *Package) pkgRef(sel *ast.SelectorExpr) (path, name string, ok bool) {
+	id, isIdent := sel.X.(*ast.Ident)
+	if !isIdent {
+		return "", "", false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", "", selUnknown
+	pn, isPkg := p.Info.Uses[id].(*types.PkgName)
+	if !isPkg {
+		return "", "", false
 	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return "", "", selUnknown
-	}
-	pn, ok := obj.(*types.PkgName)
-	if !ok {
-		return "", "", selOther
-	}
-	return pn.Imported().Path(), sel.Sel.Name, selPkg
+	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// exprType returns e's resolved type (nil when type information does
-// not cover e).
+// exprType returns e's type as the type checker recorded it (nil for
+// nodes it records elsewhere, such as defining identifiers).
 func (p *Package) exprType(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	if tv, ok := p.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
+	return p.Info.Types[e].Type
 }
 
 // constString returns e's compile-time constant string value, folding
 // concatenations and named constants the way the compiler does.
 func (p *Package) constString(e ast.Expr) (string, bool) {
-	if p.Info == nil {
-		return "", false
-	}
 	tv, ok := p.Info.Types[e]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return "", false
@@ -71,26 +37,20 @@ func (p *Package) constString(e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// mapTyped reports whether e's resolved type is a map, and whether type
-// information covered e at all. When known is true the answer is
-// authoritative in both directions — it sees cross-package map returns
-// the name heuristic cannot, and clears false positives the name
-// heuristic would raise.
-func (p *Package) mapTyped(e ast.Expr) (isMap, known bool) {
+// isMap reports whether e's type is a map, cross-package map returns
+// and named map types included.
+func (p *Package) isMap(e ast.Expr) bool {
 	t := p.exprType(e)
 	if t == nil {
-		return false, false
+		return false
 	}
-	_, isMap = t.Underlying().(*types.Map)
-	return isMap, true
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // calleeObj resolves the function or method object a call invokes (nil
-// when type information does not cover it).
+// for calls of function values the type checker records no object for).
 func (p *Package) calleeObj(call *ast.CallExpr) types.Object {
-	if p.Info == nil {
-		return nil
-	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return p.Info.Uses[fun]
@@ -103,19 +63,10 @@ func (p *Package) calleeObj(call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// isBuiltinOrUnknown reports whether id is the predeclared builtin of
-// that name, or unresolved (in which case the syntactic reading wins).
-// A user-defined function shadowing the builtin resolves to a non-nil
-// non-Builtin object and returns false.
-func (p *Package) isBuiltinOrUnknown(id *ast.Ident) bool {
-	if p.Info == nil {
-		return true
-	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return true
-	}
-	_, ok := obj.(*types.Builtin)
+// isBuiltin reports whether id is the predeclared builtin of that name.
+// A user-defined function shadowing the builtin returns false.
+func (p *Package) isBuiltin(id *ast.Ident) bool {
+	_, ok := p.Info.Uses[id].(*types.Builtin)
 	return ok
 }
 

@@ -54,36 +54,25 @@ func (p Policy) String() string {
 	}
 }
 
-// Config tunes a related-work system.
+// Config selects a related-work system.
 type Config struct {
 	// Policy picks BATMAN or Carrefour.
 	Policy Policy
-	// SampleRatePerSec is the PEBS sampling rate (default 50k).
-	SampleRatePerSec float64
-	// CoolThreshold is the frequency cooling threshold (default 16).
-	CoolThreshold uint32
-	// QuantumSec is the decision cadence (default 10 ms).
-	QuantumSec float64
-	// Deadband is the tolerated deviation from the target share before
-	// migrating (default 0.02).
-	Deadband float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.SampleRatePerSec == 0 {
-		c.SampleRatePerSec = 50_000
-	}
-	if c.CoolThreshold == 0 {
-		c.CoolThreshold = 16
-	}
-	if c.QuantumSec == 0 {
-		c.QuantumSec = 0.01
-	}
-	if c.Deadband == 0 {
-		c.Deadband = 0.02
-	}
-	return c
-}
+// Both policies track page heat at HeMem's default sampling rate,
+// cooling threshold and decision cadence.
+const (
+	// sampleRatePerSec is the PEBS sampling rate.
+	sampleRatePerSec = 50_000
+	// coolThreshold is the frequency cooling threshold.
+	coolThreshold = 16
+	// quantumSec is the decision cadence (10 ms).
+	quantumSec = 0.01
+	// deadband is the tolerated deviation from the target share before
+	// migrating.
+	deadband = 0.02
+)
 
 // System implements sim.System for either policy.
 type System struct {
@@ -98,7 +87,7 @@ type System struct {
 
 // New returns a related-work system.
 func New(cfg Config) *System {
-	return &System{cfg: cfg.withDefaults()}
+	return &System{cfg: cfg}
 }
 
 // Name identifies the system.
@@ -107,7 +96,7 @@ func (s *System) Name() string { return s.cfg.Policy.String() }
 // Step implements sim.System.
 func (s *System) Step(ctx *sim.Context) {
 	if s.tracker == nil {
-		s.tracker = ctx.Heat.NewTracker(s.cfg.CoolThreshold)
+		s.tracker = ctx.Heat.NewTracker(coolThreshold)
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 	s.samplePEBS(ctx)
@@ -116,7 +105,7 @@ func (s *System) Step(ctx *sim.Context) {
 		s.lastRunSec = ctx.TimeSec
 		return
 	}
-	if ctx.TimeSec-s.lastRunSec < s.cfg.QuantumSec-1e-12 {
+	if ctx.TimeSec-s.lastRunSec < quantumSec-1e-12 {
 		return
 	}
 	s.lastRunSec = ctx.TimeSec
@@ -130,9 +119,9 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 	target := s.targetShare(ctx)
 	switch {
-	case p > target+s.cfg.Deadband:
+	case p > target+deadband:
 		s.shift(ctx, memsys.DefaultTier, ctx.AS.SpillTier(), p-target)
-	case p < target-s.cfg.Deadband:
+	case p < target-deadband:
 		s.shift(ctx, ctx.AS.SpillTier(), memsys.DefaultTier, target-p)
 	}
 }
@@ -230,7 +219,7 @@ func (s *System) evictCold(ctx *sim.Context, to memsys.TierID, bytes int64) bool
 }
 
 func (s *System) samplePEBS(ctx *sim.Context) {
-	s.sampleCarry += s.cfg.SampleRatePerSec * ctx.QuantumSec
+	s.sampleCarry += sampleRatePerSec * ctx.QuantumSec
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
 	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
