@@ -16,7 +16,7 @@ import (
 //
 //   - key-collect-then-sort: `for k := range m { keys = append(keys, k) }`
 //     followed by a sort.*/slices.Sort* call on the same slice later in
-//     the function;
+//     the function, under whatever name the file imports the package;
 //   - per-key map writes (`out[k] = ...`) and deletes, which commute
 //     across iteration orders.
 //
@@ -47,7 +47,7 @@ var sinkMethods = map[string]bool{
 }
 
 // sortFuncs are the sort entry points that make a key-collect loop
-// deterministic, keyed by package-qualified name.
+// deterministic, keyed by import path and function name.
 var sortFuncs = map[string]bool{
 	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
 	"sort.Slice": true, "sort.SliceStable": true, "sort.Sort": true,
@@ -152,7 +152,7 @@ func checkMapAssign(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, as *ast.Ass
 		// slice sorted later in the same function, is the canonical
 		// deterministic pattern.
 		if len(call.Args) == 2 && keyName != "" && identName(call.Args[1]) == keyName &&
-			sortedAfter(fn, rs, dst) {
+			sortedAfter(p, fn, rs, dst) {
 			continue
 		}
 		out = append(out, p.finding("maprange", as,
@@ -195,7 +195,7 @@ func outerTarget(e ast.Expr, bodyLocals map[string]bool, keyName, valName string
 
 // sortedAfter reports whether fn calls a sort function on slice after
 // the range statement ends.
-func sortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt, slice string) bool {
+func sortedAfter(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, slice string) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -206,8 +206,8 @@ func sortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt, slice string) bool {
 		if !ok {
 			return true
 		}
-		base := identName(sel.X)
-		if !sortFuncs[base+"."+sel.Sel.Name] {
+		path, name, ok := p.pkgRef(sel)
+		if !ok || !sortFuncs[path+"."+name] {
 			return true
 		}
 		if mentionsIdent(call.Args[0], slice) {

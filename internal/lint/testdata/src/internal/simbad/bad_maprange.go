@@ -34,3 +34,21 @@ func KeysUnsorted(t *Table) []int {
 	}
 	return keys
 }
+
+// sorter has a method named like sort.Ints that sorts nothing.
+type sorter struct{}
+
+// Ints leaves s as it is.
+func (sorter) Ints(s []int) {}
+
+// KeysShadowed calls Ints on a local variable named sort, not on the
+// sort package, so the collected keys stay in random order.
+func KeysShadowed(t *Table) []int {
+	sort := sorter{}
+	var keys []int
+	for id := range t.weights {
+		keys = append(keys, id)
+	}
+	sort.Ints(keys)
+	return keys
+}

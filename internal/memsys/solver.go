@@ -3,6 +3,7 @@ package memsys
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Source is a closed-loop traffic source: a group of cores that each
@@ -81,7 +82,10 @@ type SourceResult struct {
 
 // Equilibrium is the fixed point of the closed-loop system for one
 // quantum: per-tier loaded latencies and rates consistent with every
-// source's bounded in-flight budget.
+// source's bounded in-flight budget. It also records the inputs it was
+// solved from, so SolveInto can keep it when the next call's inputs
+// are the same. The zero value is ready for SolveInto; a copy shares
+// its slices with the original, so solve into only one of them.
 type Equilibrium struct {
 	// LatencyNs[t] is the loaded read latency of tier t.
 	LatencyNs []float64
@@ -93,8 +97,21 @@ type Equilibrium struct {
 	TierReadRate []float64
 	// Sources holds per-source results, index-aligned with the input.
 	Sources []SourceResult
-	// Iterations is how many damped iterations the solver used.
+	// Iterations is how many damped iterations the solver used; a
+	// capped solve counts its closing half-step, so it reports
+	// MaxIterations+1.
 	Iterations int
+	// Capped reports that the iteration reached MaxIterations without
+	// converging, so the latencies are the half-step average described
+	// at Solve.
+	Capped bool
+
+	// topo is the topology the recorded inputs were solved on (nil when
+	// nothing reusable is recorded) and key holds the bits of the other
+	// inputs (see solveKey). The next call builds its key in spare; the
+	// two swap on every re-solve, so a warm Equilibrium never allocates.
+	topo       *Topology
+	key, spare []uint64
 }
 
 // SolveOptions tunes the fixed-point iteration.
@@ -127,7 +144,8 @@ func (o SolveOptions) withDefaults() SolveOptions {
 // Solve computes the closed-loop equilibrium: latencies L_t such that,
 // when every source issues at rate Cores*Inflight/L_avg (its in-flight
 // budget divided by the latency it experiences), the resulting offered
-// load produces exactly those latencies.
+// load produces exactly those latencies. It is SolveInto on a fresh
+// Equilibrium.
 //
 // extraLoad[t] is additional open-loop traffic charged to tier t (page
 // migration traffic; it consumes bandwidth without being part of any
@@ -136,28 +154,107 @@ func (o SolveOptions) withDefaults() SolveOptions {
 // Existence/uniqueness intuition: each source's offered load is a
 // decreasing function of latency while each tier's latency is an
 // increasing function of load, so the composed map is monotone and the
-// damped iteration converges; the solver additionally verifies progress
-// and returns an error if it fails to converge.
+// damped iteration converges; the solver halves its step whenever the
+// update stops shrinking. In deep saturation the queueing curve is
+// nearly vertical and the iteration can still end in a small limit
+// cycle around the fixed point. If it has not converged after
+// MaxIterations steps, the solver takes one half-step from the last
+// estimate toward the model's response, which the cycle brackets,
+// marks the result Capped and returns it without error. Solve returns
+// an error only for invalid inputs.
 func (tp *Topology) Solve(sources []Source, extraLoad []Load, opts SolveOptions) (*Equilibrium, error) {
+	eq := new(Equilibrium)
+	if _, err := tp.SolveInto(eq, sources, extraLoad, opts); err != nil {
+		return nil, err
+	}
+	return eq, nil
+}
+
+// SolveInto solves like Solve, but into eq's own slices, growing them
+// only when they are too short. eq records the topology and every
+// input the iteration reads: each source's Cores, Inflight, TierShare,
+// SeqFraction, WriteFraction and BytesPerRequest, extraLoad (nil
+// records as zero load, which iterates identically), each tier's
+// Degradation pair and the options. When the next call's inputs match
+// that record bit for bit, SolveInto returns reused and leaves eq as it
+// is, without iterating or allocating.
+//
+// The reuse is exact: the iteration reads nothing but the recorded
+// inputs and the tiers' immutable configurations, so re-running it
+// would write the same bits. Floats compare by math.Float64bits, so +0
+// against -0 re-solves, and a record that holds a NaN never matches.
+// On an error (invalid inputs) eq is left as it was.
+func (tp *Topology) SolveInto(eq *Equilibrium, sources []Source, extraLoad []Load, opts SolveOptions) (reused bool, err error) {
 	opts = opts.withDefaults()
 	n := tp.NumTiers()
 	for i := range sources {
 		if err := sources[i].validate(n); err != nil {
-			return nil, err
+			return false, err
 		}
 	}
 	if extraLoad != nil && len(extraLoad) != n {
-		return nil, fmt.Errorf("memsys: extraLoad has %d entries for %d tiers", len(extraLoad), n)
+		return false, fmt.Errorf("memsys: extraLoad has %d entries for %d tiers", len(extraLoad), n)
 	}
+	key, exact := tp.solveKey(eq.spare[:0], sources, extraLoad, opts)
+	if eq.topo == tp && slices.Equal(key, eq.key) {
+		eq.spare = key
+		return true, nil
+	}
+	eq.key, eq.spare = key, eq.key
+	eq.topo = nil
+	if exact {
+		eq.topo = tp
+	}
+	tp.solve(eq, sources, extraLoad, opts)
+	return false, nil
+}
 
+// solveKey appends to dst the bits of every input the iteration reads
+// besides the tiers' immutable configurations: the options, each tier's
+// degradation pair and extra load, then each source's parameters and
+// shares. The topology fixes the tier count and validation fixes each
+// share vector's length, so the key's length fixes the source count.
+// exact is false when any input is NaN.
+func (tp *Topology) solveKey(dst []uint64, sources []Source, extraLoad []Load, opts SolveOptions) (key []uint64, exact bool) {
+	n := len(tp.tiers)
+	if size := 3 + 4*n + len(sources)*(5+n); cap(dst) < size {
+		dst = make([]uint64, 0, size)
+	}
+	nan := false
+	bits := func(f float64) uint64 {
+		nan = nan || f != f
+		return math.Float64bits(f)
+	}
+	key = append(dst, uint64(opts.MaxIterations), bits(opts.ToleranceNs), bits(opts.Damping))
+	for t, tier := range tp.tiers {
+		var extra Load
+		if extraLoad != nil {
+			extra = extraLoad[t]
+		}
+		key = append(key, bits(tier.latFactor), bits(tier.bwFactor), bits(extra.SeqBytes), bits(extra.RandBytes))
+	}
+	for i := range sources {
+		s := &sources[i]
+		key = append(key, uint64(s.Cores), bits(s.Inflight), bits(s.SeqFraction), bits(s.WriteFraction), bits(s.BytesPerRequest))
+		for _, p := range s.TierShare {
+			key = append(key, bits(p))
+		}
+	}
+	return key, !nan
+}
+
+// solve runs the damped fixed-point iteration on validated inputs and
+// writes the equilibrium into eq's slices.
+func (tp *Topology) solve(eq *Equilibrium, sources []Source, extraLoad []Load, opts SolveOptions) {
+	n := tp.NumTiers()
 	// Start from (possibly degraded) unloaded latencies.
-	lat := make([]float64, n)
+	lat := grow(eq.LatencyNs, n)
 	for t := 0; t < n; t++ {
 		lat[t] = tp.tiers[t].UnloadedLatencyNs()
 	}
 
-	load := make([]Load, n)
-	readRate := make([]float64, n)
+	load := grow(eq.TierLoad, n)
+	readRate := grow(eq.TierReadRate, n)
 	// Adaptive damping: if the update stops shrinking the step, the
 	// iteration is in a limit cycle around a steep region of the
 	// queueing curve; halving the step restores contraction.
@@ -214,7 +311,8 @@ func (tp *Topology) Solve(sources []Source, extraLoad []Load, opts SolveOptions)
 		}
 		prevDelta = maxDelta
 	}
-	if iter == opts.MaxIterations {
+	capped := iter == opts.MaxIterations
+	if capped {
 		// The damped iteration is in a small limit cycle around the
 		// fixed point (this happens only in deep saturation, where the
 		// queueing curve is nearly vertical). The cycle brackets the
@@ -227,16 +325,14 @@ func (tp *Topology) Solve(sources []Source, extraLoad []Load, opts SolveOptions)
 		}
 	}
 
-	eq := &Equilibrium{
-		LatencyNs:    lat,
-		TierLoad:     load,
-		TierReadRate: readRate,
-		Sources:      make([]SourceResult, len(sources)),
-		Iterations:   iter + 1,
-	}
+	eq.LatencyNs, eq.TierLoad, eq.TierReadRate = lat, load, readRate
+	eq.Iterations, eq.Capped = iter+1, capped
+	eq.Sources = grow(eq.Sources, len(sources))
 	for i := range sources {
 		s := &sources[i]
-		res := SourceResult{TierRate: make([]float64, n)}
+		res := &eq.Sources[i]
+		*res = SourceResult{TierRate: grow(res.TierRate, n)}
+		clear(res.TierRate)
 		if s.Cores > 0 && s.Inflight > 0 {
 			avg := 0.0
 			for t := 0; t < n; t++ {
@@ -248,7 +344,14 @@ func (tp *Topology) Solve(sources []Source, extraLoad []Load, opts SolveOptions)
 				res.TierRate[t] = res.RequestRate * s.TierShare[t]
 			}
 		}
-		eq.Sources[i] = res
 	}
-	return eq, nil
+}
+
+// grow returns s resliced to length n, or a new slice when s is too
+// short. The contents are the caller's to overwrite.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	return s[:n]
 }

@@ -383,8 +383,7 @@ func (s *System) findColdInDefault(ctx *sim.Context) pages.PageID {
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 128; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
-		p := ctx.AS.Get(id)
-		if p.Tier != memsys.DefaultTier {
+		if ctx.AS.Tier(id) != memsys.DefaultTier {
 			continue
 		}
 		if s.tracker.Count(id) >= s.hotThreshold {

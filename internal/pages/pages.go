@@ -83,11 +83,22 @@ type AddressSpace struct {
 func (as *AddressSpace) Version() uint64 { return as.version }
 
 // check panics with a descriptive message when id does not name a page
-// (NoPage or out of range).
+// (NoPage or out of range). One unsigned compare covers both ends, and
+// the message is built out of line, so check inlines into the
+// per-sample accessors.
 func (as *AddressSpace) check(id PageID, op string) {
-	if int(id) < 0 || int(id) >= len(as.weight) {
-		panic(fmt.Sprintf("pages: %s of out-of-range page id %d (valid ids are [0,%d))", op, id, len(as.weight)))
+	if uint(id) >= uint(len(as.weight)) {
+		as.outOfRange(id, op)
 	}
+}
+
+// outOfRange panics with check's message. It stays a call so that
+// formatting the message does not count against check's inlining
+// budget.
+//
+//go:noinline
+func (as *AddressSpace) outOfRange(id PageID, op string) {
+	panic(fmt.Sprintf("pages: %s of out-of-range page id %d (valid ids are [0,%d))", op, id, len(as.weight)))
 }
 
 // NewAddressSpace allocates an address space over topo with

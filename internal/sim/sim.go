@@ -399,7 +399,10 @@ type Engine struct {
 	quantum     int
 	events      []event
 	lastSampled float64
-	lastEq      *memsys.Equilibrium
+	// eq is every quantum's equilibrium: Step solves into it, and the
+	// solver keeps it without iterating when the quantum's inputs equal
+	// the previous one's.
+	eq memsys.Equilibrium
 	// migLoadBuf/srcBuf/usageBuf are per-quantum scratch: Step is the
 	// only writer and every consumer copies, so one allocation serves
 	// the whole run.
@@ -408,6 +411,8 @@ type Engine struct {
 	usageBuf   []int64
 
 	mQuanta *obs.Counter
+	mReuses *obs.Counter
+	mCapped *obs.Counter
 	hIters  *obs.Histogram
 }
 
@@ -526,6 +531,8 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	}
 	e.counters.SetObs(cfg.Obs)
 	e.mQuanta = cfg.Obs.Counter("sim_quanta")
+	e.mReuses = cfg.Obs.Counter("sim_solver_reuses")
+	e.mCapped = cfg.Obs.Counter("sim_solver_capped")
 	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
 	for i, spec := range specs {
 		pageBytes := spec.PageBytes
@@ -906,11 +913,16 @@ func (e *Engine) Step() error {
 	}
 	srcs = append(srcs, e.antagonist.Source(n))
 	e.srcBuf = srcs
-	eq, err := e.topo.Solve(srcs, migLoad, memsys.SolveOptions{})
+	reused, err := e.topo.SolveInto(&e.eq, srcs, migLoad, memsys.SolveOptions{})
 	if err != nil {
 		return fmt.Errorf("sim: quantum %d: %w", e.quantum, err)
 	}
-	e.lastEq = eq
+	eq := &e.eq
+	if reused {
+		e.mReuses.Inc()
+	} else if eq.Capped {
+		e.mCapped.Inc()
+	}
 
 	quantumNs := e.cfg.QuantumSec * 1e9
 	e.counters.Advance(quantumNs, eq.TierReadRate, eq.LatencyNs)
@@ -1001,8 +1013,15 @@ func (e *Engine) Run(seconds float64) error {
 
 // LastEquilibrium returns the most recent solved quantum (nil before
 // the first step). Sources are index-aligned with tenants (name
-// order), with the antagonist last.
-func (e *Engine) LastEquilibrium() *memsys.Equilibrium { return e.lastEq }
+// order), with the antagonist last. The value is the engine's own: the
+// next Step solves into it, so it stays valid only until then; copy
+// what must outlive the quantum.
+func (e *Engine) LastEquilibrium() *memsys.Equilibrium {
+	if e.quantum == 0 {
+		return nil
+	}
+	return &e.eq
+}
 
 // Steady summarizes the trace tail covering the last lastSeconds of
 // simulation: mean ops/sec, mean per-tier latency, and mean per-tier

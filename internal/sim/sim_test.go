@@ -449,7 +449,7 @@ func TestNoCHANoiseSentinel(t *testing.T) {
 			if dIns == 0 {
 				continue
 			}
-			rel := math.Abs(dOcc/dIns-e.lastEq.LatencyNs[tier]) / e.lastEq.LatencyNs[tier]
+			rel := math.Abs(dOcc/dIns-e.eq.LatencyNs[tier]) / e.eq.LatencyNs[tier]
 			if rel > worst {
 				worst = rel
 			}

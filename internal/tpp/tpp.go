@@ -288,8 +288,7 @@ func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
 	found := 0
 	for probe := 0; probe < 64 && found < 16; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
-		p := ctx.AS.Get(id)
-		if p.Tier != memsys.DefaultTier {
+		if ctx.AS.Tier(id) != memsys.DefaultTier {
 			continue
 		}
 		found++
