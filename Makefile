@@ -122,10 +122,13 @@ bench:
 # benchmark (Sample against SampleN, ns per draw), of HeMem's Colloid
 # walk (ns and allocs per walk, which must stay 0; perfbench has no
 # per-walk row), of one quantum of HeMem's PEBS sampling on a
-# paper-gups-sized space (ns per sample: draw, touch and classify) and
+# paper-gups-sized space (ns per sample: draw, touch and classify),
 # of a GUPS hot-set shift on 2^20 pages with the sampler rebuild it
 # forces (ns and allocs per shift; the rebuild allocates nothing, so
-# the one allocation is the shift's permutation prefix), so they keep
+# the one allocation is the shift's permutation prefix) and of the
+# region tracker's kmigrated query pair on a warmed 2^20-page region/64
+# tracker (one BytesByCount into a 257-bucket histogram plus one capped
+# AppendHot: ns and allocs per pair, which must stay 0), so they keep
 # compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
@@ -133,6 +136,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='^BenchmarkColloidWalk$$' -benchtime=1x -benchmem ./internal/hemem/
 	$(GO) test -run '^$$' -bench='^BenchmarkSamplePEBS$$' -benchtime=1x -benchmem ./internal/hemem/
 	$(GO) test -run '^$$' -bench='^BenchmarkShiftHotSet$$' -benchtime=1x -benchmem ./internal/workloads/
+	$(GO) test -run '^$$' -bench='^BenchmarkRegionBulkQueries$$' -benchtime=1x -benchmem ./internal/heat/
 
 # One-iteration smoke of the multi-tenant cluster: the quick tenants
 # experiment (8 tenants, both arbitration policies, heat modes exact +

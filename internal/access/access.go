@@ -173,7 +173,7 @@ func (s *Sampler) rebuild() {
 
 // countShard is the rebuild's first pass over shard sh: it counts the
 // shard's weighted pages, sums their weight and finds the first and
-// last of them.
+// last of them. It writes only s.parts[sh].
 func (s *Sampler) countShard(sh int) {
 	w := s.as.LiveView().Weight
 	lo, hi := shard.NewPlan(len(w)).Range(sh)
@@ -194,7 +194,8 @@ func (s *Sampler) countShard(sh int) {
 }
 
 // fillShard is the rebuild's second pass: it fills shard sh's slice of
-// cum from the shard's own starting prefix weight.
+// cum from the shard's own starting prefix weight, and writes nothing
+// else.
 func (s *Sampler) fillShard(sh int) {
 	w := s.as.LiveView().Weight
 	lo, hi := shard.NewPlan(len(w)).Range(sh)
@@ -360,10 +361,27 @@ type FreqTracker struct {
 	cools   int
 	workers int
 
-	// Per-shard scratch for the sharded bulk queries, reused across
-	// quanta to keep the hot loops allocation-free.
-	shardIDs  [shard.DefaultShards][]pages.PageID
-	shardHist [shard.DefaultShards][]int64
+	// The sharded passes of Cool, AppendHot and BytesByCount, bound once
+	// as the sampler's are: shard.Run lets its callback escape, so a
+	// closure made per call would allocate. A query sets its inputs
+	// below before the fan-out; each pass writes only its own shard's
+	// slot of cooled, shardIDs or shardHist, reused across quanta.
+	coolPass, hotPass, histPass func(s int)
+	hotThreshold                uint32
+	hotKeep                     func(id pages.PageID) bool
+	hotMax                      int
+	histLen                     int
+	histPageBytes               int64
+	cooled                      [shard.DefaultShards]freqCooled
+	shardIDs                    [shard.DefaultShards][]pages.PageID
+	shardHist                   [shard.DefaultShards][]int64
+}
+
+// freqCooled is one shard's partials in a Cool: its halved count total
+// and the pages that dropped to zero.
+type freqCooled struct {
+	total   uint64
+	dropped int
 }
 
 // Name identifies the tracker configuration.
@@ -374,7 +392,9 @@ func NewFreqTracker(coolThreshold uint32) *FreqTracker {
 	if coolThreshold < 2 {
 		panic("access: cooling threshold must be at least 2")
 	}
-	return &FreqTracker{CoolThreshold: coolThreshold, workers: 1}
+	f := &FreqTracker{CoolThreshold: coolThreshold, workers: 1}
+	f.coolPass, f.hotPass, f.histPass = f.coolShard, f.hotShard, f.histShard
+	return f
 }
 
 // SetWorkers sets the fan-out for the cooling pass. Values below 1
@@ -420,32 +440,33 @@ func (f *FreqTracker) Touch(id pages.PageID) uint32 {
 // is exactly the serial one at any worker count.
 func (f *FreqTracker) Cool() {
 	plan := shard.NewPlan(len(f.counts))
-	var totals [shard.DefaultShards]uint64
-	var dropped [shard.DefaultShards]int
-	shard.Run(f.workers, plan.Shards, func(s int) {
-		lo, hi := plan.Range(s)
-		var tot uint64
-		d := 0
-		// No branch on the count: a zero stays zero and adds nothing,
-		// and a one is the only count that halves to zero.
-		counts := f.counts[lo:hi]
-		for i, c := range counts {
-			counts[i] = c >> 1
-			tot += uint64(c >> 1)
-			d += b2i(c == 1)
-		}
-		totals[s] = tot
-		dropped[s] = d
-	})
+	shard.Run(f.workers, plan.Shards, f.coolPass)
 	var total uint64
 	drop := 0
-	for s := 0; s < plan.Shards; s++ {
-		total += totals[s]
-		drop += dropped[s]
+	for _, p := range f.cooled[:plan.Shards] {
+		total += p.total
+		drop += p.dropped
 	}
 	f.total = total
 	f.tracked -= drop
 	f.cools++
+}
+
+// coolShard is Cool's pass over shard s of the counts: it halves them
+// and writes only the shard's own counts and f.cooled[s].
+func (f *FreqTracker) coolShard(s int) {
+	lo, hi := shard.NewPlan(len(f.counts)).Range(s)
+	var tot uint64
+	d := 0
+	// No branch on the count: a zero stays zero and adds nothing, and a
+	// one is the only count that halves to zero.
+	counts := f.counts[lo:hi]
+	for i, c := range counts {
+		counts[i] = c >> 1
+		tot += uint64(c >> 1)
+		d += b2i(c == 1)
+	}
+	f.cooled[s] = freqCooled{total: tot, dropped: d}
 }
 
 // b2i is 1 for true and 0 for false; the compiler turns it into a flag
@@ -531,24 +552,11 @@ func (f *FreqTracker) AppendHot(dst []pages.PageID, threshold uint32, keep func(
 	if threshold < 1 {
 		threshold = 1
 	}
+	f.hotThreshold, f.hotKeep, f.hotMax = threshold, keep, max
 	plan := shard.NewPlan(len(f.counts))
-	shard.Run(f.workers, plan.Shards, func(s int) {
-		lo, hi := plan.Range(s)
-		buf := f.shardIDs[s][:0]
-		for i := lo; i < hi && (max <= 0 || len(buf) < max); i++ {
-			if f.counts[i] < threshold {
-				continue
-			}
-			id := pages.PageID(i)
-			if keep != nil && !keep(id) {
-				continue
-			}
-			buf = append(buf, id)
-		}
-		f.shardIDs[s] = buf
-	})
-	for s := 0; s < plan.Shards; s++ {
-		take := f.shardIDs[s]
+	shard.Run(f.workers, plan.Shards, f.hotPass)
+	f.hotKeep = nil
+	for _, take := range f.shardIDs[:plan.Shards] {
 		if max > 0 && len(dst)+len(take) > max {
 			take = take[:max-len(dst)]
 		}
@@ -560,50 +568,65 @@ func (f *FreqTracker) AppendHot(dst []pages.PageID, threshold uint32, keep func(
 	return dst
 }
 
+// hotShard is AppendHot's pass over shard s of the counts: it collects,
+// in ascending ID order, the shard's first hotMax pages (every one when
+// hotMax is not positive) whose count reaches hotThreshold and that
+// hotKeep keeps. It writes only f.shardIDs[s].
+func (f *FreqTracker) hotShard(s int) {
+	lo, hi := shard.NewPlan(len(f.counts)).Range(s)
+	threshold, keep, max := f.hotThreshold, f.hotKeep, f.hotMax
+	buf := f.shardIDs[s][:0]
+	for i := lo; i < hi && (max <= 0 || len(buf) < max); i++ {
+		if f.counts[i] < threshold {
+			continue
+		}
+		id := pages.PageID(i)
+		if keep != nil && !keep(id) {
+			continue
+		}
+		buf = append(buf, id)
+	}
+	f.shardIDs[s] = buf
+}
+
 // BytesByCount fills hist with the bytes resting at each count
 // (clamped to len(hist)-1) — the access histogram MEMTIS derives its
 // dynamic hot threshold from. hist is zeroed first; untracked pages are
 // skipped, so hist[0] stays zero. The per-shard histograms are integer
 // sums reduced in shard index order.
 func (f *FreqTracker) BytesByCount(hist []int64, v pages.View) {
-	for i := range hist {
-		hist[i] = 0
-	}
+	clear(hist)
 	if len(hist) == 0 {
 		return
 	}
+	f.histLen, f.histPageBytes = len(hist), v.PageBytes
 	plan := shard.NewPlan(len(f.counts))
-	shard.Run(f.workers, plan.Shards, func(s int) {
-		h := f.shardHist[s]
-		if cap(h) < len(hist) {
-			h = make([]int64, len(hist))
-			f.shardHist[s] = h
-		}
-		h = h[:len(hist)]
-		for i := range h {
-			h[i] = 0
-		}
-		lo, hi := plan.Range(s)
-		for i := lo; i < hi; i++ {
-			c := f.counts[i]
-			if c == 0 {
-				continue
-			}
-			b := int(c)
-			if b >= len(hist) {
-				b = len(hist) - 1
-			}
-			h[b] += v.PageBytes
-		}
-	})
-	for s := 0; s < plan.Shards; s++ {
-		h := f.shardHist[s]
-		if len(h) < len(hist) {
-			continue
-		}
+	shard.Run(f.workers, plan.Shards, f.histPass)
+	for _, h := range f.shardHist[:plan.Shards] {
 		for c := 1; c < len(hist); c++ {
 			hist[c] += h[c]
 		}
+	}
+}
+
+// histShard is BytesByCount's pass over shard s of the counts: it
+// prices each of the shard's tracked pages into a histLen-bucket
+// histogram, the last bucket taking every higher count. It writes only
+// f.shardHist[s].
+func (f *FreqTracker) histShard(s int) {
+	h := f.shardHist[s]
+	if cap(h) < f.histLen {
+		h = make([]int64, f.histLen)
+	}
+	h = h[:f.histLen]
+	clear(h)
+	f.shardHist[s] = h
+	lo, hi := shard.NewPlan(len(f.counts)).Range(s)
+	for _, c := range f.counts[lo:hi] {
+		if c == 0 {
+			continue
+		}
+		h[min(int(c), len(h)-1)] += f.histPageBytes
 	}
 }
 

@@ -22,6 +22,14 @@
 // at every worker count. A RegionTracker at granularity 1 with the
 // pass-through forecaster reproduces the exact tracker's behavior bit
 // for bit — the golden placement traces pin exactly that.
+//
+// Each sharded query (Cool, AppendHot, BytesByCount) hands shard.Run a
+// pass bound once when the tracker is built. The query stores its
+// inputs in the tracker, each pass writes only its own shard's slot of
+// the per-shard partials, and the slots and scratch are reused, so
+// none of the three allocates once its scratch has grown. The region
+// tracker's queries read its cells through one callback-free run walk
+// (RegionTracker.next), which steps over cold cells without a call.
 package heat
 
 import (

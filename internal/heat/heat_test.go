@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"colloid/internal/access"
 	"colloid/internal/pages"
 	"colloid/internal/stats"
 )
@@ -144,6 +145,42 @@ func TestTouchReturnsCount(t *testing.T) {
 		}
 		if spec.Kind == Region && (!grew || (spec.RegionPages > 1 && !split)) {
 			t.Fatalf("%s: stream did not exercise the tracker: grew %v split %v", spec, grew, split)
+		}
+	}
+}
+
+// Once their scratch has grown, the sharded bulk queries allocate
+// nothing on either tracker: each hands shard.Run a pass bound at
+// construction, not a closure made per call. The keep func is built
+// once, outside the measured calls, as a system's would be.
+func TestTrackerBulkQueriesAllocateNothing(t *testing.T) {
+	v := pages.View{Weight: make([]float64, 4096), Tier: make([]uint8, 4096), PageBytes: pages.BasePageBytes}
+	keep := func(id pages.PageID) bool { return v.Tier[id] == 0 }
+	for _, tr := range []Tracker{access.NewFreqTracker(16), NewRegionTracker(16, 64, nil), NewRegionTracker(16, 64, EWMA{Alpha: 0.5})} {
+		tr.SetWorkers(1)
+		rng := stats.NewRNG(5)
+		for i := 0; i < 20_000; i++ {
+			tr.Touch(pages.PageID(rng.Intn(4096)))
+		}
+		tr.Cool()
+		hist := make([]int64, 257)
+		tr.BytesByCount(hist, v)
+		hot := tr.AppendHot(nil, 1, keep, 64)
+		if len(hot) != 64 {
+			t.Fatalf("%s: warm-up found %d hot pages, want the cap of 64", tr.Name(), len(hot))
+		}
+		// Cool goes last: its repeated halving empties the tracker.
+		for _, q := range []struct {
+			name string
+			fn   func()
+		}{
+			{"BytesByCount", func() { tr.BytesByCount(hist, v) }},
+			{"AppendHot", func() { hot = tr.AppendHot(hot[:0], 1, keep, 64) }},
+			{"Cool", tr.Cool},
+		} {
+			if n := testing.AllocsPerRun(20, q.fn); n != 0 {
+				t.Errorf("%s: %s allocates %v times a call", tr.Name(), q.name, n)
+			}
 		}
 	}
 }

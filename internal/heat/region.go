@@ -37,12 +37,15 @@ type cell struct {
 // fidelity loss the heat ablation measures; storage is
 // O(cells + split leaves) instead of O(pages), which is the scale win.
 //
-// Determinism: Touch is serial; Cool, AppendHot and
-// BytesByCount shard over the cell array with per-shard partials
-// reduced in shard index order. The cell array uses FreqTracker's exact
+// Determinism: Touch is serial; Cool, AppendHot and BytesByCount shard
+// over the cell array. Each hands shard.Run a pass bound once in
+// NewRegionTracker, which reads the query's inputs from tracker fields
+// and writes only its own shard's slot of the partials; the slots
+// reduce in shard index order. The cell array uses FreqTracker's exact
 // growth rule, so at g=1 every plan, range and reduce matches the exact
 // tracker and the two are bit-identical (with the pass-through
-// forecaster).
+// forecaster). Every bulk query reads the cells through next, the one
+// definition of the uniform-count page runs a cell serves.
 //
 // Split rule: a leaf of size s splits when its count reaches
 // coolThreshold*s/2, the touched half taking the rounding-up share, so
@@ -91,9 +94,31 @@ type RegionTracker struct {
 	// the forecast over every cell.
 	fextra uint64
 
-	// Per-shard scratch for the sharded bulk queries.
-	shardIDs  [shard.DefaultShards][]pages.PageID
-	shardHist [shard.DefaultShards][]int64
+	// The sharded passes of Cool, AppendHot and BytesByCount, bound
+	// once: shard.Run lets its callback escape, so a closure made per
+	// call would allocate. A query sets its inputs below before the
+	// fan-out; each pass writes only its own shard's slot of cooled,
+	// shardIDs or shardHist, reused across calls.
+	coolPass, hotPass, histPass func(s int)
+	hotThreshold                uint32
+	hotKeep                     func(id pages.PageID) bool
+	hotMax                      int
+	histLen                     int
+	histPageBytes               int64
+	cooled                      [shard.DefaultShards]regionCooled
+	shardIDs                    [shard.DefaultShards][]pages.PageID
+	shardHist                   [shard.DefaultShards][]int64
+
+	// spans is ForEachHottest's bucket scratch, one run list per count.
+	spans [][]span
+}
+
+// regionCooled is one shard's partials in a Cool: its decayed count
+// total, tracked pages and forecast total.
+type regionCooled struct {
+	total   uint64
+	tracked int
+	ftotal  float64
 }
 
 // NewRegionTracker returns a tracker with base regions of regionPages
@@ -119,7 +144,7 @@ func NewRegionTracker(coolThreshold uint32, regionPages int, f Forecaster) *Regi
 	if !isPass {
 		name += "+" + f.Name()
 	}
-	return &RegionTracker{
+	r := &RegionTracker{
 		coolThreshold: coolThreshold,
 		g:             regionPages,
 		logG:          logG,
@@ -129,6 +154,8 @@ func NewRegionTracker(coolThreshold uint32, regionPages int, f Forecaster) *Regi
 		workers:       1,
 		maxID:         pages.NoPage,
 	}
+	r.coolPass, r.hotPass, r.histPass = r.coolShard, r.hotShard, r.histShard
+	return r
 }
 
 // Name implements Tracker.
@@ -296,81 +323,14 @@ func (r *RegionTracker) Cool() {
 			r.fpred = grown
 		}
 	}
-	var totals [shard.DefaultShards]uint64
-	var trackedP [shard.DefaultShards]int
-	var ftotals [shard.DefaultShards]float64
-	shard.Run(r.workers, plan.Shards, func(s int) {
-		lo, hi := plan.Range(s)
-		var tot uint64
-		tr := 0
-		var ft float64
-		for b := lo; b < hi; b++ {
-			c := &r.cells[b]
-			if c.sub == nil {
-				c.count /= 2
-				if c.count >= uint32(r.g) {
-					tr += r.g
-				}
-			} else {
-				// Halve every leaf, then collapse cooled buddies with a
-				// stack pass: adjacent aligned siblings re-join while
-				// their sum stays below the merged node's split trigger.
-				out := c.sub[:0]
-				for _, lf := range c.sub {
-					lf.count /= 2
-					out = append(out, lf)
-					for len(out) >= 2 {
-						a := out[len(out)-2]
-						bd := out[len(out)-1]
-						if a.size != bd.size || a.off&(2*a.size-1) != 0 ||
-							a.off+a.size != bd.off ||
-							uint64(a.count)+uint64(bd.count) >= r.splitAt(2*int(a.size)) {
-							break
-						}
-						out = out[:len(out)-1]
-						out[len(out)-1] = leaf{off: a.off, size: 2 * a.size, count: a.count + bd.count}
-					}
-				}
-				if len(out) == 1 && int(out[0].size) == r.g {
-					c.count = out[0].count
-					c.sub = nil
-					if c.count >= uint32(r.g) {
-						tr += r.g
-					}
-				} else {
-					c.sub = out
-					var cc uint32
-					for _, lf := range out {
-						cc += lf.count
-						if lf.count >= uint32(lf.size) {
-							tr += int(lf.size)
-						}
-					}
-					c.count = cc
-				}
-			}
-			tot += uint64(c.count)
-			if r.forecasting {
-				sl := r.f.StateLen()
-				pred := r.f.Forecast(r.fstate[b*sl:(b+1)*sl], float64(c.count))
-				if pred < 0 {
-					pred = 0
-				}
-				r.fpred[b] = pred
-				ft += pred
-			}
-		}
-		totals[s] = tot
-		trackedP[s] = tr
-		ftotals[s] = ft
-	})
+	shard.Run(r.workers, plan.Shards, r.coolPass)
 	var total uint64
 	tr := 0
 	var ft float64
-	for s := 0; s < plan.Shards; s++ {
-		total += totals[s]
-		tr += trackedP[s]
-		ft += ftotals[s]
+	for _, p := range r.cooled[:plan.Shards] {
+		total += p.total
+		tr += p.tracked
+		ft += p.ftotal
 	}
 	r.total = total
 	r.tracked = tr
@@ -380,6 +340,74 @@ func (r *RegionTracker) Cool() {
 		r.fprimed = true
 		r.fextra = 0
 	}
+}
+
+// coolShard is Cool's pass over shard s of the cell array: it halves
+// the shard's cells, merges their cooled buddies and, when forecasting,
+// feeds each cell's decayed total through the forecaster. It writes
+// only the shard's own cells, their forecast slots and r.cooled[s].
+func (r *RegionTracker) coolShard(s int) {
+	lo, hi := shard.NewPlan(len(r.cells)).Range(s)
+	var tot uint64
+	tr := 0
+	var ft float64
+	for b := lo; b < hi; b++ {
+		c := &r.cells[b]
+		if c.sub == nil {
+			c.count /= 2
+			if c.count >= uint32(r.g) {
+				tr += r.g
+			}
+		} else {
+			// Halve every leaf, then collapse cooled buddies with a
+			// stack pass: adjacent aligned siblings re-join while
+			// their sum stays below the merged node's split trigger.
+			out := c.sub[:0]
+			for _, lf := range c.sub {
+				lf.count /= 2
+				out = append(out, lf)
+				for len(out) >= 2 {
+					a := out[len(out)-2]
+					bd := out[len(out)-1]
+					if a.size != bd.size || a.off&(2*a.size-1) != 0 ||
+						a.off+a.size != bd.off ||
+						uint64(a.count)+uint64(bd.count) >= r.splitAt(2*int(a.size)) {
+						break
+					}
+					out = out[:len(out)-1]
+					out[len(out)-1] = leaf{off: a.off, size: 2 * a.size, count: a.count + bd.count}
+				}
+			}
+			if len(out) == 1 && int(out[0].size) == r.g {
+				c.count = out[0].count
+				c.sub = nil
+				if c.count >= uint32(r.g) {
+					tr += r.g
+				}
+			} else {
+				c.sub = out
+				var cc uint32
+				for _, lf := range out {
+					cc += lf.count
+					if lf.count >= uint32(lf.size) {
+						tr += int(lf.size)
+					}
+				}
+				c.count = cc
+			}
+		}
+		tot += uint64(c.count)
+		if r.forecasting {
+			sl := r.f.StateLen()
+			pred := r.f.Forecast(r.fstate[b*sl:(b+1)*sl], float64(c.count))
+			if pred < 0 {
+				pred = 0
+			}
+			r.fpred[b] = pred
+			ft += pred
+		}
+	}
+	r.cooled[s] = regionCooled{total: tot, tracked: tr, ftotal: ft}
 }
 
 // predicted reports whether cell b serves forecast output.
@@ -448,50 +476,62 @@ func (r *RegionTracker) Tracked() int { return r.tracked }
 // Cools implements Tracker.
 func (r *RegionTracker) Cools() int { return r.cools }
 
-// cellRuns calls fn for each maximal run [lo, hi) of pages in cell b
-// with uniform nonzero estimated count, ascending, clamped to the
-// highest page ID ever touched so no phantom ID beyond the address
-// space's last page is ever emitted.
-func (r *RegionTracker) cellRuns(b int, fn func(lo, hi pages.PageID, per uint32)) {
-	base := b << r.logG
+// runWalk is a position in a walk over the runs of a range of cells:
+// run i of cell b, walking up to cell end.
+type runWalk struct {
+	b, i, end int
+}
+
+// walk starts a walk over the runs of cells [lo, hi).
+func walk(lo, hi int) runWalk { return runWalk{b: lo, end: hi} }
+
+// next advances w to its next run and returns it: a run of pages
+// [lo, hi) that share the nonzero estimated count per, in ascending page
+// order; ok is false once the walk is done. It is the one definition of
+// what a cell serves. A forecast cell is one run at its prediction
+// smeared over the cell, an unsplit cell one run at its count smeared
+// likewise, and a split cell one run per leaf. Runs whose count is zero
+// are skipped, and hi is clamped to the highest page ID ever touched, so
+// no phantom ID beyond the address space's last page is ever served.
+// The walk makes no call per cell, so a range of cold cells costs a
+// tight loop.
+func (r *RegionTracker) next(w *runWalk) (lo, hi pages.PageID, per uint32, ok bool) {
 	limit := int(r.maxID) + 1
-	if base >= limit {
-		return
-	}
-	emit := func(off, size int, per uint32) {
-		if per == 0 {
-			return
+	for b, i := w.b, w.i; b < w.end && b<<r.logG < limit; {
+		base := b << r.logG
+		off, size := 0, r.g
+		nb, ni := b+1, 0
+		if r.predicted(b) {
+			per = uint32(r.fpred[b] / float64(r.g))
+		} else if c := &r.cells[b]; c.sub == nil {
+			per = c.count >> r.logG
+		} else {
+			lf := c.sub[i]
+			off, size, per = int(lf.off), int(lf.size), lf.perPage()
+			if i+1 < len(c.sub) {
+				nb, ni = b, i+1
+			}
 		}
-		lo, hi := base+off, base+off+size
-		if hi > limit {
-			hi = limit
-		}
-		if lo < hi {
-			fn(pages.PageID(lo), pages.PageID(hi), per)
+		b, i = nb, ni
+		if l, h := base+off, min(base+off+size, limit); per > 0 && l < h {
+			w.b, w.i = b, i
+			return pages.PageID(l), pages.PageID(h), per, true
 		}
 	}
-	if r.predicted(b) {
-		emit(0, r.g, uint32(r.fpred[b]/float64(r.g)))
-		return
-	}
-	c := &r.cells[b]
-	if c.sub == nil {
-		emit(0, r.g, c.count/uint32(r.g))
-		return
-	}
-	for _, lf := range c.sub {
-		emit(int(lf.off), int(lf.size), lf.count/uint32(lf.size))
-	}
+	w.b = w.end
+	return 0, 0, 0, false
 }
 
 // ForEach implements Tracker.
 func (r *RegionTracker) ForEach(fn func(id pages.PageID, count uint32)) {
-	for b := range r.cells {
-		r.cellRuns(b, func(lo, hi pages.PageID, per uint32) {
-			for id := lo; id < hi; id++ {
-				fn(id, per)
-			}
-		})
+	for w := walk(0, len(r.cells)); ; {
+		lo, hi, per, ok := r.next(&w)
+		if !ok {
+			return
+		}
+		for id := lo; id < hi; id++ {
+			fn(id, per)
+		}
 	}
 }
 
@@ -503,29 +543,38 @@ type span struct {
 
 // ForEachHottest implements Tracker via the same bounded counting sort
 // the exact tracker uses, over estimated per-page counts — but bucketing
-// the uniform-count runs cellRuns emits rather than their individual
-// page IDs, and expanding a run only when its count comes up. Memory is
+// the uniform-count runs of a walk rather than their individual page
+// IDs, and expanding a run only when its count comes up. Memory is
 // O(runs + maxCount) instead of O(pages), which is what keeps the call
 // viable at the 10^8-page cluster scale the region tracker exists for.
-// Runs arrive in ascending page-ID order, so expansion preserves the
-// ID-ascending-within-a-count visit order.
+// Runs come in ascending page-ID order, so expansion preserves the
+// ID-ascending-within-a-count visit order. The buckets are tracker
+// scratch, reused by the next call, so fn must not call ForEachHottest.
 func (r *RegionTracker) ForEachHottest(fn func(id pages.PageID, count uint32) (stop bool)) {
 	maxCount := uint32(0)
-	for b := range r.cells {
-		r.cellRuns(b, func(lo, hi pages.PageID, per uint32) {
-			if per > maxCount {
-				maxCount = per
-			}
-		})
+	for w := walk(0, len(r.cells)); ; {
+		_, _, per, ok := r.next(&w)
+		if !ok {
+			break
+		}
+		maxCount = max(maxCount, per)
 	}
 	if maxCount == 0 {
 		return
 	}
-	buckets := make([][]span, maxCount+1)
-	for b := range r.cells {
-		r.cellRuns(b, func(lo, hi pages.PageID, per uint32) {
-			buckets[per] = append(buckets[per], span{lo: lo, hi: hi})
-		})
+	for len(r.spans) <= int(maxCount) {
+		r.spans = append(r.spans, nil)
+	}
+	buckets := r.spans[:maxCount+1]
+	for c := range buckets {
+		buckets[c] = buckets[c][:0]
+	}
+	for w := walk(0, len(r.cells)); ; {
+		lo, hi, per, ok := r.next(&w)
+		if !ok {
+			break
+		}
+		buckets[per] = append(buckets[per], span{lo: lo, hi: hi})
 	}
 	for c := int(maxCount); c >= 1; c-- {
 		for _, sp := range buckets[c] {
@@ -546,30 +595,11 @@ func (r *RegionTracker) AppendHot(dst []pages.PageID, threshold uint32, keep fun
 	if threshold < 1 {
 		threshold = 1
 	}
+	r.hotThreshold, r.hotKeep, r.hotMax = threshold, keep, max
 	plan := shard.NewPlan(len(r.cells))
-	shard.Run(r.workers, plan.Shards, func(s int) {
-		lo, hi := plan.Range(s)
-		buf := r.shardIDs[s][:0]
-		for b := lo; b < hi && (max <= 0 || len(buf) < max); b++ {
-			r.cellRuns(b, func(plo, phi pages.PageID, per uint32) {
-				if per < threshold {
-					return
-				}
-				for id := plo; id < phi; id++ {
-					if max > 0 && len(buf) >= max {
-						return
-					}
-					if keep != nil && !keep(id) {
-						continue
-					}
-					buf = append(buf, id)
-				}
-			})
-		}
-		r.shardIDs[s] = buf
-	})
-	for s := 0; s < plan.Shards; s++ {
-		take := r.shardIDs[s]
+	shard.Run(r.workers, plan.Shards, r.hotPass)
+	r.hotKeep = nil
+	for _, take := range r.shardIDs[:plan.Shards] {
 		if max > 0 && len(dst)+len(take) > max {
 			take = take[:max-len(dst)]
 		}
@@ -581,46 +611,67 @@ func (r *RegionTracker) AppendHot(dst []pages.PageID, threshold uint32, keep fun
 	return dst
 }
 
-// BytesByCount implements Tracker: each uniform-count run adds its page
-// count times the page size, and the maxID clamp in cellRuns keeps
-// every run inside the address space.
-func (r *RegionTracker) BytesByCount(hist []int64, v pages.View) {
-	for i := range hist {
-		hist[i] = 0
+// hotShard is AppendHot's pass over shard s of the cell array: it
+// collects, in ascending ID order, the shard's first hotMax pages (every
+// one when hotMax is not positive) whose count reaches hotThreshold and
+// that hotKeep keeps. It writes only r.shardIDs[s].
+func (r *RegionTracker) hotShard(s int) {
+	threshold, keep, max := r.hotThreshold, r.hotKeep, r.hotMax
+	buf := r.shardIDs[s][:0]
+	for w := walk(shard.NewPlan(len(r.cells)).Range(s)); max <= 0 || len(buf) < max; {
+		lo, hi, per, ok := r.next(&w)
+		if !ok {
+			break
+		}
+		if per < threshold {
+			continue
+		}
+		for id := lo; id < hi && (max <= 0 || len(buf) < max); id++ {
+			if keep == nil || keep(id) {
+				buf = append(buf, id)
+			}
+		}
 	}
+	r.shardIDs[s] = buf
+}
+
+// BytesByCount implements Tracker: each uniform-count run adds its page
+// count times the page size, and the walk's maxID clamp keeps every run
+// inside the address space.
+func (r *RegionTracker) BytesByCount(hist []int64, v pages.View) {
+	clear(hist)
 	if len(hist) == 0 {
 		return
 	}
+	r.histLen, r.histPageBytes = len(hist), v.PageBytes
 	plan := shard.NewPlan(len(r.cells))
-	shard.Run(r.workers, plan.Shards, func(s int) {
-		h := r.shardHist[s]
-		if cap(h) < len(hist) {
-			h = make([]int64, len(hist))
-			r.shardHist[s] = h
-		}
-		h = h[:len(hist)]
-		for i := range h {
-			h[i] = 0
-		}
-		lo, hi := plan.Range(s)
-		for b := lo; b < hi; b++ {
-			r.cellRuns(b, func(plo, phi pages.PageID, per uint32) {
-				bkt := int(per)
-				if bkt >= len(hist) {
-					bkt = len(hist) - 1
-				}
-				h[bkt] += int64(phi-plo) * v.PageBytes
-			})
-		}
-	})
-	for s := 0; s < plan.Shards; s++ {
-		h := r.shardHist[s]
-		if len(h) < len(hist) {
-			continue
-		}
+	shard.Run(r.workers, plan.Shards, r.histPass)
+	for _, h := range r.shardHist[:plan.Shards] {
 		for c := 1; c < len(hist); c++ {
 			hist[c] += h[c]
 		}
+	}
+}
+
+// histShard is BytesByCount's pass over shard s of the cell array: it
+// prices each of the shard's runs into a histLen-bucket histogram, the
+// last bucket taking every higher count. It writes only
+// r.shardHist[s].
+func (r *RegionTracker) histShard(s int) {
+	h := r.shardHist[s]
+	if cap(h) < r.histLen {
+		h = make([]int64, r.histLen)
+	}
+	h = h[:r.histLen]
+	clear(h)
+	r.shardHist[s] = h
+	last := len(h) - 1
+	for w := walk(shard.NewPlan(len(r.cells)).Range(s)); ; {
+		lo, hi, per, ok := r.next(&w)
+		if !ok {
+			return
+		}
+		h[min(int(per), last)] += int64(hi-lo) * r.histPageBytes
 	}
 }
 

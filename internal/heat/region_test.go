@@ -5,6 +5,7 @@ import (
 
 	"colloid/internal/access"
 	"colloid/internal/pages"
+	"colloid/internal/shard"
 	"colloid/internal/stats"
 )
 
@@ -201,14 +202,15 @@ func TestGranularity1MatchesExact(t *testing.T) {
 	}
 }
 
-func comparePageCounts(t *testing.T, what string, e, r []pageCount) {
+// comparePageCounts fails unless got visits what want does, in order.
+func comparePageCounts(t *testing.T, what string, want, got []pageCount) {
 	t.Helper()
-	if len(e) != len(r) {
-		t.Fatalf("%s: exact visited %d, region %d", what, len(e), len(r))
+	if len(want) != len(got) {
+		t.Fatalf("%s: visited %d pages, want %d", what, len(got), len(want))
 	}
-	for i := range e {
-		if e[i] != r[i] {
-			t.Fatalf("%s[%d]: exact %+v, region %+v", what, i, e[i], r[i])
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s[%d]: visited %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -378,7 +380,7 @@ func TestProbabilityNormalizedAcrossForecastBoundary(t *testing.T) {
 func referenceHottest(r *RegionTracker, fn func(id pages.PageID, count uint32) (stop bool)) {
 	maxCount := uint32(0)
 	for b := range r.cells {
-		r.cellRuns(b, func(lo, hi pages.PageID, per uint32) {
+		refCellRuns(r, b, func(lo, hi pages.PageID, per uint32) {
 			if per > maxCount {
 				maxCount = per
 			}
@@ -389,7 +391,7 @@ func referenceHottest(r *RegionTracker, fn func(id pages.PageID, count uint32) (
 	}
 	buckets := make([][]pages.PageID, maxCount+1)
 	for b := range r.cells {
-		r.cellRuns(b, func(lo, hi pages.PageID, per uint32) {
+		refCellRuns(r, b, func(lo, hi pages.PageID, per uint32) {
 			for id := lo; id < hi; id++ {
 				buckets[per] = append(buckets[per], id)
 			}
@@ -406,8 +408,8 @@ func referenceHottest(r *RegionTracker, fn func(id pages.PageID, count uint32) (
 
 // The span-bucketed ForEachHottest must visit exactly what the per-ID
 // materialization visited, in the same order, at several granularities
-// and stop points — including a forecasting tracker, whose cellRuns
-// serve predictions.
+// and stop points — including a forecasting tracker, whose runs serve
+// predictions.
 func TestForEachHottestSpanBucketsMatchReference(t *testing.T) {
 	build := func(g int, f Forecaster) *RegionTracker {
 		r := NewRegionTracker(16, g, f)
@@ -451,6 +453,259 @@ func TestForEachHottestSpanBucketsMatchReference(t *testing.T) {
 				comparePageCounts(t, "ForEachHottest", want, got)
 			}
 		})
+	}
+}
+
+// refCellRuns is the callback form of the tracker's run walk that the
+// bulk queries used before run replaced it: it calls fn for each
+// maximal run [lo, hi) of pages in cell b with uniform nonzero
+// estimated count, ascending, clamped to the highest page ID ever
+// touched. It and the ref* queries below keep those queries' bodies as
+// the oracle TestRegionBulkQueriesMatchReference checks run against.
+func refCellRuns(r *RegionTracker, b int, fn func(lo, hi pages.PageID, per uint32)) {
+	base := b << r.logG
+	limit := int(r.maxID) + 1
+	if base >= limit {
+		return
+	}
+	emit := func(off, size int, per uint32) {
+		if per == 0 {
+			return
+		}
+		lo, hi := base+off, base+off+size
+		if hi > limit {
+			hi = limit
+		}
+		if lo < hi {
+			fn(pages.PageID(lo), pages.PageID(hi), per)
+		}
+	}
+	if r.predicted(b) {
+		emit(0, r.g, uint32(r.fpred[b]/float64(r.g)))
+		return
+	}
+	c := &r.cells[b]
+	if c.sub == nil {
+		emit(0, r.g, c.count/uint32(r.g))
+		return
+	}
+	for _, lf := range c.sub {
+		emit(int(lf.off), int(lf.size), lf.count/uint32(lf.size))
+	}
+}
+
+func refForEach(r *RegionTracker, fn func(id pages.PageID, count uint32)) {
+	for b := range r.cells {
+		refCellRuns(r, b, func(lo, hi pages.PageID, per uint32) {
+			for id := lo; id < hi; id++ {
+				fn(id, per)
+			}
+		})
+	}
+}
+
+func refForEachHottest(r *RegionTracker, fn func(id pages.PageID, count uint32) (stop bool)) {
+	maxCount := uint32(0)
+	for b := range r.cells {
+		refCellRuns(r, b, func(lo, hi pages.PageID, per uint32) {
+			if per > maxCount {
+				maxCount = per
+			}
+		})
+	}
+	if maxCount == 0 {
+		return
+	}
+	buckets := make([][]span, maxCount+1)
+	for b := range r.cells {
+		refCellRuns(r, b, func(lo, hi pages.PageID, per uint32) {
+			buckets[per] = append(buckets[per], span{lo: lo, hi: hi})
+		})
+	}
+	for c := int(maxCount); c >= 1; c-- {
+		for _, sp := range buckets[c] {
+			for id := sp.lo; id < sp.hi; id++ {
+				if fn(id, uint32(c)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func refAppendHot(r *RegionTracker, dst []pages.PageID, threshold uint32, keep func(id pages.PageID) bool, max int) []pages.PageID {
+	if threshold < 1 {
+		threshold = 1
+	}
+	var shardIDs [shard.DefaultShards][]pages.PageID
+	plan := shard.NewPlan(len(r.cells))
+	shard.Run(r.workers, plan.Shards, func(s int) {
+		lo, hi := plan.Range(s)
+		var buf []pages.PageID
+		for b := lo; b < hi && (max <= 0 || len(buf) < max); b++ {
+			refCellRuns(r, b, func(plo, phi pages.PageID, per uint32) {
+				if per < threshold {
+					return
+				}
+				for id := plo; id < phi; id++ {
+					if max > 0 && len(buf) >= max {
+						return
+					}
+					if keep != nil && !keep(id) {
+						continue
+					}
+					buf = append(buf, id)
+				}
+			})
+		}
+		shardIDs[s] = buf
+	})
+	for s := 0; s < plan.Shards; s++ {
+		take := shardIDs[s]
+		if max > 0 && len(dst)+len(take) > max {
+			take = take[:max-len(dst)]
+		}
+		dst = append(dst, take...)
+		if max > 0 && len(dst) >= max {
+			break
+		}
+	}
+	return dst
+}
+
+func refBytesByCount(r *RegionTracker, hist []int64, v pages.View) {
+	for i := range hist {
+		hist[i] = 0
+	}
+	if len(hist) == 0 {
+		return
+	}
+	var shardHist [shard.DefaultShards][]int64
+	plan := shard.NewPlan(len(r.cells))
+	shard.Run(r.workers, plan.Shards, func(s int) {
+		h := make([]int64, len(hist))
+		lo, hi := plan.Range(s)
+		for b := lo; b < hi; b++ {
+			refCellRuns(r, b, func(plo, phi pages.PageID, per uint32) {
+				bkt := int(per)
+				if bkt >= len(hist) {
+					bkt = len(hist) - 1
+				}
+				h[bkt] += int64(phi-plo) * v.PageBytes
+			})
+		}
+		shardHist[s] = h
+	})
+	for s := 0; s < plan.Shards; s++ {
+		for c := 1; c < len(hist); c++ {
+			hist[c] += shardHist[s][c]
+		}
+	}
+}
+
+// referenceTracker drives a region tracker through touches over
+// [0, top): 30% on a hot head of 96 pages, 50% on a hot tail of 64 that
+// ends at top-1, the rest uniform, cooled every 2,500 touches. The hot
+// tail keeps heat on the last cell's pages past top-1, which the maxID
+// clamp must cut.
+func referenceTracker(r *RegionTracker, seed uint64, top, touches int) {
+	rng := stats.NewRNG(seed)
+	for i := 0; i < touches; i++ {
+		var id pages.PageID
+		switch k := rng.Intn(10); {
+		case k < 3:
+			id = pages.PageID(rng.Intn(96))
+		case k < 8:
+			id = pages.PageID(top - 1 - rng.Intn(64))
+		default:
+			id = pages.PageID(rng.Intn(top))
+		}
+		r.Touch(id)
+		if i%2500 == 2499 {
+			r.Cool()
+		}
+	}
+}
+
+// Every bulk query walks cells through next; each must return exactly
+// what its earlier callback-based body (the ref* oracles) returns, at
+// every worker count. The trackers cover granularities 1 to 1024, the
+// pass-through and a chained forecaster, a last cell the maxID clamp
+// cuts short, and, after the final phase, cells grown since the last
+// Cool that serve raw counts beside forecast ones.
+func TestRegionBulkQueriesMatchReference(t *testing.T) {
+	chain, err := ParseForecaster("trend>ewma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := syntheticView(4096)
+	for id := range v.Tier {
+		v.Tier[id] = uint8(id / 5 % 2)
+	}
+	alt := func(id pages.PageID) bool { return v.Tier[id] == 1 }
+	for _, g := range []int{1, 4, 64, 1024} {
+		for _, f := range []Forecaster{nil, chain} {
+			r := NewRegionTracker(16, g, f)
+			// Phase 1 ends in a Cool, so with a forecaster every cell is
+			// forecast; phase 2 grows the cell array past the forecast.
+			for phase, p := range []struct{ top, touches int }{{1498, 12_500}, {3002, 12_000}} {
+				referenceTracker(r, uint64(g+phase), p.top, p.touches)
+				if g > 1 && r.Count(r.maxID+1) == 0 {
+					t.Fatalf("%s: no heat past maxID %d; the clamp goes untested", r.Name(), r.maxID)
+				}
+				name := r.Name()
+				for _, w := range []int{1, 2, 4, 7} {
+					r.SetWorkers(w)
+					var want, got []pageCount
+					refForEach(r, func(id pages.PageID, c uint32) { want = append(want, pageCount{id, c}) })
+					r.ForEach(func(id pages.PageID, c uint32) { got = append(got, pageCount{id, c}) })
+					if len(want) == 0 {
+						t.Fatalf("%s: tracker reports no heat", name)
+					}
+					comparePageCounts(t, name+" ForEach", want, got)
+					for _, stopAt := range []int{1, 137, 1 << 30} {
+						want, got = want[:0], got[:0]
+						refForEachHottest(r, func(id pages.PageID, c uint32) bool {
+							want = append(want, pageCount{id, c})
+							return len(want) >= stopAt
+						})
+						r.ForEachHottest(func(id pages.PageID, c uint32) bool {
+							got = append(got, pageCount{id, c})
+							return len(got) >= stopAt
+						})
+						comparePageCounts(t, name+" ForEachHottest", want, got)
+					}
+					for _, n := range []int{1, 3, 257} {
+						wantH, gotH := make([]int64, n), make([]int64, n)
+						refBytesByCount(r, wantH, v)
+						r.BytesByCount(gotH, v)
+						for c := range wantH {
+							if wantH[c] != gotH[c] {
+								t.Fatalf("%s W=%d: BytesByCount(%d buckets)[%d] = %d, want %d", name, w, n, c, gotH[c], wantH[c])
+							}
+						}
+					}
+					for _, threshold := range []uint32{1, 2, 5} {
+						for _, keep := range []func(pages.PageID) bool{nil, alt} {
+							for _, max := range []int{0, 1, 7, 4096} {
+								wantIDs := refAppendHot(r, nil, threshold, keep, max)
+								gotIDs := r.AppendHot(nil, threshold, keep, max)
+								if len(wantIDs) != len(gotIDs) {
+									t.Fatalf("%s W=%d: AppendHot(%d, keep %v, %d) = %d ids, want %d",
+										name, w, threshold, keep != nil, max, len(gotIDs), len(wantIDs))
+								}
+								for i := range wantIDs {
+									if wantIDs[i] != gotIDs[i] {
+										t.Fatalf("%s W=%d: AppendHot(%d, keep %v, %d)[%d] = %d, want %d",
+											name, w, threshold, keep != nil, max, i, gotIDs[i], wantIDs[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

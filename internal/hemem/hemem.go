@@ -319,12 +319,11 @@ func (s *System) migrateVanilla(ctx *sim.Context) {
 	// A removal swap-fills slot i, so the loop revisits it.
 	for i := 0; i < len(s.hotAlt); {
 		id := s.hotAlt[i]
-		p := ctx.AS.Get(id)
-		if p.Tier == memsys.DefaultTier {
+		if ctx.AS.Tier(id) == memsys.DefaultTier {
 			s.removeAlt(id)
 			continue
 		}
-		if !s.ensureDefaultFree(ctx, p.Bytes, false) {
+		if !s.ensureDefaultFree(ctx, ctx.AS.PageBytes(), false) {
 			return // out of cold victims or budget
 		}
 		err := ctx.Migrator.Move(id, memsys.DefaultTier)
@@ -368,8 +367,7 @@ func (s *System) findColdVictim(ctx *sim.Context) pages.PageID {
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 64; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
-		p := ctx.AS.Get(id)
-		if p.Tier != memsys.DefaultTier {
+		if ctx.AS.Tier(id) != memsys.DefaultTier {
 			continue
 		}
 		if s.state[id].hot {

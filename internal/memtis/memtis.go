@@ -125,10 +125,18 @@ type System struct {
 	splitting    bool
 
 	// Histogram and hot-ID scratch for the tracker's sharded bulk
-	// queries and the quantum's PEBS samples, reused across quanta.
+	// queries, the quantum's PEBS samples and the split selection's
+	// candidates, reused across quanta.
 	hist   []int64
 	hotBuf []pages.PageID
 	draws  []pages.PageID
+	cand   []splitCand
+}
+
+// splitCand is a huge page offered for splitting, with its count.
+type splitCand struct {
+	id    pages.PageID
+	count uint32
 }
 
 // New returns a MEMTIS instance.
@@ -268,13 +276,13 @@ func (s *System) computeHotThreshold(ctx *sim.Context) uint32 {
 // deferring the placement checks to the apply loop changes nothing.
 func (s *System) alternateKmigratedVanilla(ctx *sim.Context) {
 	hot := s.collectHotIDs(ctx)
+	bytes := ctx.AS.PageBytes()
 	for _, id := range hot {
-		p := ctx.AS.Get(id)
-		if p.Tier == memsys.DefaultTier {
+		if ctx.AS.Tier(id) == memsys.DefaultTier {
 			continue
 		}
-		if ctx.AS.FreeBytes(memsys.DefaultTier) < p.Bytes {
-			if !s.demoteColdFromDefault(ctx, p.Bytes) {
+		if ctx.AS.FreeBytes(memsys.DefaultTier) < bytes {
+			if !s.demoteColdFromDefault(ctx, bytes) {
 				return
 			}
 		}
@@ -370,11 +378,10 @@ func (s *System) demoteColdFromDefault(ctx *sim.Context, needBytes int64) bool {
 		if victim == pages.NoPage {
 			return false
 		}
-		b := ctx.AS.Get(victim).Bytes
 		if err := ctx.Migrator.MoveForced(victim, ctx.AS.SpillTier()); err != nil {
 			return false
 		}
-		freed += b
+		freed += ctx.AS.PageBytes()
 	}
 	return freed >= needBytes
 }
@@ -414,18 +421,15 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 	// Candidate assembly is the tracker's sharded AppendHot — pure reads
 	// of the counts and the split set — capped at the serial scan's 4096
 	// and truncated in shard index order.
-	type cand struct {
-		id    pages.PageID
-		count uint32
-	}
 	const splitCap = 4096
 	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
 		return !s.isSplit[id]
 	}, splitCap)
-	best := make([]cand, len(s.hotBuf))
-	for i, id := range s.hotBuf {
-		best[i] = cand{id, s.tracker.Count(id)}
+	best := s.cand[:0]
+	for _, id := range s.hotBuf {
+		best = append(best, splitCand{id, s.tracker.Count(id)})
 	}
+	s.cand = best
 	// Partial selection: take the hottest few without a full sort.
 	for i := 0; i < s.cfg.SplitsPerQuantum && i < len(best); i++ {
 		maxJ := i

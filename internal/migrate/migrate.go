@@ -242,23 +242,23 @@ func (e *Engine) FaultTotals() (failedMoves, partialBytes int64) {
 	return e.failedMoves, e.partialBytes
 }
 
-// injectFailure applies the active fault to an attempted move of p to
-// tier to and returns ErrInjected. FaultStall costs nothing; FaultFail
-// burns bandwidth for a copy that is then discarded — and budget too,
-// but only for proactive moves: forced (capacity-pressure) moves never
-// consume the proactive budget, so their aborted copies must not drain
-// it either.
-func (e *Engine) injectFailure(p pages.Page, to memsys.TierID, forced bool) error {
+// injectFailure applies the active fault to an attempted move of a
+// page of the given bytes from tier from to tier to and returns
+// ErrInjected. FaultStall costs nothing; FaultFail burns bandwidth for a
+// copy that is then discarded — and budget too, but only for proactive
+// moves: forced (capacity-pressure) moves never consume the proactive
+// budget, so their aborted copies must not drain it either.
+func (e *Engine) injectFailure(from, to memsys.TierID, bytes int64, forced bool) error {
 	e.failedMoves++
 	e.mInjected.Inc()
 	if e.faultKind == FaultFail {
 		if !forced {
-			e.consumeBudget(p.Bytes)
+			e.consumeBudget(bytes)
 		}
-		e.movedFrom[p.Tier] += p.Bytes
-		e.movedTo[to] += p.Bytes
-		e.partialBytes += p.Bytes
-		e.mPartialBytes.Add(p.Bytes)
+		e.movedFrom[from] += bytes
+		e.movedTo[to] += bytes
+		e.partialBytes += bytes
+		e.mPartialBytes.Add(bytes)
 	}
 	if !e.injectedEmitted {
 		e.injectedEmitted = true
@@ -295,22 +295,23 @@ func (e *Engine) StaticLimitBytesPerSec() float64 { return e.staticLimitBytesPer
 // destination is full, or a pages error for invalid moves. A move to
 // the page's current tier is a no-op costing nothing.
 func (e *Engine) Move(id pages.PageID, to memsys.TierID) error {
-	p := e.as.Get(id)
-	if p.Tier == to {
+	from := e.as.Tier(id)
+	if from == to {
 		return nil
 	}
+	bytes := e.as.PageBytes()
 	if e.faultActive {
-		return e.injectFailure(p, to, false)
+		return e.injectFailure(from, to, bytes, false)
 	}
-	if e.Budget() < p.Bytes {
-		e.throttle(p)
+	if e.Budget() < bytes {
+		e.throttle(bytes)
 		return ErrLimit
 	}
 	if err := e.as.Move(id, to); err != nil {
 		return fmt.Errorf("%w (%v)", ErrCapacity, err)
 	}
-	e.consumeBudget(p.Bytes)
-	e.record(p.Tier, to, p.Bytes)
+	e.consumeBudget(bytes)
+	e.record(from, to, bytes)
 	return nil
 }
 
@@ -320,17 +321,18 @@ func (e *Engine) Move(id pages.PageID, to memsys.TierID) error {
 // totals are still accounted, so the simulator charges the copy against
 // tier bandwidth like any other migration.
 func (e *Engine) MoveForced(id pages.PageID, to memsys.TierID) error {
-	p := e.as.Get(id)
-	if p.Tier == to {
+	from := e.as.Tier(id)
+	if from == to {
 		return nil
 	}
+	bytes := e.as.PageBytes()
 	if e.faultActive {
-		return e.injectFailure(p, to, true)
+		return e.injectFailure(from, to, bytes, true)
 	}
 	if err := e.as.Move(id, to); err != nil {
 		return fmt.Errorf("%w (%v)", ErrCapacity, err)
 	}
-	e.record(p.Tier, to, p.Bytes)
+	e.record(from, to, bytes)
 	return nil
 }
 
@@ -350,16 +352,16 @@ func (e *Engine) consumeBudget(bytes int64) {
 // throttle records a proactive-budget rejection, attributing it to the
 // shared cluster bucket when the engine's own budget would have covered
 // the move (the cross-tenant contention signal).
-func (e *Engine) throttle(p pages.Page) {
+func (e *Engine) throttle(bytes int64) {
 	e.mThrottled.Inc()
-	if e.shared != nil && e.quantumBudget >= p.Bytes {
+	if e.shared != nil && e.quantumBudget >= bytes {
 		e.sharedThrottled++
 		e.mSharedThrottled.Inc()
 	}
 	if !e.throttledEmitted {
 		e.throttledEmitted = true
 		e.reg.Emit(obs.EvMigrationThrottled,
-			obs.F("want_bytes", float64(p.Bytes)),
+			obs.F("want_bytes", float64(bytes)),
 			obs.F("budget_bytes", float64(e.Budget())))
 	}
 }

@@ -164,7 +164,7 @@ func Place(as *pages.AddressSpace, isHot func(pages.PageID) bool, hotFraction fl
 	// Random cold pages fill the rest of the default tier.
 	rng.Shuffle(len(cold), func(i, j int) { cold[i], cold[j] = cold[j], cold[i] })
 	for _, id := range cold {
-		if as.FreeBytes(memsys.DefaultTier) < as.Get(id).Bytes {
+		if as.FreeBytes(memsys.DefaultTier) < as.PageBytes() {
 			break
 		}
 		if err := as.Move(id, memsys.DefaultTier); err != nil {

@@ -149,6 +149,9 @@ func NewAddressSpace(topo *memsys.Topology, totalBytes, pageBytes int64) (*Addre
 // NumPages returns the number of pages; IDs run 0..NumPages()-1.
 func (as *AddressSpace) NumPages() int { return len(as.weight) }
 
+// PageBytes returns the page size, the same for every page of the space.
+func (as *AddressSpace) PageBytes() int64 { return as.pageBytes }
+
 // Get returns a copy of the page with the given ID. It panics on
 // NoPage or an out-of-range ID.
 func (as *AddressSpace) Get(id PageID) Page {

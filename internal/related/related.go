@@ -134,8 +134,7 @@ func (s *System) measuredDefaultShare(ctx *sim.Context) (float64, bool) {
 	}
 	var inDefault float64
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
-		p := ctx.AS.Get(id)
-		if p.Tier == memsys.DefaultTier {
+		if ctx.AS.Tier(id) == memsys.DefaultTier {
 			inDefault += float64(count)
 		}
 	})
@@ -171,16 +170,15 @@ func (s *System) shift(ctx *sim.Context, from, to memsys.TierID, deficit float64
 		if moved >= deficit {
 			return true
 		}
-		p := ctx.AS.Get(id)
-		if p.Tier != from {
+		if ctx.AS.Tier(id) != from {
 			return false
 		}
 		prob := s.tracker.Probability(id)
 		if prob <= 0 || prob > deficit-moved {
 			return false
 		}
-		if ctx.AS.FreeBytes(to) < p.Bytes {
-			if !s.evictCold(ctx, to, p.Bytes) {
+		if bytes := ctx.AS.PageBytes(); ctx.AS.FreeBytes(to) < bytes {
+			if !s.evictCold(ctx, to, bytes) {
 				return false
 			}
 		}
@@ -206,8 +204,7 @@ func (s *System) evictCold(ctx *sim.Context, to memsys.TierID, bytes int64) bool
 	n := ctx.AS.NumPages()
 	for probe := 0; probe < 64; probe++ {
 		id := pages.PageID(ctx.RNG.Intn(n))
-		p := ctx.AS.Get(id)
-		if p.Tier != to {
+		if ctx.AS.Tier(id) != to {
 			continue
 		}
 		if s.tracker.Count(id) > 0 {

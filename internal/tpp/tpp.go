@@ -186,42 +186,43 @@ func (s *System) onQuantum(ctx *sim.Context) {
 
 // onFaultVanilla promotes hot alternate-tier pages at fault time.
 func (s *System) onFaultVanilla(ctx *sim.Context, f access.Fault) {
-	p := ctx.AS.Get(f.Page)
-	if p.Tier == memsys.DefaultTier {
+	if ctx.AS.Tier(f.Page) == memsys.DefaultTier {
 		return
 	}
 	if f.TimeToFaultSec > s.ttfThresh {
 		return // cold
 	}
-	if !s.ensureDefaultFree(ctx, p.Bytes) {
+	bytes := ctx.AS.PageBytes()
+	if !s.ensureDefaultFree(ctx, bytes) {
 		return
 	}
 	if err := ctx.Migrator.Move(f.Page, memsys.DefaultTier); err == nil {
-		s.promotedQuantum += p.Bytes
+		s.promotedQuantum += bytes
 	}
 }
 
 // onFaultColloid gates fault-time migration on the Colloid decision,
 // using p = 1/(ttf*r) as the page's access probability (Section 4.3).
 func (s *System) onFaultColloid(ctx *sim.Context, f access.Fault) {
-	p := ctx.AS.Get(f.Page)
+	tier := ctx.AS.Tier(f.Page)
 	if s.mode == core.Hold || s.deltaPLeft <= 0 {
 		return
 	}
-	prob := s.faultProbability(f, p.Tier)
+	prob := s.faultProbability(f, tier)
 	if prob > s.deltaPLeft {
 		return
 	}
 	switch {
-	case s.mode == core.Promote && p.Tier != memsys.DefaultTier:
-		if !s.ensureDefaultFree(ctx, p.Bytes) {
+	case s.mode == core.Promote && tier != memsys.DefaultTier:
+		bytes := ctx.AS.PageBytes()
+		if !s.ensureDefaultFree(ctx, bytes) {
 			return
 		}
 		if err := ctx.Migrator.Move(f.Page, memsys.DefaultTier); err == nil {
 			s.deltaPLeft -= prob
-			s.promotedQuantum += p.Bytes
+			s.promotedQuantum += bytes
 		}
-	case s.mode == core.Demote && p.Tier == memsys.DefaultTier:
+	case s.mode == core.Demote && tier == memsys.DefaultTier:
 		if err := ctx.Migrator.Move(f.Page, ctx.AS.SpillTier()); err == nil {
 			s.deltaPLeft -= prob
 		}

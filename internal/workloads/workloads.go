@@ -154,7 +154,7 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 	if n == 0 {
 		return fmt.Errorf("workloads: empty address space")
 	}
-	nHot := int(g.HotSetBytes / as.Get(0).Bytes)
+	nHot := int(g.HotSetBytes / as.PageBytes())
 	if nHot <= 0 || nHot > n {
 		return fmt.Errorf("workloads: hot set of %d pages infeasible over %d pages", nHot, n)
 	}
@@ -166,7 +166,7 @@ func (g *GUPS) Install(as *pages.AddressSpace, rng *stats.RNG) error {
 // one (the Figure 9 access-pattern dynamism: old hot pages become cold,
 // a different random set becomes hot).
 func (g *GUPS) ShiftHotSet(as *pages.AddressSpace, rng *stats.RNG) {
-	g.shift(as, rng, int(g.HotSetBytes/as.Get(0).Bytes))
+	g.shift(as, rng, int(g.HotSetBytes/as.PageBytes()))
 }
 
 // shift draws a hot set of nHot pages, the first nHot entries of a
