@@ -27,6 +27,7 @@ fmt:
 		exit 1; \
 	fi
 
+# vet's copylocks analyzer is the tree's lock-copy check.
 vet:
 	$(GO) vet ./...
 
@@ -40,17 +41,17 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable, skipping (pin: $(STATICCHECK_VERSION))"; \
 	fi
 
-# In-tree static analysis (internal/lint via cmd/colloidlint): eight
+# In-tree static analysis (internal/lint via cmd/colloidlint): seven
 # typed checks enforcing the determinism and convention contracts — no
 # wall clocks, global math/rand, env reads or unsorted map iteration on
 # simulation paths, stats.RNG-only seed flow, "<pkg>: " diagnostic
-# prefixes, obs name grammar, no by-value lock copies, no loop-var/RNG
-# capture or captured writes in goroutines, no stale suppressions, no
-# order-dependent float folds. Stdlib-only, so unlike staticcheck it
-# runs even with no module proxy. The whole tree must type-check:
-# colloidlint exits 2 on a parse or type error (or an unreadable
-# baseline) and 1 on findings, and the binary is built first because
-# `go run` turns every nonzero status into 1. Findings are diffed
+# prefixes, obs name grammar, no RNG capture or captured writes in
+# goroutines, no stale suppressions, no order-dependent float folds.
+# Stdlib-only, so unlike staticcheck it runs even with no module proxy.
+# The whole tree must type-check: colloidlint exits 2 on a parse or
+# type error (or an unreadable baseline) and 1 on findings, and the
+# binary is built first because `go run` turns every nonzero status
+# into 1. Findings are diffed
 # against the committed lint.baseline.json (kept empty: fix or
 # //colloid:allow <check> <reason>, don't baseline). The target exits
 # with colloidlint's own status, so the failure survives `make -k`/

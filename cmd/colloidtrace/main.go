@@ -144,6 +144,7 @@ func run(s settings) error {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Workload:        gups,
 		Antagonist:      workloads.Intensity(s.intensity),
 		Heat:            spec,
 		Seed:            s.seed,
@@ -173,9 +174,6 @@ func run(s settings) error {
 	}
 	engine, err := sim.New(cfg, opts...)
 	if err != nil {
-		return err
-	}
-	if err := gups.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		return err
 	}
 	if err := engine.Run(s.duration); err != nil {

@@ -38,12 +38,10 @@ func trace(withColloid bool) ([]sim.Sample, error) {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Workload:        gups,
 		Seed:            7,
 	}, sim.WithSystem(hemem.New(hemem.Config{Colloid: colloid})), sim.WithScenario(arrival))
 	if err != nil {
-		return nil, err
-	}
-	if err := gups.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		return nil, err
 	}
 	if err := engine.Run(75); err != nil {

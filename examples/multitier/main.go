@@ -94,13 +94,11 @@ func main() {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Workload:        gups,
 		Antagonist:      workloads.Intensity2x,
 		Seed:            3,
 	}, sim.WithSystem(&multiTierSystem{}))
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := gups.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("three tiers under 2x contention; balancing all loaded latencies:")

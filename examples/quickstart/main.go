@@ -34,13 +34,11 @@ func run(withColloid bool) (sim.Steady, error) {
 		Topology:        topo,
 		WorkingSetBytes: gups.WorkingSetBytes,
 		Profile:         gups.Profile(),
+		Workload:        gups,
 		Antagonist:      workloads.Intensity2x, // 2x contention
 		Seed:            42,
 	}, sim.WithSystem(hemem.New(hemem.Config{Colloid: colloid})))
 	if err != nil {
-		return sim.Steady{}, err
-	}
-	if err := gups.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		return sim.Steady{}, err
 	}
 	if err := engine.Run(40); err != nil {

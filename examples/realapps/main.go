@@ -132,14 +132,11 @@ func simulate(a app, withColloid bool) (float64, error) {
 		Topology:        topo,
 		WorkingSetBytes: a.wsBytes / (2 * memsys.MiB) * (2 * memsys.MiB),
 		Profile:         a.traffic,
+		Workload:        &workloads.FromWeights{Weights: a.weights},
 		Antagonist:      workloads.Intensity3x,
 		Seed:            5,
 	}, sim.WithSystem(memtis.New(memtis.Config{Colloid: opts})))
 	if err != nil {
-		return 0, err
-	}
-	fw := &workloads.FromWeights{Weights: a.weights}
-	if err := fw.Install(engine.AS(), engine.WorkloadRNG()); err != nil {
 		return 0, err
 	}
 	if err := engine.Run(40); err != nil {

@@ -28,9 +28,7 @@ func TestGoldenRegionTrackerFidelity(t *testing.T) {
 		"memtis+colloid": 0x251dbb62625142a0,
 	}
 	for name, mk := range goldenSystems {
-		name, mk := name, mk
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				e, _ := simtest.Run(t, mk(), simtest.Scenario{
 					Antagonist: workloads.Intensity3x,

@@ -112,9 +112,7 @@ func tenantsChecksum(c *tenant.Cluster) uint64 {
 // declared in may change a single bit.
 func TestGoldenTenantTraces(t *testing.T) {
 	for policy, golden := range goldenTenantsChecksums {
-		policy, golden := policy, golden
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", policy, w), func(t *testing.T) {
 				c := goldenCluster(t, policy, w, false, heat.Spec{})
 				if err := c.Run(3); err != nil {
@@ -150,9 +148,7 @@ func TestGoldenTenantTraces(t *testing.T) {
 func TestGoldenTenantTracesRegionOne(t *testing.T) {
 	spec := heat.Spec{Kind: heat.Region, RegionPages: 1, Forecaster: heat.Passthrough{}}
 	for policy, golden := range goldenTenantsChecksums {
-		policy, golden := policy, golden
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", policy, w), func(t *testing.T) {
 				c := goldenCluster(t, policy, w, false, spec)
 				if err := c.Run(3); err != nil {

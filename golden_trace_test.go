@@ -58,9 +58,7 @@ func TestGoldenPlacementTraces(t *testing.T) {
 		"memtis+colloid": 0x251dbb62625142a0,
 	}
 	for name, mk := range goldenSystems {
-		name, mk := name, mk
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				e, _ := simtest.Run(t, mk(), simtest.Scenario{
 					Antagonist: workloads.Intensity3x,
@@ -101,23 +99,19 @@ func TestGoldenFaultWindowTraces(t *testing.T) {
 		scenario.MigrationStall{AtSec: 3, Fault: migrate.FaultStall, Quanta: 60},
 	}}
 	for name, mk := range goldenSystems {
-		name, mk := name, mk
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				g := workloads.DefaultGUPS()
 				e, err := sim.New(sim.Config{
 					Topology:        memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote()),
 					WorkingSetBytes: g.WorkingSetBytes,
 					Profile:         g.Profile(),
+					Workload:        g,
 					Antagonist:      workloads.Intensity3x,
 					Seed:            42,
 					Workers:         w,
 				}, sim.WithSystem(mk()), sim.WithScenario(faults))
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 					t.Fatal(err)
 				}
 				if err := e.Run(5); err != nil {
@@ -160,9 +154,7 @@ func TestGoldenShiftTraces(t *testing.T) {
 		"memtis+colloid": 0x0e845ef15883e4db,
 	}
 	for name, mk := range goldenSystems {
-		name, mk := name, mk
 		for _, w := range goldenWorkerCounts() {
-			w := w
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				g := workloads.DefaultGUPS()
 				shifts := &scenario.Scenario{Name: "golden-shifts", Events: []scenario.Event{
@@ -173,14 +165,12 @@ func TestGoldenShiftTraces(t *testing.T) {
 					Topology:        memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote()),
 					WorkingSetBytes: g.WorkingSetBytes,
 					Profile:         g.Profile(),
+					Workload:        g,
 					Antagonist:      workloads.Intensity3x,
 					Seed:            42,
 					Workers:         w,
 				}, sim.WithSystem(mk()), sim.WithScenario(shifts))
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 					t.Fatal(err)
 				}
 				if err := e.Run(5); err != nil {

@@ -55,7 +55,6 @@ type ablationResult struct {
 func ablationExpArms(Options) ([]Arm, error) {
 	var arms []Arm
 	for _, arm := range ablationArms() {
-		arm := arm
 		arms = append(arms, Arm{Name: arm.name, Run: func(ctx ArmContext) (any, error) {
 			return runAblationArm(arm, ctx.Options, ctx.Seed, ctx.Obs)
 		}})
@@ -97,7 +96,7 @@ func runAblationArm(arm ablationArm, o Options, seed uint64, reg *obs.Registry) 
 	sc := &scenario.Scenario{Name: "ablation-contention-drop", Events: []scenario.Event{
 		scenario.AntagonistStep{AtSec: phase1, Intensity: workloads.Intensity0x},
 	}}
-	e, err := newGUPSSim(paperTopology(0, 0), g, 2, seed, o.ShardWorkers, o.Heat, reg,
+	e, err := sim.New(gupsConfig(paperTopology(0, 0), g, 2, seed, o.ShardWorkers, o.Heat, reg),
 		sim.WithSystem(hemem.New(hemem.Config{Colloid: &arm.opts})),
 		sim.WithScenario(sc))
 	if err != nil {
@@ -126,6 +125,6 @@ func runAblationArm(arm ablationArm, o Options, seed uint64, reg *obs.Registry) 
 	res.afterOps = after.OpsPerSec
 	// Recovery criterion: most of the hot set back in the default tier
 	// (packed placement is optimal at 0x).
-	res.recovered = e.AS().DefaultShare() > 0.7
+	res.recovered = e.Tenant(0).AS().DefaultShare() > 0.7
 	return res, nil
 }

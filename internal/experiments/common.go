@@ -71,7 +71,10 @@ func paperTopology(latencyScale, bandwidthScale float64) *memsys.Topology {
 }
 
 // gupsConfig assembles the standard GUPS simulation at the given
-// contention intensity; reg (usually ArmContext.Obs, may be nil)
+// contention intensity, with g as the workload sim.New installs; every
+// single-tenant GUPS arm and the oracle sweep build from it, so the
+// construction sequence (and thus the RNG draw order) never drifts
+// between experiments. reg (usually ArmContext.Obs, may be nil)
 // receives the run's instrumentation. workers is the sharded
 // page-pipeline worker count (0 = serial); it never changes results.
 // heatSpec (usually Options.Heat) is the tracking fidelity; an arm that
@@ -81,28 +84,13 @@ func gupsConfig(topo *memsys.Topology, g *workloads.GUPS, intensity workloads.In
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Antagonist:      intensity,
 		Seed:            seed,
 		Workers:         workers,
 		Heat:            heatSpec,
 		Obs:             reg,
 	}
-}
-
-// newGUPSSim is the construction choke point for every GUPS-driven arm:
-// config assembly, engine construction, and workload-weight install in
-// one step, so the construction sequence (and thus the RNG draw order)
-// can never drift between experiments. Only the oracle sweep bypasses
-// it — it needs the raw sim.Config, not an engine.
-func newGUPSSim(topo *memsys.Topology, g *workloads.GUPS, intensity workloads.Intensity, seed uint64, workers int, heatSpec heat.Spec, reg *obs.Registry, opts ...sim.Option) (*sim.Engine, error) {
-	e, err := sim.New(gupsConfig(topo, g, intensity, seed, workers, heatSpec, reg), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // steadyCache memoizes standard GUPS arms: several figures reuse the
@@ -154,7 +142,7 @@ func runSteadyOn(topo *memsys.Topology, g *workloads.GUPS, system string, withCo
 	if err != nil {
 		return nil, sim.Steady{}, err
 	}
-	e, err := newGUPSSim(topo, g, intensity, seed, o.ShardWorkers, o.Heat, reg, sim.WithSystem(sys))
+	e, err := sim.New(gupsConfig(topo, g, intensity, seed, o.ShardWorkers, o.Heat, reg), sim.WithSystem(sys))
 	if err != nil {
 		return nil, sim.Steady{}, err
 	}
@@ -185,7 +173,7 @@ func bestCase(intensity workloads.Intensity, o Options) (*oracle.Result, error) 
 	}
 	g := workloads.DefaultGUPS()
 	cfg := gupsConfig(paperTopology(0, 0), g, intensity, o.Seed, o.ShardWorkers, o.Heat, nil)
-	r, err := oracle.BestCase(oracle.Config{Sim: cfg, Workload: g})
+	r, err := oracle.BestCase(oracle.Config{Sim: cfg, IsHot: g.IsHot})
 	if err == nil {
 		bestMu.Lock()
 		bestCache[key] = r

@@ -17,7 +17,6 @@ import (
 func init() {
 	for _, app := range []string{"gapbs", "silo", "cachelib"} {
 		id := map[string]string{"gapbs": "fig11a", "silo": "fig11b", "cachelib": "fig11c"}[app]
-		app := app
 		register(id, &Experiment{
 			Title:    fmt.Sprintf("%s end-to-end performance; default tier = WS/3", app),
 			Arms:     func(o Options) ([]Arm, error) { return fig11Arms(o, app) },
@@ -197,7 +196,6 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 	for _, intensity := range intensities {
 		for _, sys := range systemNames {
 			for _, withColloid := range []bool{false, true} {
-				sys, intensity, withColloid := sys, intensity, withColloid
 				name := fmt.Sprintf("%s/%s/%dx/colloid=%v", app, sys, intensity, withColloid)
 				arms = append(arms, Arm{Name: name, Run: func(ctx ArmContext) (any, error) {
 					system, err := newSystem(sys, withColloid)
@@ -208,6 +206,7 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 						Topology:        topo,
 						WorkingSetBytes: ws,
 						Profile:         setup.traffic,
+						Workload:        &workloads.FromWeights{Weights: setup.weights},
 						Antagonist:      intensity,
 						Seed:            ctx.Seed,
 						Workers:         ctx.Options.ShardWorkers,
@@ -215,10 +214,6 @@ func fig11Arms(o Options, app string) ([]Arm, error) {
 						Obs:             ctx.Obs,
 					}, sim.WithSystem(system))
 					if err != nil {
-						return nil, err
-					}
-					fw := &workloads.FromWeights{Weights: setup.weights}
-					if err := fw.Install(e.AS(), e.WorkloadRNG()); err != nil {
 						return nil, err
 					}
 					secs := convergeSeconds(sys, ctx.Options)

@@ -82,7 +82,6 @@ func fig4Arms(o Options) ([]Arm, error) {
 	var arms []Arm
 	quanta := int(o.scale(240, 160))
 	for _, sc := range fig4Scenarios() {
-		sc := sc
 		arms = append(arms, Arm{Name: sc.name, Run: func(ArmContext) (any, error) {
 			ctrl := core.NewController(2, core.Options{Epsilon: 0.01, Delta: 0.05})
 			pl := newFig4Plant(sc.pStar0, sc.p0)

@@ -43,7 +43,6 @@ func fig7Arms(Options) ([]Arm, error) {
 			bwScale := 1 / latScale
 			for _, intensity := range intensities {
 				for _, withColloid := range []bool{false, true} {
-					sys, intensity, withColloid := sys, intensity, withColloid
 					name := fmt.Sprintf("%s/%.1fx/%dx/colloid=%v", sys, ratio, intensity, withColloid)
 					arms = append(arms, Arm{Name: name, Run: func(ctx ArmContext) (any, error) {
 						// Each arm builds its own topology: engines run
@@ -101,7 +100,6 @@ func fig8Arms(Options) ([]Arm, error) {
 		for _, size := range fig8Sizes {
 			for _, intensity := range intensities {
 				for _, withColloid := range []bool{false, true} {
-					sys, size, intensity, withColloid := sys, size, intensity, withColloid
 					name := fmt.Sprintf("%s/%dB/%dx/colloid=%v", sys, size, intensity, withColloid)
 					arms = append(arms, Arm{Name: name, Run: func(ctx ArmContext) (any, error) {
 						_, st, err := runSteadyOn(paperTopology(0, 0), workloads.DefaultGUPS(), sys, withColloid, intensity, ctx.Options, ctx.Seed, size, ctx.Obs)

@@ -67,7 +67,7 @@ func runDynamic(system string, withColloid bool, sc dynamicScenario, o Options, 
 	if err != nil {
 		return nil, err
 	}
-	e, err := newGUPSSim(paperTopology(0, 0), g, sc.intensity0, seed, o.ShardWorkers, o.Heat, reg,
+	e, err := sim.New(gupsConfig(paperTopology(0, 0), g, sc.intensity0, seed, o.ShardWorkers, o.Heat, reg),
 		sim.WithSystem(sys), sim.WithScenario(sc.timeline(g)))
 	if err != nil {
 		return nil, err

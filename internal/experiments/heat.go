@@ -80,7 +80,6 @@ type heatScaleResult struct {
 func heatArms(o Options) ([]Arm, error) {
 	var arms []Arm
 	for _, spec := range heatSpecs() {
-		spec := spec
 		arms = append(arms, Arm{
 			Name: "fidelity/" + spec.String(),
 			Run: func(ctx ArmContext) (any, error) {
@@ -105,8 +104,8 @@ func runHeatFidelity(spec heat.Spec, ctx ArmContext) (any, error) {
 	g := workloads.DefaultGUPS()
 	// Base seed, like runSteady: fidelity rows differ only in the
 	// tracker, so they must run the same workload stream.
-	e, err := newGUPSSim(paperTopology(0, 0), g, workloads.Intensity2x, ctx.Options.Seed,
-		ctx.Options.ShardWorkers, spec, ctx.Obs, sim.WithSystem(sys))
+	e, err := sim.New(gupsConfig(paperTopology(0, 0), g, workloads.Intensity2x, ctx.Options.Seed,
+		ctx.Options.ShardWorkers, spec, ctx.Obs), sim.WithSystem(sys))
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func init() {
 func relatedArm(policy related.Policy, name string, intensity workloads.Intensity) Arm {
 	return Arm{Name: fmt.Sprintf("%s/%dx", name, intensity), Run: func(ctx ArmContext) (any, error) {
 		g := workloads.DefaultGUPS()
-		e, err := newGUPSSim(paperTopology(0, 0), g, intensity, ctx.Seed, ctx.Options.ShardWorkers, ctx.Options.Heat, ctx.Obs,
+		e, err := sim.New(gupsConfig(paperTopology(0, 0), g, intensity, ctx.Seed, ctx.Options.ShardWorkers, ctx.Options.Heat, ctx.Obs),
 			sim.WithSystem(related.New(related.Config{Policy: policy})))
 		if err != nil {
 			return nil, err

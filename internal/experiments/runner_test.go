@@ -60,7 +60,6 @@ func init() {
 		Arms: func(Options) ([]Arm, error) {
 			var arms []Arm
 			for _, intensity := range []workloads.Intensity{workloads.Intensity0x, workloads.Intensity1x, workloads.Intensity2x, workloads.Intensity3x} {
-				intensity := intensity
 				arms = append(arms, Arm{
 					Name: fmt.Sprintf("sim/%dcores", intensity.Cores()),
 					Run: func(ctx ArmContext) (any, error) {
@@ -70,13 +69,11 @@ func init() {
 							Topology:        topo,
 							WorkingSetBytes: g.WorkingSetBytes,
 							Profile:         g.Profile(),
+							Workload:        g,
 							Antagonist:      intensity,
 							Seed:            ctx.Seed,
 						})
 						if err != nil {
-							return nil, err
-						}
-						if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 							return nil, err
 						}
 						if err := e.Run(1.5); err != nil {

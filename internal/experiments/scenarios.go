@@ -29,7 +29,6 @@ func init() {
 		},
 	})
 	for _, name := range scenario.BuiltinNames() {
-		name := name
 		register("scenario-"+name, &Experiment{
 			Title:    "fault-injection scenario: " + name,
 			Arms:     func(o Options) ([]Arm, error) { return scenarioArmsFor([]string{name}) },
@@ -88,7 +87,7 @@ func runScenarioArm(name, system string, o Options, seed uint64, reg *obs.Regist
 			Colloid: &core.Options{Epsilon: 0.01, Delta: 0.05},
 		})))
 	}
-	e, err := newGUPSSim(paperTopology(0, 0), g, 0, seed, o.ShardWorkers, o.Heat, reg, opts...)
+	e, err := sim.New(gupsConfig(paperTopology(0, 0), g, 0, seed, o.ShardWorkers, o.Heat, reg), opts...)
 	if err != nil {
 		return res, err
 	}
@@ -130,7 +129,6 @@ func scenarioArmsFor(names []string) ([]Arm, error) {
 	var arms []Arm
 	for _, name := range names {
 		for _, system := range scenarioSystems {
-			name, system := name, system
 			arms = append(arms, Arm{
 				Name: name + "/" + system,
 				Run: func(ctx ArmContext) (any, error) {

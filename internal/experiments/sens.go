@@ -37,11 +37,10 @@ func sensArms(Options) ([]Arm, error) {
 	var arms []Arm
 	for _, eps := range sensEpsilons {
 		for _, delta := range sensDeltas {
-			eps, delta := eps, delta
 			name := fmt.Sprintf("eps=%.3f/delta=%.2f", eps, delta)
 			arms = append(arms, Arm{Name: name, Run: func(ctx ArmContext) (any, error) {
 				g := workloads.DefaultGUPS()
-				e, err := newGUPSSim(paperTopology(0, 0), g, 1, ctx.Seed, ctx.Options.ShardWorkers, ctx.Options.Heat, ctx.Obs,
+				e, err := sim.New(gupsConfig(paperTopology(0, 0), g, 1, ctx.Seed, ctx.Options.ShardWorkers, ctx.Options.Heat, ctx.Obs),
 					sim.WithSystem(hemem.New(hemem.Config{Colloid: &core.Options{Epsilon: eps, Delta: delta}})))
 				if err != nil {
 					return nil, err

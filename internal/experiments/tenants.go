@@ -107,7 +107,6 @@ func tenantsArms(o Options) ([]Arm, error) {
 	var arms []Arm
 	for _, p := range []tenant.Policy{tenant.Isolated, tenant.SharedWatermark} {
 		for _, hm := range tenantsHeatModes(o) {
-			p, hm := p, hm
 			arms = append(arms, Arm{
 				Name: "tenants/" + p.String() + "/" + hm.name,
 				Run: func(ctx ArmContext) (any, error) {

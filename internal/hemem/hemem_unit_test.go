@@ -216,12 +216,9 @@ func TestHotSetShiftReclassifies(t *testing.T) {
 	sys := New(Config{})
 	e, err := sim.New(sim.Config{
 		Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
-		Profile: g.Profile(), Seed: 5,
+		Profile: g.Profile(), Workload: g, Seed: 5,
 	}, sim.WithSystem(sys))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(20); err != nil {
@@ -258,13 +255,10 @@ func TestPageRecordsMatchLists(t *testing.T) {
 			g := workloads.DefaultGUPS()
 			e, err := sim.New(sim.Config{
 				Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
-				Profile: g.Profile(), Antagonist: workloads.Intensity3x,
+				Profile: g.Profile(), Workload: g, Antagonist: workloads.Intensity3x,
 				Heat: spec, Seed: 7,
 			}, sim.WithSystem(sys))
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 				t.Fatal(err)
 			}
 			for q := 0; q < 400; q++ {

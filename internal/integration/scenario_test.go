@@ -28,13 +28,11 @@ func runScenario(t *testing.T, sys sim.System, s *scn.Scenario, seconds float64,
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Seed:            seed,
 		Obs:             reg,
 	}, opts...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(seconds); err != nil {

@@ -25,10 +25,13 @@ import (
 //   - draws (Uint64, Float64, Intn, ..., Sample, SampleN) on a stream
 //     rooted at a captured identifier, which make the stream's draw
 //     order scheduling-dependent, and captured stats.RNG streams handed
-//     to a callee, which hide the same bug inside it;
-//   - enclosing loop variables read by the body — the repo convention
-//     passes them as parameters (`go func(id int){...}(w)`) so the
-//     data flowing into each goroutine is explicit.
+//     to a callee, which hide the same bug inside it.
+//
+// Reading a captured variable is not flagged, an enclosing loop
+// variable included: since Go 1.22 (go.mod's version) each iteration
+// has its own loop variable, so a body that reads one sees its own
+// iteration's value. A loop-variable stream is a captured stream like
+// any other.
 //
 // Each finding breaks the golden worker sweep in a way that only
 // reproduces under particular worker counts. Genuinely safe captures
@@ -37,7 +40,7 @@ import (
 func init() {
 	Register(&Check{
 		Name: "gocapture",
-		Doc:  "flag concurrent bodies (go statements, shard.Run callbacks) writing or appending to captured variables, drawing from or handing on captured RNG streams, or reading enclosing loop variables",
+		Doc:  "flag concurrent bodies (go statements, shard.Run callbacks) writing or appending to captured variables, or drawing from or handing on captured RNG streams",
 		Run:  runGoCapture,
 	})
 }
@@ -63,12 +66,9 @@ func runGoCapture(p *Package) []Finding {
 // concurrentBody is one function literal that runs concurrently with
 // the code around it: a `go` literal or a shard.Run callback. Only the
 // literal's body runs concurrently; a go statement's arguments are
-// evaluated by the spawning code, which is how the sanctioned pattern
-// passes a loop variable in.
+// evaluated by the spawning code.
 type concurrentBody struct {
 	lit *ast.FuncLit
-	// loopVars are the enclosing loop variables in scope at the literal.
-	loopVars map[string]bool
 	// locals are the names the body declares: parameters, :=
 	// definitions, var specs and range variables.
 	locals map[string]bool
@@ -84,21 +84,9 @@ type concurrentBody struct {
 func concurrentBodies(p *Package, file *ast.File) []*concurrentBody {
 	concurrent := map[*ast.FuncLit]bool{}
 	var out []*concurrentBody
-	var walk func(n ast.Node, loopVars map[string]bool)
-	walk = func(n ast.Node, loopVars map[string]bool) {
+	ast.Inspect(file, func(n ast.Node) bool {
 		var lit *ast.FuncLit
 		switch v := n.(type) {
-		case *ast.ForStmt:
-			if init, ok := v.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				loopVars = withLoopVars(loopVars, init.Lhs...)
-			}
-		case *ast.RangeStmt:
-			walk(v.X, loopVars)
-			if v.Tok == token.DEFINE {
-				loopVars = withLoopVars(loopVars, v.Key, v.Value)
-			}
-			walk(v.Body, loopVars)
-			return
 		case *ast.GoStmt:
 			lit, _ = v.Call.Fun.(*ast.FuncLit)
 		case *ast.CallExpr:
@@ -106,45 +94,14 @@ func concurrentBodies(p *Package, file *ast.File) []*concurrentBody {
 		}
 		if lit != nil {
 			concurrent[lit] = true
-			out = append(out, &concurrentBody{lit: lit, loopVars: loopVars, concurrent: concurrent})
+			out = append(out, &concurrentBody{lit: lit, concurrent: concurrent})
 		}
-		children(n, func(c ast.Node) { walk(c, loopVars) })
-	}
-	walk(file, nil)
+		return true
+	})
 	for _, b := range out {
 		b.locals = b.declared()
 	}
 	return out
-}
-
-// withLoopVars returns a copy of scope with the identifiers among vars
-// added.
-func withLoopVars(scope map[string]bool, vars ...ast.Expr) map[string]bool {
-	out := make(map[string]bool, len(scope)+len(vars))
-	for k := range scope {
-		out[k] = true
-	}
-	for _, v := range vars {
-		if id, ok := v.(*ast.Ident); ok {
-			out[id.Name] = true
-		}
-	}
-	return out
-}
-
-// children invokes f on each immediate child node of n.
-func children(n ast.Node, f func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			f(c)
-		}
-		return false
-	})
 }
 
 // inspect walks the body's own nodes depth-first, as ast.Inspect does;
@@ -207,11 +164,9 @@ func shardRunLit(p *Package, call *ast.CallExpr) *ast.FuncLit {
 }
 
 // checkCapturedBody inspects one concurrent body for captured writes
-// and appends, captured RNG draws and hand-ons, and loop-variable
-// reads.
+// and appends, and captured RNG draws and hand-ons.
 func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 	var out []Finding
-	flaggedLoopVar := map[string]bool{}
 	flaggedRNG := map[string]bool{}
 	b.inspect(func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -240,12 +195,6 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 				out = append(out, p.finding("gocapture", node,
 					fmt.Sprintf("%s of %q, captured from outside the concurrent body, depends on goroutine completion order; write an indexed per-worker slot and reduce after the join", v.Tok, target)))
 			}
-		case *ast.Ident:
-			if b.loopVars[v.Name] && !b.locals[v.Name] && !flaggedLoopVar[v.Name] {
-				flaggedLoopVar[v.Name] = true
-				out = append(out, p.finding("gocapture", v,
-					fmt.Sprintf("loop variable %q captured by the concurrent body; pass it as an argument (go func(x int){...}(%s)) so each goroutine's input is explicit", v.Name, v.Name)))
-			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && rngDrawMethods[sel.Sel.Name] {
 				if base := rootIdent(sel.X); base != "" && !b.locals[base] {
@@ -257,7 +206,7 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 			// scheduling-dependent draw inside the callee.
 			for _, arg := range v.Args {
 				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok || b.locals[id.Name] || flaggedRNG[id.Name] || b.loopVars[id.Name] || !isStatsRNG(p, p.exprType(id)) {
+				if !ok || b.locals[id.Name] || flaggedRNG[id.Name] || !isStatsRNG(p, p.exprType(id)) {
 					continue
 				}
 				flaggedRNG[id.Name] = true

@@ -1,5 +1,5 @@
-// Package badcapture is a lint fixture: loop-variable and RNG-stream
-// capture into concurrent bodies.
+// Package badcapture is a lint fixture: captured writes and RNG-stream
+// capture in concurrent bodies.
 package badcapture
 
 import "colloid/internal/stats"
@@ -8,7 +8,7 @@ func fanOut(n int, done chan struct{}) {
 	sum := 0
 	for i := 0; i < n; i++ {
 		go func() {
-			sum += i // captured write + loop-variable read
+			sum += i // captured write; reading i is fine (per-iteration)
 			done <- struct{}{}
 		}()
 	}

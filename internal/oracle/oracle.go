@@ -14,16 +14,7 @@ import (
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 	"colloid/internal/stats"
-	"colloid/internal/workloads"
 )
-
-// HotSetWorkload is a workload with an identifiable hot set, the
-// prerequisite for the manual sweep.
-type HotSetWorkload interface {
-	Install(as *pages.AddressSpace, rng *stats.RNG) error
-	Profile() workloads.Profile
-	IsHot(id pages.PageID) bool
-}
 
 // Point is one arm of the sweep.
 type Point struct {
@@ -52,10 +43,12 @@ type Result struct {
 // Config parameterizes the sweep.
 type Config struct {
 	// Sim is the base simulation config; the oracle runs it without a
-	// tiering system at each manual placement.
+	// tiering system at each manual placement. Its Workload (required)
+	// installs the weights.
 	Sim sim.Config
-	// Workload supplies weights and the hot set.
-	Workload HotSetWorkload
+	// IsHot identifies the installed workload's hot set (required), the
+	// prerequisite for the manual sweep.
+	IsHot func(pages.PageID) bool
 	// Steps is the number of sweep arms minus one (default 10: 0%,
 	// 10%, ..., 100%).
 	Steps int
@@ -67,8 +60,8 @@ type Config struct {
 
 // BestCase runs the sweep and returns the result.
 func BestCase(cfg Config) (*Result, error) {
-	if cfg.Workload == nil {
-		return nil, fmt.Errorf("oracle: workload required")
+	if cfg.Sim.Workload == nil || cfg.IsHot == nil {
+		return nil, fmt.Errorf("oracle: workload and hot-set predicate required")
 	}
 	steps := cfg.Steps
 	if steps <= 0 {
@@ -98,10 +91,8 @@ func runArm(cfg Config, hotFraction, settle float64) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	if err := cfg.Workload.Install(e.AS(), e.WorkloadRNG()); err != nil {
-		return Point{}, err
-	}
-	if err := Place(e.AS(), cfg.Workload.IsHot, hotFraction, e.WorkloadRNG()); err != nil {
+	h := e.Tenant(0)
+	if err := Place(h.AS(), cfg.IsHot, hotFraction, h.WorkloadRNG()); err != nil {
 		return Point{}, err
 	}
 	if err := e.Run(settle); err != nil {
@@ -112,7 +103,7 @@ func runArm(cfg Config, hotFraction, settle float64) (Point, error) {
 		HotFraction:    hotFraction,
 		OpsPerSec:      st.OpsPerSec,
 		LatencyNs:      st.LatencyNs,
-		DefaultShare:   e.AS().DefaultShare(),
+		DefaultShare:   h.AS().DefaultShare(),
 		AppBytesPerSec: st.AppBytesPerSec,
 	}, nil
 }

@@ -18,6 +18,7 @@ func baseConfig(antagonist workloads.Intensity, seed uint64) (sim.Config, *workl
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Antagonist:      antagonist,
 		Seed:            seed,
 	}, g
@@ -27,9 +28,6 @@ func TestPlaceFractions(t *testing.T) {
 	cfg, g := baseConfig(0, 1)
 	e, err := sim.New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []float64{0, 0.5, 1} {
@@ -59,7 +57,6 @@ func TestPlaceFractions(t *testing.T) {
 func TestPlaceRejectsBadFraction(t *testing.T) {
 	cfg, g := baseConfig(0, 2)
 	e, _ := sim.New(cfg)
-	g.Install(e.AS(), e.WorkloadRNG())
 	if err := Place(e.AS(), g.IsHot, 1.5, stats.NewRNG(1)); err == nil {
 		t.Fatal("fraction 1.5 accepted")
 	}
@@ -70,7 +67,7 @@ func TestBestCaseAtZeroContentionPacks(t *testing.T) {
 		t.Skip("sweep is 11 simulations")
 	}
 	cfg, g := baseConfig(0, 3)
-	res, err := BestCase(Config{Sim: cfg, Workload: g})
+	res, err := BestCase(Config{Sim: cfg, IsHot: g.IsHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +85,7 @@ func TestBestCaseUnderContentionMovesHotSetOut(t *testing.T) {
 		t.Skip("sweep is 11 simulations")
 	}
 	cfg, g := baseConfig(workloads.Intensity3x, 4)
-	res, err := BestCase(Config{Sim: cfg, Workload: g})
+	res, err := BestCase(Config{Sim: cfg, IsHot: g.IsHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestBestCaseMonotoneAtEnds(t *testing.T) {
 		t.Skip("sweep is 11 simulations")
 	}
 	cfg, g := baseConfig(workloads.Intensity1x, 5)
-	res, err := BestCase(Config{Sim: cfg, Workload: g, Steps: 5})
+	res, err := BestCase(Config{Sim: cfg, IsHot: g.IsHot, Steps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

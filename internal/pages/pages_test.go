@@ -207,7 +207,6 @@ func TestBadIDAccessors(t *testing.T) {
 	as := testSpace(t, 4)
 	outOfRange := PageID(as.NumPages())
 	for _, id := range []PageID{NoPage, outOfRange} {
-		id := id
 		mustPanicPages(t, "Get", func() { as.Get(id) })
 		mustPanicPages(t, "Tier", func() { as.Tier(id) })
 		mustPanicPages(t, "Weight", func() { as.Weight(id) })

@@ -23,13 +23,11 @@ func gupsEngineOpts(t *testing.T, seed uint64, reg *obs.Registry, opts ...Option
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Seed:            seed,
 		Obs:             reg,
 	}, opts...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 		t.Fatal(err)
 	}
 	return e, g
@@ -119,12 +117,9 @@ func TestScenarioWorkloadShiftMatchesHandWritten(t *testing.T) {
 		}}
 		e, err := New(Config{
 			Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
-			Profile: g.Profile(), Seed: 14,
+			Profile: g.Profile(), Workload: g, Seed: 14,
 		}, WithScenario(s))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(3); err != nil {
@@ -213,12 +208,9 @@ func TestScenarioDegradeDoesNotLeakAcrossEngines(t *testing.T) {
 	mk := func(opts ...Option) *Engine {
 		e, err := New(Config{
 			Topology: topo, WorkingSetBytes: g.WorkingSetBytes,
-			Profile: g.Profile(), Seed: 17,
+			Profile: g.Profile(), Workload: g, Seed: 17,
 		}, opts...)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 			t.Fatal(err)
 		}
 		return e

@@ -112,6 +112,13 @@ type System interface {
 	Step(ctx *Context)
 }
 
+// Workload installs a workload's access weights into an address space,
+// drawing any randomness from rng. *workloads.GUPS and
+// *workloads.FromWeights satisfy it.
+type Workload interface {
+	Install(as *pages.AddressSpace, rng *stats.RNG) error
+}
+
 // Config assembles a simulation.
 type Config struct {
 	// Topology is the tier set (required).
@@ -124,6 +131,10 @@ type Config struct {
 	// Profile is the unnamed tenant's traffic profile (required without
 	// tenants; must be unset when tenants are given).
 	Profile workloads.Profile
+	// Workload, when non-nil, installs the unnamed tenant's access
+	// weights at the end of New (must be unset when tenants are given;
+	// see TenantSpec.Workload).
+	Workload Workload
 	// Antagonist seeds the contention generator on the paper's 0x-3x
 	// intensity scale (0 = none); mid-run steps are expressed as
 	// scenario.AntagonistStep events.
@@ -300,6 +311,10 @@ type TenantSpec struct {
 	PageBytes int64
 	// Profile is the tenant's traffic profile (required).
 	Profile workloads.Profile
+	// Workload, when non-nil, installs the tenant's access weights at
+	// the end of New, once every tenant is placed, drawing from the
+	// tenant's name-forked workload stream.
+	Workload Workload
 	// System is the tenant's tiering system (nil = static placement).
 	// Each tenant needs its own instance; systems hold per-run state.
 	System System
@@ -462,11 +477,14 @@ func WithTenants(specs ...TenantSpec) Option {
 // the engine's ledger, an address space placed first-fit against that
 // view (default tier first, so earlier tenants shape where later ones
 // land), a migrator draining the engine's shared budget, a sampler and
-// RNG streams. Install each tenant's workload weights through Tenant(i)
-// before running.
+// RNG streams. Last, once every tenant is placed and every scenario is
+// scheduled, each tenant's Workload installs its weights in name order,
+// drawing only from that tenant's workload stream; a failed install is
+// a construction error.
 //
 // Without WithTenants the engine holds one unnamed tenant built from
-// Config.WorkingSetBytes, Config.Profile, the WithSystem system and Config's migration limit as its own cap.
+// Config.WorkingSetBytes, Config.Profile, Config.Workload, the
+// WithSystem system and Config's migration limit as its own cap.
 // Its one-row ledger always reports physical capacity and its two
 // migration buckets accrue and drain together, so it behaves as the
 // paper's single workload. It differs from a named tenant in three
@@ -484,7 +502,7 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		specs = []TenantSpec{{WorkingSetBytes: cfg.WorkingSetBytes, Profile: cfg.Profile, System: bo.system}}
+		specs = []TenantSpec{{WorkingSetBytes: cfg.WorkingSetBytes, Profile: cfg.Profile, Workload: cfg.Workload, System: bo.system}}
 	} else {
 		var err error
 		if specs, err = namedSpecs(cfg, &bo); err != nil {
@@ -601,6 +619,14 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 		}
 		e.installScenario(target, bo.scenario)
 	}
+	for i, spec := range specs {
+		if spec.Workload == nil {
+			continue
+		}
+		if err := spec.Workload.Install(e.tenants[i].as, e.tenants[i].rngWorkload); err != nil {
+			return nil, spec.wrap(err)
+		}
+	}
 	return e, nil
 }
 
@@ -630,6 +656,9 @@ func namedSpecs(cfg Config, bo *buildOptions) ([]TenantSpec, error) {
 	}
 	if cfg.Profile != (workloads.Profile{}) {
 		errs = append(errs, fmt.Errorf("sim: Config.Profile must be unset with tenants (set it per TenantSpec)"))
+	}
+	if cfg.Workload != nil {
+		errs = append(errs, fmt.Errorf("sim: Config.Workload must be unset with tenants (set it per TenantSpec)"))
 	}
 	errs = append(errs, cfg.validateShared()...)
 	specs := append([]TenantSpec(nil), bo.tenants...)
@@ -746,14 +775,16 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 	}
 }
 
-// AS returns tenant 0's address space, as Tenant(0).AS() does.
+// AS returns tenant 0's address space, as Tenant(0).AS() does. It and
+// WorkloadRNG remain because perfbench installs its workloads through
+// them; once perfbench sets Config.Workload, both go.
 func (e *Engine) AS() *pages.AddressSpace { return e.tenants[0].as }
 
 // Topology returns the shared physical tier set.
 func (e *Engine) Topology() *memsys.Topology { return e.topo }
 
 // WorkloadRNG returns tenant 0's workload stream, as
-// Tenant(0).WorkloadRNG() does.
+// Tenant(0).WorkloadRNG() does; see AS for why it remains.
 func (e *Engine) WorkloadRNG() *stats.RNG { return e.tenants[0].rngWorkload }
 
 // AntagonistCores returns the contention generator's current core
@@ -778,21 +809,10 @@ type TenantHandle struct {
 // Tenant returns the i-th tenant (name order).
 func (e *Engine) Tenant(i int) TenantHandle { return TenantHandle{e: e, i: i} }
 
-// TenantByName finds a tenant by name.
-func (e *Engine) TenantByName(name string) (TenantHandle, bool) {
-	for i, ts := range e.tenants {
-		if ts.name == name {
-			return TenantHandle{e: e, i: i}, true
-		}
-	}
-	return TenantHandle{}, false
-}
-
 // Name returns the tenant's name ("" for the unnamed tenant).
 func (h TenantHandle) Name() string { return h.e.tenants[h.i].name }
 
-// AS returns the tenant's address space (install workload weights
-// through this before running).
+// AS returns the tenant's address space.
 func (h TenantHandle) AS() *pages.AddressSpace { return h.e.tenants[h.i].as }
 
 // Topology returns the tenant's capacity view of the shared topology.
@@ -802,7 +822,9 @@ func (h TenantHandle) Topology() *memsys.Topology { return h.e.tenants[h.i].topo
 func (h TenantHandle) Migrator() *migrate.Engine { return h.e.tenants[h.i].migrator }
 
 // WorkloadRNG returns the tenant's workload stream (forked from the
-// tenant name, so installs are registration-order independent).
+// tenant name, so draws are registration-order independent). New's
+// workload install draws from it first; WorkloadShift events and the
+// oracle's manual placement draw from it afterwards.
 func (h TenantHandle) WorkloadRNG() *stats.RNG { return h.e.tenants[h.i].rngWorkload }
 
 // Profile returns the tenant's active traffic profile — the configured

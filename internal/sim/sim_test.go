@@ -18,16 +18,45 @@ func gupsEngine(t *testing.T, antagonist workloads.Intensity, seed uint64, opts 
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Antagonist:      antagonist,
 		Seed:            seed,
 	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
+	return e, g
+}
+
+// Config.Workload installs what a hand install through Tenant(0) after
+// New does and leaves the workload stream where the hand install left
+// it: the oracle's manual placement draws from that stream next.
+func TestConfigWorkloadMatchesManualInstall(t *testing.T) {
+	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
+	g := workloads.DefaultGUPS()
+	cfg := Config{Topology: topo, WorkingSetBytes: g.WorkingSetBytes, Profile: g.Profile(), Seed: 9}
+	manual, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e, g
+	h := manual.Tenant(0)
+	if err := g.Install(h.AS(), h.WorkloadRNG()); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload = workloads.DefaultGUPS()
+	auto, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := h.AS(), auto.Tenant(0).AS()
+	for id := range pages.PageID(a.NumPages()) {
+		if wa, wb := a.Weight(id), b.Weight(id); wa != wb {
+			t.Fatalf("page %d: weight %v installed by hand, %v by Config.Workload", id, wa, wb)
+		}
+	}
+	if x, y := h.WorkloadRNG().Uint64(), auto.Tenant(0).WorkloadRNG().Uint64(); x != y {
+		t.Fatalf("next workload draw %#x after a hand install, %#x after Config.Workload", x, y)
+	}
 }
 
 func TestEngineRunsWithoutSystem(t *testing.T) {
@@ -308,7 +337,6 @@ func TestScheduleAtManyEventsOrdered(t *testing.T) {
 	var fired []rec
 	for seq := 0; seq < n; seq++ {
 		at := 0.05 + float64((n-1-seq)%50)*0.01 // 50 time buckets, descending
-		at, seq := at, seq
 		e.ScheduleAt(at, func(*Engine) { fired = append(fired, rec{at, seq}) })
 	}
 	// The internal queue must be sorted before any event fires.
@@ -425,13 +453,11 @@ func TestNoCHANoiseSentinel(t *testing.T) {
 			Topology:        topo,
 			WorkingSetBytes: g.WorkingSetBytes,
 			Profile:         g.Profile(),
+			Workload:        g,
 			CHANoiseStdDev:  noise,
 			Seed:            1,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 			t.Fatal(err)
 		}
 		return e

@@ -51,7 +51,7 @@ func clusterEngine(t *testing.T, cfg Config, opts ...Option) *Engine {
 }
 
 // A cluster engine steps, samples every tenant on one clock, and keeps
-// tenants addressable by index (name order) and by name.
+// tenants addressable by index in name order.
 func TestClusterStepsAndSamplesAllTenants(t *testing.T) {
 	e := clusterEngine(t, Config{Topology: smallTopo(), PageBytes: tPage, Seed: 7, SampleEverySec: 0.1},
 		WithTenants(spec("b", 40), spec("a", 60)))
@@ -61,12 +61,6 @@ func TestClusterStepsAndSamplesAllTenants(t *testing.T) {
 	// Name order, not registration order.
 	if got := e.Tenant(0).Name(); got != "a" {
 		t.Fatalf("tenant 0 = %q, want \"a\"", got)
-	}
-	if _, ok := e.TenantByName("b"); !ok {
-		t.Fatal("TenantByName(b) not found")
-	}
-	if _, ok := e.TenantByName("zzz"); ok {
-		t.Fatal("TenantByName(zzz) found a ghost")
 	}
 	if err := e.Run(1.0); err != nil {
 		t.Fatal(err)
@@ -137,6 +131,8 @@ func TestClusterObsNamespaces(t *testing.T) {
 func TestClusterConstructionRejections(t *testing.T) {
 	topo := smallTopo()
 	ok := []TenantSpec{spec("a", 40), spec("b", 40)}
+	failing := spec("a", 40)
+	failing.Workload = &workloads.FromWeights{}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -146,6 +142,8 @@ func TestClusterConstructionRejections(t *testing.T) {
 		{"WithSystem", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(ok...), WithSystem(nopSystem{})}, "WithSystem conflicts"},
 		{"Config.WorkingSetBytes", Config{Topology: topo, PageBytes: tPage, WorkingSetBytes: tPage}, []Option{WithTenants(ok...)}, "WorkingSetBytes must be unset"},
 		{"Config.Profile", Config{Topology: topo, PageBytes: tPage, Profile: smallProfile("x")}, []Option{WithTenants(ok...)}, "Profile must be unset"},
+		{"Config.Workload", Config{Topology: topo, PageBytes: tPage, Workload: workloads.DefaultGUPS()}, []Option{WithTenants(ok...)}, "Workload must be unset"},
+		{"failed install", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(failing, spec("b", 40))}, `sim: tenant "a": workloads: empty weight profile`},
 		{"duplicate names", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(spec("a", 40), spec("a", 40))}, "duplicate tenant name"},
 		{"unnamed", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(TenantSpec{WorkingSetBytes: tPage, Profile: smallProfile("x")})}, "tenant name required"},
 		{"oversubscribed", Config{Topology: topo, PageBytes: tPage}, []Option{WithTenants(spec("a", 400), spec("b", 400))}, "exceeding topology capacity"},

@@ -72,6 +72,7 @@ func Run(tb testing.TB, sys sim.System, sc Scenario) (*sim.Engine, sim.Steady) {
 		Topology:        topo,
 		WorkingSetBytes: g.WorkingSetBytes,
 		Profile:         g.Profile(),
+		Workload:        g,
 		Antagonist:      sc.Antagonist,
 		Heat:            sc.Heat,
 		Seed:            sc.Seed,
@@ -79,9 +80,6 @@ func Run(tb testing.TB, sys sim.System, sc Scenario) (*sim.Engine, sim.Steady) {
 		Obs:             sc.Obs,
 	}, opts...)
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := g.Install(e.AS(), e.WorkloadRNG()); err != nil {
 		tb.Fatal(err)
 	}
 	if err := e.Run(sc.Seconds); err != nil {

@@ -91,10 +91,10 @@ type Cluster struct {
 	mForcedBytes *obs.Counter
 }
 
-// New builds a cluster: it partitions capacity per the policy, builds
-// the underlying sim engine with one named tenant per Tenant, and
-// installs each tenant's workload weights from the tenant's
-// name-forked stream.
+// New builds a cluster: it partitions capacity per the policy and
+// builds the underlying sim engine with one named tenant per Tenant,
+// which installs each tenant's workload weights from the tenant's
+// name-forked stream (see sim.New).
 func New(cfg Config) (*Cluster, error) {
 	var errs []error
 	if cfg.Topology == nil {
@@ -146,6 +146,7 @@ func New(cfg Config) (*Cluster, error) {
 			WorkingSetBytes: t.WorkingSetBytes,
 			PageBytes:       t.PageBytes,
 			Profile:         t.Profile,
+			Workload:        t.Workload,
 			System:          t.System,
 			Scenario:        t.Scenario,
 			Heat:            t.Heat,
@@ -207,22 +208,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return tenants[c.victims[a]].Name < tenants[c.victims[b]].Name
 	})
-
-	// Install workload weights in name order. Each install draws only
-	// from its tenant's name-forked stream, so one tenant's weights
-	// never depend on another's workload type.
-	for _, t := range tenants {
-		if t.Workload == nil {
-			continue
-		}
-		h, ok := eng.TenantByName(t.Name)
-		if !ok {
-			return nil, fmt.Errorf("tenant: %q lost between spec and engine", t.Name)
-		}
-		if err := t.Workload.Install(h.AS(), h.WorkloadRNG()); err != nil {
-			return nil, fmt.Errorf("tenant: %q: %w", t.Name, err)
-		}
-	}
 	return c, nil
 }
 

@@ -17,10 +17,8 @@ import (
 	"fmt"
 
 	"colloid/internal/heat"
-	"colloid/internal/pages"
 	"colloid/internal/scenario"
 	"colloid/internal/sim"
-	"colloid/internal/stats"
 	"colloid/internal/workloads"
 )
 
@@ -68,12 +66,6 @@ func (c Class) String() string {
 	}
 }
 
-// Installer installs a workload's access weights into an address space.
-// *workloads.GUPS satisfies it.
-type Installer interface {
-	Install(as *pages.AddressSpace, rng *stats.RNG) error
-}
-
 // Tenant declares one workload of a cluster.
 type Tenant struct {
 	// Name identifies the tenant (required, unique). RNG streams and
@@ -94,8 +86,8 @@ type Tenant struct {
 	Class Class
 	// Workload, when non-nil, installs the tenant's access weights at
 	// construction (after first-fit placement), drawing from the
-	// tenant's name-forked workload stream.
-	Workload Installer
+	// tenant's name-forked workload stream (sim.TenantSpec.Workload).
+	Workload sim.Workload
 	// Scenario is an optional per-tenant disturbance timeline (see
 	// sim.TenantSpec.Scenario for which event types are allowed).
 	Scenario *scenario.Scenario
