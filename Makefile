@@ -7,10 +7,10 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify fmt vet staticcheck lint lint-fixtures inline-check race bench bench-smoke bench-tenants bench-heat bench-check bench-diff clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures inline-check race bench bench-smoke bench-tenants bench-heat bench-check bench-diff examples clean
 
 # Everything CI gates on.
-ci: verify fmt vet staticcheck lint inline-check race bench-smoke bench-tenants bench-heat bench-check
+ci: verify fmt vet staticcheck lint inline-check race bench-smoke bench-tenants bench-heat bench-check examples
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
@@ -172,6 +172,15 @@ bench-check:
 #   make bench-diff PARENT='runs/parent-*.txt' CHANGE='runs/change-*.txt'
 bench-diff:
 	$(GO) run ./cmd/benchdiff -parent '$(PARENT)' -change '$(CHANGE)' -bench BENCHMARK.json
+
+# Build and run every example program; a non-zero exit fails. No test
+# runs them, and they build each tiering system from its zero Config,
+# so a fixed parameter that goes missing shows up here.
+examples:
+	@for pkg in $$($(GO) list ./examples/...); do \
+		echo "examples: $$pkg"; \
+		$(GO) run "$$pkg" >/dev/null || { echo "examples: $$pkg failed" >&2; exit 1; }; \
+	done
 
 clean:
 	rm -f BENCH_*.json

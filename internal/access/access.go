@@ -345,15 +345,15 @@ func (s *Sampler) SampleN(dst []pages.PageID, n int) []pages.PageID {
 }
 
 // FreqTracker maintains per-page access frequency counts with HeMem's
-// cooling rule: when any page's count reaches CoolThreshold, every
-// count is halved. Access probabilities are estimated as a page's
+// cooling rule: when any page's count reaches the cooling threshold,
+// every count is halved. Access probabilities are estimated as a page's
 // count divided by the total count. Counts are stored densely, indexed
 // by PageID, so the cooling pass and candidate scans are contiguous
 // range sweeps that shard cleanly; the per-shard totals are exact
 // integer sums, so the sharded cool is bit-identical to the serial one.
 type FreqTracker struct {
-	// CoolThreshold is HeMem's COOLING_THRESHOLD.
-	CoolThreshold uint32
+	// coolThreshold is HeMem's COOLING_THRESHOLD.
+	coolThreshold uint32
 
 	counts  []uint32 // indexed by PageID; zero = untracked
 	total   uint64
@@ -392,7 +392,7 @@ func NewFreqTracker(coolThreshold uint32) *FreqTracker {
 	if coolThreshold < 2 {
 		panic("access: cooling threshold must be at least 2")
 	}
-	f := &FreqTracker{CoolThreshold: coolThreshold, workers: 1}
+	f := &FreqTracker{coolThreshold: coolThreshold, workers: 1}
 	f.coolPass, f.hotPass, f.histPass = f.coolShard, f.hotShard, f.histShard
 	return f
 }
@@ -427,7 +427,7 @@ func (f *FreqTracker) Touch(id pages.PageID) uint32 {
 	}
 	f.counts[id] = c
 	f.total++
-	if c >= f.CoolThreshold {
+	if c >= f.coolThreshold {
 		f.Cool()
 		return f.counts[id]
 	}

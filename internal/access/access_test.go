@@ -154,7 +154,7 @@ func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 	for id := pages.PageID(1); int(id) < as.NumPages(); id++ {
 		as.SetWeight(id, rest)
 	}
-	h := NewHintFaultScanner(as, stats.NewRNG(5), 1.0, 0)
+	h := NewHintFaultScanner(as, stats.NewRNG(5), 1.0)
 	const rate = 1e8 // requests/sec
 	var hotFaultAt float64 = -1
 	now := 0.0
@@ -181,7 +181,7 @@ func TestHintFaultColdPageFaultsSlowly(t *testing.T) {
 	// One hot page, one barely-accessed page.
 	as.SetWeight(0, 1-1e-7)
 	as.SetWeight(1, 1e-7)
-	h := NewHintFaultScanner(as, stats.NewRNG(6), 1.0, 0)
+	h := NewHintFaultScanner(as, stats.NewRNG(6), 1.0)
 	const rate = 1e6
 	now := 0.0
 	for q := 0; q < 100; q++ {
@@ -197,7 +197,7 @@ func TestHintFaultColdPageFaultsSlowly(t *testing.T) {
 func TestHintFaultRemarking(t *testing.T) {
 	as := testSpace(t)
 	as.SetWeight(0, 1)
-	h := NewHintFaultScanner(as, stats.NewRNG(7), 0.5, 0)
+	h := NewHintFaultScanner(as, stats.NewRNG(7), 0.5)
 	now := 0.0
 	faults := 0
 	for q := 0; q < 300; q++ {
@@ -210,21 +210,10 @@ func TestHintFaultRemarking(t *testing.T) {
 	}
 }
 
-func TestHintFaultScanBatchLimits(t *testing.T) {
-	as := testSpace(t)
-	// Interval equal to the quantum wants to mark everything in one
-	// step; ScanBatch caps it.
-	h := NewHintFaultScanner(as, stats.NewRNG(8), 0.01, 10)
-	h.Step(0.01, 0.01, 0)
-	if h.Marked() != 10 {
-		t.Fatalf("marked = %d, want batch of 10", h.Marked())
-	}
-}
-
 func TestHintFaultContinuousScanRate(t *testing.T) {
 	as := testSpace(t)
 	n := as.NumPages()
-	h := NewHintFaultScanner(as, stats.NewRNG(12), 1.0, 0)
+	h := NewHintFaultScanner(as, stats.NewRNG(12), 1.0)
 	// With no traffic, marks accumulate at pages/interval.
 	for i := 0; i < 50; i++ {
 		h.Step(float64(i+1)*0.01, 0.01, 0)
@@ -246,7 +235,7 @@ func TestTimeToFaultEstimatesProbability(t *testing.T) {
 	for id := pages.PageID(1); int(id) < as.NumPages(); id++ {
 		as.SetWeight(id, rest)
 	}
-	h := NewHintFaultScanner(as, stats.NewRNG(9), 0.05, 0)
+	h := NewHintFaultScanner(as, stats.NewRNG(9), 0.05)
 	const rate = 1e4
 	var w stats.Welford
 	now := 0.0

@@ -22,14 +22,11 @@ import (
 // signal and its weakness: cold pages take a long time to fault, so
 // hot-set changes are detected slowly.
 type HintFaultScanner struct {
-	// ScanIntervalSec is the time one full pass over the address space
+	// scanIntervalSec is the time one full pass over the address space
 	// takes; the scanner marks pages continuously (round-robin) at a
-	// rate of pages/ScanIntervalSec, as the kernel's incremental
+	// rate of pages/scanIntervalSec, as the kernel's incremental
 	// page-table scanner does.
-	ScanIntervalSec float64
-	// ScanBatch additionally caps how many pages any single Step may
-	// mark; 0 means uncapped.
-	ScanBatch int
+	scanIntervalSec float64
 
 	as  *pages.AddressSpace
 	rng *stats.RNG
@@ -58,14 +55,14 @@ type Fault struct {
 	TimeToFaultSec float64
 }
 
-// NewHintFaultScanner returns a scanner over as.
-func NewHintFaultScanner(as *pages.AddressSpace, rng *stats.RNG, scanIntervalSec float64, scanBatch int) *HintFaultScanner {
+// NewHintFaultScanner returns a scanner over as that marks every page
+// once per scanIntervalSec.
+func NewHintFaultScanner(as *pages.AddressSpace, rng *stats.RNG, scanIntervalSec float64) *HintFaultScanner {
 	if scanIntervalSec <= 0 {
 		panic("access: scan interval must be positive")
 	}
 	return &HintFaultScanner{
-		ScanIntervalSec: scanIntervalSec,
-		ScanBatch:       scanBatch,
+		scanIntervalSec: scanIntervalSec,
 		as:              as,
 		rng:             rng,
 		isMarked:        make([]bool, as.NumPages()),
@@ -142,12 +139,9 @@ func (h *HintFaultScanner) draw(m mark, nowSec, quantumSec, totalRatePerSec floa
 // cursor position like the kernel's incremental scanner.
 func (h *HintFaultScanner) scan(nowSec, quantumSec float64) {
 	n := h.as.NumPages()
-	h.scanCarry += float64(n) * quantumSec / h.ScanIntervalSec
+	h.scanCarry += float64(n) * quantumSec / h.scanIntervalSec
 	budget := int(h.scanCarry)
 	h.scanCarry -= float64(budget)
-	if h.ScanBatch > 0 && budget > h.ScanBatch {
-		budget = h.ScanBatch
-	}
 	examined := 0
 	for examined < n && budget > 0 {
 		id := pages.PageID((h.cursor + examined) % n)

@@ -59,8 +59,6 @@ type Options struct {
 	// Delta is the latency deadband: latencies within a factor Delta of
 	// each other count as balanced (paper default 0.05).
 	Delta float64
-	// EWMAAlpha smooths occupancy and rate measurements (default 0.3).
-	EWMAAlpha float64
 	// StaticLimitBytesPerSec is M, the maximum migration rate; the
 	// dynamic limit never exceeds it. 0 means no static cap.
 	StaticLimitBytesPerSec float64
@@ -101,11 +99,14 @@ func (o Options) withDefaults() Options {
 	if o.Delta == 0 {
 		o.Delta = 0.05
 	}
-	if o.EWMAAlpha == 0 {
-		o.EWMAAlpha = 0.3
-	}
 	return o
 }
+
+// ewmaAlpha is the weight of the newest sample in the occupancy and
+// rate EWMAs that smooth Section 3.1's Little's-law measurements. It is
+// this reproduction's setting; the AblateEWMA arm measures what it buys
+// against raw per-quantum samples.
+const ewmaAlpha = 0.3
 
 // Decision is the outcome of one controller quantum.
 type Decision struct {
@@ -169,12 +170,13 @@ func NewController(numTiers int, opts Options) *Controller {
 		panic("core: controller needs at least two tiers")
 	}
 	o := opts.withDefaults()
+	alpha := ewmaAlpha
 	if o.AblateEWMA {
-		o.EWMAAlpha = 1 // EWMA with alpha 1 tracks raw samples exactly
+		alpha = 1 // EWMA with alpha 1 tracks raw samples exactly
 	}
 	c := &Controller{
 		opts:    o,
-		measure: newMeasure(numTiers, o),
+		measure: newMeasure(numTiers, o, alpha),
 		pLo:     0,
 		pHi:     1,
 	}
@@ -291,7 +293,7 @@ type measure struct {
 	unloaded []float64 // per-tier unloaded latencies; nil without a prior
 }
 
-func newMeasure(numTiers int, o Options) measure {
+func newMeasure(numTiers int, o Options, alpha float64) measure {
 	m := measure{
 		meter: cha.NewMeter(numTiers),
 		occ:   make([]*stats.EWMA, numTiers),
@@ -301,8 +303,8 @@ func newMeasure(numTiers int, o Options) measure {
 		m.unloaded = o.UnloadedLatencyNs
 	}
 	for i := range m.occ {
-		m.occ[i] = stats.NewEWMA(o.EWMAAlpha)
-		m.rate[i] = stats.NewEWMA(o.EWMAAlpha)
+		m.occ[i] = stats.NewEWMA(alpha)
+		m.rate[i] = stats.NewEWMA(alpha)
 	}
 	return m
 }

@@ -52,7 +52,7 @@ func NewMultiController(numTiers int, opts Options, gain float64) *MultiControll
 		gain = 0.5
 	}
 	o := opts.withDefaults()
-	return &MultiController{opts: o, gain: gain, measure: newMeasure(numTiers, o)}
+	return &MultiController{opts: o, gain: gain, measure: newMeasure(numTiers, o, ewmaAlpha)}
 }
 
 // Observe consumes a cumulative CHA snapshot and returns the decision;

@@ -23,38 +23,30 @@ import (
 	"colloid/internal/sim"
 )
 
-// Config tunes HeMem.
+// Config selects vanilla HeMem or HeMem with Colloid.
 type Config struct {
-	// SampleRatePerSec is the PEBS sampling rate the polling thread
-	// sustains (default 50k samples/sec).
-	SampleRatePerSec float64
-	// CoolThreshold is COOLING_THRESHOLD: when any page's count reaches
-	// it, all counts halve (default 16).
-	CoolThreshold uint32
-	// HotThreshold classifies a page as hot (default 4).
-	HotThreshold uint32
-	// QuantumSec is the migration thread quantum (default 10 ms).
-	QuantumSec float64
 	// Colloid enables the Colloid placement algorithm with the given
 	// options; nil runs vanilla HeMem.
 	Colloid *core.Options
 }
 
-func (c Config) withDefaults() Config {
-	if c.SampleRatePerSec == 0 {
-		c.SampleRatePerSec = 50_000
-	}
-	if c.CoolThreshold == 0 {
-		c.CoolThreshold = 16
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = 4
-	}
-	if c.QuantumSec == 0 {
-		c.QuantumSec = 0.01
-	}
-	return c
-}
+// HeMem's fixed parameters. Section 4.1 of the Colloid paper runs HeMem
+// with its COOLING_THRESHOLD and a 10 ms migration quantum; the PEBS
+// rate and the hot threshold are this model's settings. The
+// related-work policies track heat at the same rate, threshold and
+// cadence.
+const (
+	// sampleRatePerSec is the PEBS sampling rate the polling thread
+	// sustains.
+	sampleRatePerSec = 50_000
+	// coolThreshold is COOLING_THRESHOLD: when any page's count reaches
+	// it, all counts halve.
+	coolThreshold = 16
+	// hotThreshold is the count at which a page is classified hot.
+	hotThreshold = 4
+	// quantumSec is the migration thread quantum (10 ms).
+	quantumSec = 0.01
+)
 
 // numBins is the Colloid extension's bin count (Section 4.1).
 const numBins = 5
@@ -63,7 +55,7 @@ const numBins = 5
 // position array per list. altPos and binPos are one plus the page's
 // index in hotAlt and in bins[bin-1], 0 when absent; bin is one plus
 // the page's bin, 0 for none. A hot page has a count of at least
-// HotThreshold; only the flag is kept, since nothing reads the hot
+// hotThreshold; only the flag is kept, since nothing reads the hot
 // pages in order. demoted marks a victim of the running Colloid walk
 // and sits in what would be padding.
 type pageState struct {
@@ -76,9 +68,6 @@ type pageState struct {
 // System is one HeMem instance managing one address space.
 type System struct {
 	cfg Config
-	// edges[b] is the least count in bin b+1, set once by New from
-	// CoolThreshold; binIndex counts the edges a count reaches.
-	edges [numBins - 1]uint32
 	// tracker is built lazily from Context.Heat on the first step, so
 	// one sim.Config knob switches HeMem between exact and region
 	// tracking without code changes here.
@@ -115,15 +104,7 @@ type System struct {
 
 // New returns a HeMem instance.
 func New(cfg Config) *System {
-	s := &System{cfg: cfg.withDefaults()}
-	// Bin b holds the counts with count*numBins/CoolThreshold = b, so
-	// it starts at the ceiling of b*CoolThreshold/numBins. The product
-	// needs 64 bits; the quotient fits a count.
-	ct := uint64(s.cfg.CoolThreshold)
-	for i := range s.edges {
-		s.edges[i] = uint32((uint64(i+1)*ct + numBins - 1) / numBins)
-	}
-	return s
+	return &System{cfg: cfg}
 }
 
 // Name identifies the system.
@@ -157,7 +138,7 @@ func (s *System) Step(ctx *sim.Context) {
 		s.lastRunSec = ctx.TimeSec
 		return
 	}
-	if ctx.TimeSec-s.lastRunSec < s.cfg.QuantumSec-1e-12 {
+	if ctx.TimeSec-s.lastRunSec < quantumSec-1e-12 {
 		return
 	}
 	s.lastRunSec = ctx.TimeSec
@@ -173,7 +154,7 @@ func (s *System) Step(ctx *sim.Context) {
 // tracker's worker count in sync with the context.
 func (s *System) ensureTracker(ctx *sim.Context) {
 	if s.tracker == nil {
-		s.tracker = ctx.Heat.NewTracker(s.cfg.CoolThreshold)
+		s.tracker = ctx.Heat.NewTracker(coolThreshold)
 		s.state = make([]pageState, ctx.AS.NumPages())
 	}
 	s.tracker.SetWorkers(ctx.Workers)
@@ -183,7 +164,7 @@ func (s *System) ensureTracker(ctx *sim.Context) {
 // folds samples into the frequency tracker, maintaining hot-set and bin
 // memberships incrementally.
 func (s *System) samplePEBS(ctx *sim.Context) {
-	s.sampleCarry += s.cfg.SampleRatePerSec * ctx.QuantumSec
+	s.sampleCarry += sampleRatePerSec * ctx.QuantumSec
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
 	coolsBefore := s.tracker.Cools()
@@ -204,7 +185,7 @@ func (s *System) samplePEBS(ctx *sim.Context) {
 // the value its Touch returned.
 func (s *System) classify(ctx *sim.Context, id pages.PageID, c uint32) {
 	st := &s.state[id]
-	if hot := c >= s.cfg.HotThreshold; hot != st.hot {
+	if hot := c >= hotThreshold; hot != st.hot {
 		st.hot = hot
 		if hot {
 			s.nHot++
@@ -273,12 +254,12 @@ func (s *System) removeBin(id pages.PageID) {
 }
 
 // binIndex returns count's frequency bin, min(count*numBins /
-// CoolThreshold, numBins-1), as the number of bin edges count reaches.
-// The four compares are written out and each sets a flag, so a sample
-// pays no division and no branch on its count.
+// coolThreshold, numBins-1), as the number of bin edges count reaches.
+// Bin b starts at the ceiling of b*coolThreshold/numBins: 4, 7, 10 and
+// 13. The four compares are written out and each sets a flag, so a
+// sample pays no division and no branch on its count.
 func (s *System) binIndex(count uint32) int {
-	e := &s.edges
-	return b2i(count >= e[0]) + b2i(count >= e[1]) + b2i(count >= e[2]) + b2i(count >= e[3])
+	return b2i(count >= 4) + b2i(count >= 7) + b2i(count >= 10) + b2i(count >= 13)
 }
 
 // b2i is 1 for true and 0 for false; the compiler turns it into a flag
@@ -301,7 +282,7 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 		s.bins[b] = s.bins[b][:0]
 	}
 	s.tracker.ForEach(func(id pages.PageID, count uint32) {
-		if count >= s.cfg.HotThreshold {
+		if count >= hotThreshold {
 			s.state[id].hot = true
 			s.nHot++
 			if ctx.AS.Tier(id) != memsys.DefaultTier {
@@ -403,7 +384,7 @@ func (s *System) migrateColloid(ctx *sim.Context) {
 // demoted and clears the marks when it ends.
 func (s *System) walk(ctx *sim.Context, d core.Decision) {
 	const maxScan = 32768
-	limitBytes := int64(d.MigrationLimitBytesPerSec * s.cfg.QuantumSec)
+	limitBytes := int64(d.MigrationLimitBytesPerSec * quantumSec)
 	if b := ctx.Migrator.Budget(); b < limitBytes {
 		limitBytes = b
 	}

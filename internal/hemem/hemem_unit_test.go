@@ -43,7 +43,7 @@ func TestPageStateIsTwelveBytes(t *testing.T) {
 }
 
 func TestBinIndexBoundaries(t *testing.T) {
-	s := New(Config{CoolThreshold: 16})
+	s := New(Config{})
 	cases := map[uint32]int{1: 0, 3: 0, 4: 1, 7: 2, 12: 3, 15: 4, 16: 4, 100: 4}
 	for count, want := range cases {
 		if got := s.binIndex(count); got != want {
@@ -52,36 +52,33 @@ func TestBinIndexBoundaries(t *testing.T) {
 	}
 }
 
-// binIndex's edge compares must give the bin the division gives, in 64
-// bits so no product wraps: every count up to three times the threshold
-// (capped), the counts around each edge and the largest count.
+// binIndex's constant edges must give the bin the division by
+// coolThreshold gives, in 64 bits so no product wraps: every count up
+// to three times the threshold, the counts around each edge and the
+// largest count.
 func TestBinIndexMatchesDivision(t *testing.T) {
-	for _, ct := range []uint32{2, 3, 5, 16, 17, 1000, 1 << 20, math.MaxUint32} {
-		s := New(Config{CoolThreshold: ct})
-		var counts []uint32
-		for c := range uint32(3 * min(ct, 100_000)) {
-			counts = append(counts, c)
+	s := New(Config{})
+	var counts []uint32
+	for c := range uint32(3 * coolThreshold) {
+		counts = append(counts, c)
+	}
+	for _, e := range []uint32{4, 7, 10, 13} {
+		for d := uint32(0); d <= 4; d++ {
+			counts = append(counts, e+d-2)
 		}
-		for _, e := range s.edges {
-			for d := -2; d <= 2; d++ {
-				if c := int64(e) + int64(d); c >= 0 && c <= math.MaxUint32 {
-					counts = append(counts, uint32(c))
-				}
-			}
-		}
-		counts = append(counts, math.MaxUint32)
-		for _, c := range counts {
-			want := int(min(uint64(c)*numBins/uint64(ct), numBins-1))
-			if got := s.binIndex(c); got != want {
-				t.Fatalf("CoolThreshold %d: binIndex(%d) = %d, want %d", ct, c, got, want)
-			}
+	}
+	counts = append(counts, math.MaxUint32)
+	for _, c := range counts {
+		want := int(min(uint64(c)*numBins/coolThreshold, numBins-1))
+		if got := s.binIndex(c); got != want {
+			t.Fatalf("binIndex(%d) = %d, want %d", c, got, want)
 		}
 	}
 }
 
 func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 	ctx := unitContext(t)
-	s := New(Config{HotThreshold: 4, CoolThreshold: 16})
+	s := New(Config{})
 	s.ensureTracker(ctx)
 	id := pages.PageID(0)
 
@@ -124,7 +121,7 @@ func TestClassifyMaintainsBinsAndHotSets(t *testing.T) {
 
 func TestRebuildAfterCooling(t *testing.T) {
 	ctx := unitContext(t)
-	s := New(Config{HotThreshold: 4, CoolThreshold: 16})
+	s := New(Config{})
 	s.ensureTracker(ctx)
 	id := pages.PageID(0)
 	for i := 0; i < 7; i++ {
@@ -154,7 +151,7 @@ func TestCandidatesOrderedHottestFirst(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		ctx := unitContext(t)
 		ctx.Migrator.BeginQuantum(ctx.QuantumSec)
-		s := New(Config{HotThreshold: 2, CoolThreshold: 16})
+		s := New(Config{})
 		s.ensureTracker(ctx)
 		for i, n := range []int{12, 6, 2} {
 			var c uint32
@@ -164,7 +161,7 @@ func TestCandidatesOrderedHottestFirst(t *testing.T) {
 			s.classify(ctx, pages.PageID(i), c)
 		}
 		// Half a page over k pages, so rounding cannot cut the budget.
-		limit := (float64(k) + 0.5) * pages.HugePageBytes / s.cfg.QuantumSec
+		limit := (float64(k) + 0.5) * pages.HugePageBytes / quantumSec
 		s.walk(ctx, core.Decision{Mode: core.Demote, DeltaP: 1, MigrationLimitBytesPerSec: limit})
 		for id := range pages.PageID(3) {
 			if moved := ctx.AS.Tier(id) != memsys.DefaultTier; moved != (int(id) < k) {

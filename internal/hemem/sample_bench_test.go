@@ -19,7 +19,6 @@ import (
 // it. 2,000 quanta warm the counts and lists first. It reports ns per
 // sample, a number end-to-end runs mix with everything else.
 func BenchmarkSamplePEBS(b *testing.B) {
-	const quantumSec = 0.01
 	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
 	g := workloads.DefaultGUPS()
 	as, err := pages.NewAddressSpace(topo, g.WorkingSetBytes, pages.HugePageBytes)
@@ -42,7 +41,7 @@ func BenchmarkSamplePEBS(b *testing.B) {
 	for q := 0; q < 2000; q++ {
 		s.samplePEBS(ctx)
 	}
-	perQuantum := int(s.cfg.SampleRatePerSec * quantumSec)
+	perQuantum := int(sampleRatePerSec * quantumSec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -112,7 +112,7 @@ func refPickPages(dst []pages.PageID, deltaP float64, limitBytes, pageBytes int6
 // refMigrateColloid is the reference placement: refPickPages over the
 // bins hottest first, then one move loop over the picks.
 func refMigrateColloid(s *System, ctx *sim.Context, d core.Decision) {
-	limitBytes := int64(d.MigrationLimitBytesPerSec * s.cfg.QuantumSec)
+	limitBytes := int64(d.MigrationLimitBytesPerSec * quantumSec)
 	if b := ctx.Migrator.Budget(); b < limitBytes {
 		limitBytes = b
 	}

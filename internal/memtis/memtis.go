@@ -31,66 +31,45 @@ import (
 	"colloid/internal/sim"
 )
 
-// Config tunes MEMTIS.
+// Config selects vanilla MEMTIS or MEMTIS with Colloid.
 type Config struct {
-	// BaseSampleRatePerSec is the nominal PEBS rate (default 20k/s);
-	// the dynamic rate controller scales it in [0.5x, 2x] to bound
-	// tracking overhead.
-	BaseSampleRatePerSec float64
-	// QuantumSec is the kmigrated quantum (default 500 ms).
-	QuantumSec float64
-	// CoolEveryQuanta is the periodic cooling cadence (default 16
-	// kmigrated quanta = 8 s).
-	CoolEveryQuanta int
-	// SplitsPerQuantum caps how many huge pages one quantum splits
-	// for dynamic page size determination (default 128); a negative
-	// value disables splitting.
-	SplitsPerQuantum int
-	// SplitWeightCap stops splitting once this fraction of the access
-	// weight rests on split pages (default 0.6).
-	SplitWeightCap float64
-	// SplitPenalty is the fractional MLP loss when all accesses hit
-	// split pages (default 0.15; the penalty applied is
-	// SplitPenalty * splitWeightFraction).
-	SplitPenalty float64
-	// CoalesceIntervalSec is how often the background VA scan manages
-	// to coalesce one split parent (default 120 s — the inefficiency
-	// the paper calls out).
-	CoalesceIntervalSec float64
-	// FreeWatermarkBytes is the default-tier free space kmigrated
-	// maintains by demoting cold pages (default 1 GiB).
-	FreeWatermarkBytes int64
 	// Colloid enables the Colloid integration; nil is vanilla MEMTIS.
 	Colloid *core.Options
 }
 
-func (c Config) withDefaults() Config {
-	if c.BaseSampleRatePerSec == 0 {
-		c.BaseSampleRatePerSec = 20_000
-	}
-	if c.QuantumSec == 0 {
-		c.QuantumSec = 0.5
-	}
-	if c.CoolEveryQuanta == 0 {
-		c.CoolEveryQuanta = 16
-	}
-	if c.SplitsPerQuantum == 0 {
-		c.SplitsPerQuantum = 128
-	}
-	if c.SplitWeightCap == 0 {
-		c.SplitWeightCap = 0.6
-	}
-	if c.SplitPenalty == 0 {
-		c.SplitPenalty = 0.15
-	}
-	if c.CoalesceIntervalSec == 0 {
-		c.CoalesceIntervalSec = 120
-	}
-	if c.FreeWatermarkBytes == 0 {
-		c.FreeWatermarkBytes = memsys.GiB
-	}
-	return c
-}
+// MEMTIS's fixed parameters. Section 4.2 of the Colloid paper gives
+// the 500 ms kmigrated quantum; the sampling rate, cooling cadence and
+// free watermark are this model's settings for the mechanisms it names,
+// and the split pacing and penalty are set so that splitting costs
+// vanilla MEMTIS the roughly 10% at 0x contention that Section 2.2
+// measures.
+const (
+	// baseSampleRatePerSec is the nominal PEBS rate; the dynamic rate
+	// controller scales it in [0.5x, 2x] to bound tracking overhead.
+	baseSampleRatePerSec = 20_000
+	// quantumSec is the kmigrated quantum (500 ms).
+	quantumSec = 0.5
+	// coolEveryQuanta is the periodic cooling cadence: 16 kmigrated
+	// quanta, 8 s.
+	coolEveryQuanta = 16
+	// splitsPerQuantum caps how many huge pages one quantum splits for
+	// dynamic page size determination.
+	splitsPerQuantum = 128
+	// splitWeightCap stops splitting once this fraction of the access
+	// weight rests on split pages.
+	splitWeightCap = 0.6
+	// splitPenalty is the fractional MLP loss when all accesses hit
+	// split pages; the penalty applied is splitPenalty times the split
+	// weight fraction.
+	splitPenalty = 0.15
+	// coalesceIntervalSec is how often the background VA scan manages
+	// to coalesce one split parent: 120 s, the inefficiency the paper
+	// calls out.
+	coalesceIntervalSec = 120
+	// freeWatermarkBytes is the default-tier free space kmigrated
+	// maintains by demoting cold pages (1 GiB).
+	freeWatermarkBytes = memsys.GiB
+)
 
 // maxCount caps histogram bucket indices.
 const maxCount = 256
@@ -141,11 +120,10 @@ type splitCand struct {
 
 // New returns a MEMTIS instance.
 func New(cfg Config) *System {
-	cfg = cfg.withDefaults()
 	return &System{
 		cfg:         cfg,
 		sampleScale: 1,
-		splitting:   cfg.SplitsPerQuantum > 0,
+		splitting:   true,
 	}
 }
 
@@ -183,7 +161,7 @@ func (s *System) Step(ctx *sim.Context) {
 		s.lastCoalesce = ctx.TimeSec
 		return
 	}
-	if ctx.TimeSec-s.lastRunSec < s.cfg.QuantumSec-1e-12 {
+	if ctx.TimeSec-s.lastRunSec < quantumSec-1e-12 {
 		return
 	}
 	s.lastRunSec = ctx.TimeSec
@@ -191,7 +169,7 @@ func (s *System) Step(ctx *sim.Context) {
 
 	// Periodic cooling (MEMTIS halves counts on a timer rather than on
 	// a per-page threshold).
-	if s.quanta%s.cfg.CoolEveryQuanta == 0 {
+	if s.quanta%coolEveryQuanta == 0 {
 		s.tracker.Cool()
 	}
 	s.updateDynamicRate()
@@ -222,7 +200,7 @@ func (s *System) ensureTracker(ctx *sim.Context) {
 
 // samplePEBS folds this engine quantum's samples into the tracker.
 func (s *System) samplePEBS(ctx *sim.Context) {
-	s.sampleCarry += s.cfg.BaseSampleRatePerSec * s.sampleScale * ctx.QuantumSec
+	s.sampleCarry += baseSampleRatePerSec * s.sampleScale * ctx.QuantumSec
 	n := int(s.sampleCarry)
 	s.sampleCarry -= float64(n)
 	s.draws = ctx.Sampler.SampleN(s.draws[:0], n)
@@ -305,7 +283,7 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	if !ok || d.Mode == core.Hold {
 		return
 	}
-	limitBytes := int64(d.MigrationLimitBytesPerSec * s.cfg.QuantumSec)
+	limitBytes := int64(d.MigrationLimitBytesPerSec * quantumSec)
 	if b := ctx.Migrator.Budget(); b < limitBytes {
 		limitBytes = b
 	}
@@ -359,7 +337,7 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 // which is why MEMTIS has the whole working set already in the
 // alternate tier in the Figure 9 experiments).
 func (s *System) defaultKmigrated(ctx *sim.Context) {
-	for ctx.AS.FreeBytes(memsys.DefaultTier) < s.cfg.FreeWatermarkBytes {
+	for ctx.AS.FreeBytes(memsys.DefaultTier) < freeWatermarkBytes {
 		if !s.demoteColdFromDefault(ctx, pages.HugePageBytes) {
 			return
 		}
@@ -401,14 +379,14 @@ func (s *System) findColdInDefault(ctx *sim.Context) pages.PageID {
 	return pages.NoPage
 }
 
-// splitHotHugePages splits up to SplitsPerQuantum of the hottest huge
+// splitHotHugePages splits up to splitsPerQuantum of the hottest huge
 // pages into base pages. MEMTIS does this to gain sub-hugepage
 // placement resolution; on workloads whose hot set is uniform within
 // huge pages (GUPS) the split buys nothing and only costs TLB reach,
 // and because it happens before steady state the damage is done early
 // (Section 2.2).
 func (s *System) splitHotHugePages(ctx *sim.Context) {
-	if s.splitWeightFraction(ctx) >= s.cfg.SplitWeightCap {
+	if s.splitWeightFraction(ctx) >= splitWeightCap {
 		s.splitting = false
 		return
 	}
@@ -431,7 +409,7 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 	}
 	s.cand = best
 	// Partial selection: take the hottest few without a full sort.
-	for i := 0; i < s.cfg.SplitsPerQuantum && i < len(best); i++ {
+	for i := 0; i < splitsPerQuantum && i < len(best); i++ {
 		maxJ := i
 		for j := i + 1; j < len(best); j++ {
 			if best[j].count > best[maxJ].count {
@@ -447,10 +425,10 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 
 // coalesceSlowly models MEMTIS's background coalescing: a virtual
 // address space scan that merges at most one split parent per
-// CoalesceIntervalSec — far slower than the workloads reach steady
+// coalesceIntervalSec — far slower than the workloads reach steady
 // state, so early splits effectively persist (Section 2.2).
 func (s *System) coalesceSlowly(ctx *sim.Context) {
-	if ctx.TimeSec-s.lastCoalesce < s.cfg.CoalesceIntervalSec {
+	if ctx.TimeSec-s.lastCoalesce < coalesceIntervalSec {
 		return
 	}
 	s.lastCoalesce = ctx.TimeSec
@@ -479,7 +457,7 @@ func (s *System) applySplitPenalty(ctx *sim.Context) {
 		return
 	}
 	frac := s.splitWeightFraction(ctx)
-	scale := 1 - s.cfg.SplitPenalty*frac
+	scale := 1 - splitPenalty*frac
 	if scale < 0.5 {
 		scale = 0.5
 	}

@@ -28,7 +28,8 @@ func TestSplittingHappensAndPenalizes(t *testing.T) {
 	}
 	withSplit := New(Config{})
 	_, stSplit := simtest.RunGUPS(t, withSplit, 0, 90, 2)
-	noSplit := New(Config{SplitsPerQuantum: -1})
+	noSplit := New(Config{})
+	noSplit.splitting = false
 	_, stNoSplit := simtest.RunGUPS(t, noSplit, 0, 90, 2)
 	if withSplit.SplitParents() == 0 {
 		t.Fatal("no hugepages were split")
@@ -86,19 +87,6 @@ func TestDynamicSampleRateBounded(t *testing.T) {
 	simtest.RunGUPS(t, sys, 0, 30, 6)
 	if sys.sampleScale < 0.4 || sys.sampleScale > 2.3 {
 		t.Fatalf("sample scale out of bounds: %v", sys.sampleScale)
-	}
-}
-
-func TestCoalesceShrinksSplitSet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long simulation")
-	}
-	sys := New(Config{CoalesceIntervalSec: 5})
-	simtest.RunGUPS(t, sys, 0, 30, 7)
-	// With a 5s coalesce interval and splitting capped, coalesces must
-	// have fired several times; the split set stops growing.
-	if sys.SplitParents() == 0 {
-		t.Skip("splitting did not outpace coalescing at this seed")
 	}
 }
 

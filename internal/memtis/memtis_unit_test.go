@@ -71,33 +71,33 @@ func TestHotThresholdAllFitReturnsOne(t *testing.T) {
 
 func TestSplitMarksHottestAndCapsByWeight(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{SplitsPerQuantum: 2, SplitWeightCap: 0.5})
+	s := New(Config{})
 	s.ensureTracker(ctx)
-	// Three candidates above threshold with distinct counts and
-	// weights.
-	ctx.AS.SetWeight(0, 0.4)
-	ctx.AS.SetWeight(1, 0.3)
-	ctx.AS.SetWeight(2, 0.3)
-	for i, n := range []int{20, 10, 5} {
-		for j := 0; j < n; j++ {
-			s.tracker.Touch(pages.PageID(i))
+	// Two more candidates above threshold than one quantum may split,
+	// with distinct counts, hottest first. Splitting the hottest
+	// splitsPerQuantum of them puts 0.64 of the weight on split pages.
+	const n = splitsPerQuantum + 2
+	for i := range pages.PageID(n) {
+		ctx.AS.SetWeight(i, 0.005)
+		for j := 0; j < 10+n-int(i); j++ {
+			s.tracker.Touch(i)
 		}
 	}
 	s.hotThreshold = 2
 	s.splitHotHugePages(ctx)
-	if s.SplitParents() != 2 {
-		t.Fatalf("split %d parents, want 2", s.SplitParents())
+	if s.SplitParents() != splitsPerQuantum {
+		t.Fatalf("split %d parents, want %d", s.SplitParents(), splitsPerQuantum)
 	}
-	if !s.isSplit[0] {
-		t.Fatal("hottest page not split")
+	if !s.isSplit[0] || !s.isSplit[1] {
+		t.Fatal("hottest pages not split")
 	}
-	if !s.isSplit[1] {
-		t.Fatal("second-hottest page not split")
+	if s.isSplit[n-2] || s.isSplit[n-1] {
+		t.Fatal("coldest pages split past the per-quantum cap")
 	}
-	// Split weight now 0.7 >= cap 0.5: the next pass must stop and
-	// latch splitting off.
+	// Split weight now 0.64 >= splitWeightCap: the next pass must stop
+	// and latch splitting off.
 	s.splitHotHugePages(ctx)
-	if s.SplitParents() != 2 {
+	if s.SplitParents() != splitsPerQuantum {
 		t.Fatalf("cap not honored: %d parents", s.SplitParents())
 	}
 	if s.splitting {
@@ -107,21 +107,21 @@ func TestSplitMarksHottestAndCapsByWeight(t *testing.T) {
 
 func TestCoalesceRemovesOneParentPerInterval(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{CoalesceIntervalSec: 10})
+	s := New(Config{})
 	s.ensureTracker(ctx)
 	s.lastCoalesce = 0
 	markSplit(s, ctx, 1, 2)
-	ctx.TimeSec = 5
+	ctx.TimeSec = coalesceIntervalSec / 2
 	s.coalesceSlowly(ctx)
 	if s.SplitParents() != 2 {
 		t.Fatal("coalesced before the interval elapsed")
 	}
-	ctx.TimeSec = 11
+	ctx.TimeSec = coalesceIntervalSec + 1
 	s.coalesceSlowly(ctx)
 	if s.SplitParents() != 1 {
 		t.Fatalf("parents = %d after one interval, want 1", s.SplitParents())
 	}
-	ctx.TimeSec = 15
+	ctx.TimeSec = 1.5 * coalesceIntervalSec
 	s.coalesceSlowly(ctx)
 	if s.SplitParents() != 1 {
 		t.Fatal("coalesced again before the next interval")
@@ -139,7 +139,7 @@ func markSplit(s *System, ctx *sim.Context, ids ...pages.PageID) {
 
 func TestSplitPenaltyScalesWithWeight(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{SplitPenalty: 0.2})
+	s := New(Config{})
 	s.ensureTracker(ctx)
 	ctx.AS.SetWeight(0, 0.5)
 	ctx.AS.SetWeight(1, 0.5)
@@ -147,24 +147,24 @@ func TestSplitPenaltyScalesWithWeight(t *testing.T) {
 	var applied float64
 	ctx.SetInflightScale = func(scale float64) { applied = scale }
 	s.applySplitPenalty(ctx)
-	// Half the weight split at penalty 0.2 -> scale 0.9.
-	if applied < 0.89 || applied > 0.91 {
-		t.Fatalf("scale = %v, want 0.9", applied)
+	// Half the weight split at penalty 0.15 -> scale 0.925.
+	if applied < 0.915 || applied > 0.935 {
+		t.Fatalf("scale = %v, want 0.925", applied)
 	}
 }
 
 // TestSplitCoalescePenaltyOrder pins which parent a coalesce drops and
 // the order the penalty sums the split weights in. MEMTIS coalesces
-// once per CoalesceIntervalSec (120 s by default), so no golden run
-// reaches it. The weights' float sum depends on its order: splitting
-// A, B, C, D (hottest first) and then swap-removing the first parent
-// leaves D, B, C, whose weights sum to 0.7000000000000001; B, C, D sums
-// to 0.7 and A, B, C to 0.35000000000000003.
+// once per coalesceIntervalSec (120 s), so no golden run reaches it.
+// The weights' float sum depends on its order: splitting A, B, C, D
+// (hottest first) and then swap-removing the first parent leaves D, B,
+// C, whose weights give scale 0.9400000000000001; B, C, D gives 0.94
+// and A, B, C 0.9775.
 func TestSplitCoalescePenaltyOrder(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{SplitsPerQuantum: 4, SplitPenalty: 0.5, CoalesceIntervalSec: 10})
+	s := New(Config{})
 	s.ensureTracker(ctx)
-	for i, w := range []float64{0.1, 0.2, 0.05, 0.45} {
+	for i, w := range []float64{0.05, 0.05, 0.05, 0.3} {
 		ctx.AS.SetWeight(pages.PageID(i), w)
 		for j := 0; j < 40-10*i; j++ {
 			s.tracker.Touch(pages.PageID(i))
@@ -177,14 +177,14 @@ func TestSplitCoalescePenaltyOrder(t *testing.T) {
 	}
 	var applied float64
 	ctx.SetInflightScale = func(scale float64) { applied = scale }
-	ctx.TimeSec = 10
+	ctx.TimeSec = coalesceIntervalSec
 	s.coalesceSlowly(ctx)
 	if s.SplitParents() != 3 {
 		t.Fatalf("parents = %d after one interval, want 3", s.SplitParents())
 	}
 	s.applySplitPenalty(ctx)
-	// 1 - 0.5*0.7000000000000001.
-	if want := 0.6499999999999999; applied != want {
+	// 1 - splitPenalty*((0.3+0.05)+0.05).
+	if want := 0.9400000000000001; applied != want {
 		t.Fatalf("scale = %v, want %v", applied, want)
 	}
 }

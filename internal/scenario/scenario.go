@@ -81,9 +81,10 @@ func (e ProfileSwitch) Validate(int) error {
 
 // WorkloadShift mutates page weights at AtSec through the engine's
 // workload RNG stream — the Figure 9 hot-set shift is
-// WorkloadShift{AtSec: t, Shift: gups.ShiftHotSet}. Because the shift
-// draws from the same stream a hand-scheduled call would, scenario-driven
-// runs are bit-identical to ScheduleAt equivalents.
+// WorkloadShift{AtSec: t, Shift: gups.ShiftHotSet}. The shift draws
+// from the tenant's workload stream, the one its install drew from, so
+// a scenario-driven run is bit-identical to calling the shift on the
+// engine's workload stream at the same quantum.
 type WorkloadShift struct {
 	AtSec float64
 	Shift func(as *pages.AddressSpace, rng *stats.RNG)

@@ -40,7 +40,7 @@ func TestScheduleAtQuantumBoundary(t *testing.T) {
 	fireTime := func() float64 {
 		e, _ := gupsEngine(t, 0, 11)
 		fired := math.NaN()
-		e.ScheduleAt(1.0, func(en *Engine) { fired = en.timeSec })
+		e.scheduleAt(1.0, func(en *Engine) { fired = en.timeSec })
 		if err := e.Run(2); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestScenarioEqualTimeEventsFireInDeclaredOrder(t *testing.T) {
 func TestScenarioMatchesHandWrittenSchedule(t *testing.T) {
 	// The tentpole determinism contract: a scenario-driven run is
 	// bit-identical to the same disturbances hand-scheduled with
-	// ScheduleAt, because compiled events use the same engine state and
+	// scheduleAt, because compiled events use the same engine state and
 	// RNG streams.
 	scenarioRun := func() []Sample {
 		s := &scenario.Scenario{Name: "equiv", Events: []scenario.Event{
@@ -95,7 +95,7 @@ func TestScenarioMatchesHandWrittenSchedule(t *testing.T) {
 	}
 	handRun := func() []Sample {
 		e, _ := gupsEngineOpts(t, 13, nil)
-		e.ScheduleAt(1, func(en *Engine) { en.antagonist.Cores = workloads.Intensity3x.Cores() })
+		e.scheduleAt(1, func(en *Engine) { en.antagonist.Cores = workloads.Intensity3x.Cores() })
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestScenarioWorkloadShiftMatchesHandWritten(t *testing.T) {
 	}
 	handRun := func() []Sample {
 		e, g := gupsEngine(t, 0, 14)
-		e.ScheduleAt(1, func(en *Engine) { g.ShiftHotSet(en.AS(), en.WorkloadRNG()) })
+		e.scheduleAt(1, func(en *Engine) { g.ShiftHotSet(en.AS(), en.WorkloadRNG()) })
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ type Config struct {
 	// WorkingSetBytes sizes the unnamed tenant's address space
 	// (required without tenants; must be unset when tenants are given).
 	WorkingSetBytes int64
-	// PageBytes is the placement granularity (default 2 MB).
+	// PageBytes is every tenant's placement granularity (default 2 MB).
 	PageBytes int64
 	// Profile is the unnamed tenant's traffic profile (required without
 	// tenants; must be unset when tenants are given).
@@ -154,14 +154,6 @@ type Config struct {
 	QuantumSec float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// CHANoiseStdDev perturbs counter increments (default 0.01).
-	CHANoiseStdDev float64
-	// MigrationLimitBytesPerSec caps proactive migration traffic
-	// (default 2.5 GB/s; 0 keeps the default, use NoMigrationLimit for
-	// unlimited). This is the machine-wide shared limit all tenants
-	// drain together; per-tenant caps live on TenantSpec, and the
-	// unnamed tenant's own cap is this limit.
-	MigrationLimitBytesPerSec float64
 	// SampleEverySec is the trace recording interval (default 1 s).
 	SampleEverySec float64
 	// Obs receives metrics and trace events from the engine, the
@@ -170,17 +162,18 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// NoMigrationLimit disables the migration rate limit.
-const NoMigrationLimit = -1
-
-// NoCHANoise requests noiseless CHA counters. A plain 0 keeps the
-// default noise (0.01), mirroring NoMigrationLimit.
-const NoCHANoise = -1
-
-// DefaultMigrationLimit is the static migration rate limit
-// (bytes/sec) used when Config leaves it zero: 2.5 GB/s, sized like the
-// systems' defaults so a 24 GB hot set converges in ~10 s.
+// DefaultMigrationLimit is the machine-wide static migration rate
+// limit (bytes/sec) that every tenant's proactive moves drain together:
+// 2.5 GB/s, sized so that a 24 GB hot set converges in ~10 s. It is
+// also the unnamed tenant's own cap; named tenants' caps live on
+// TenantSpec.
 const DefaultMigrationLimit = 2.5e9
+
+// chaNoiseStdDev is the relative standard deviation of the
+// multiplicative noise on each quantum's CHA counter increments: 1%, a
+// stand-in for the jitter of real uncore PMU reads that keeps the
+// controller's EWMA smoothing exercised (DESIGN.md section 1).
+const chaNoiseStdDev = 0.01
 
 func (c Config) withDefaults() Config {
 	if c.PageBytes == 0 {
@@ -188,16 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QuantumSec == 0 {
 		c.QuantumSec = 0.01
-	}
-	if c.CHANoiseStdDev == 0 {
-		c.CHANoiseStdDev = 0.01
-	} else if c.CHANoiseStdDev == NoCHANoise {
-		c.CHANoiseStdDev = 0
-	}
-	if c.MigrationLimitBytesPerSec == 0 {
-		c.MigrationLimitBytesPerSec = DefaultMigrationLimit
-	} else if c.MigrationLimitBytesPerSec == NoMigrationLimit {
-		c.MigrationLimitBytesPerSec = 0
 	}
 	if c.SampleEverySec == 0 {
 		c.SampleEverySec = 1
@@ -240,22 +223,13 @@ func (c Config) validateShared() []error {
 	if c.Workers < 0 {
 		errs = append(errs, fmt.Errorf("sim: negative worker count %d", c.Workers))
 	}
-	if c.MigrationLimitBytesPerSec < 0 && c.MigrationLimitBytesPerSec != NoMigrationLimit {
-		errs = append(errs, fmt.Errorf("sim: negative migration limit %v (use sim.NoMigrationLimit for unlimited)",
-			c.MigrationLimitBytesPerSec))
-	}
-	if c.CHANoiseStdDev < 0 && c.CHANoiseStdDev != NoCHANoise {
-		errs = append(errs, fmt.Errorf("sim: negative CHA noise %v (use sim.NoCHANoise for noiseless counters)",
-			c.CHANoiseStdDev))
-	}
 	return errs
 }
 
 // Validate reports every problem with a configuration for the unnamed
 // tenant, joined into a single error, so a bad invocation fails with
 // the full list rather than one complaint per retry. It checks the raw
-// config — sentinels (NoMigrationLimit, NoCHANoise) and
-// zeros-meaning-default are fine.
+// config, so zeros meaning a default are fine.
 func (c Config) Validate() error {
 	errs := c.validateShared()
 	if c.WorkingSetBytes <= 0 {
@@ -306,9 +280,6 @@ type TenantSpec struct {
 	Name string
 	// WorkingSetBytes sizes the tenant's address space (required).
 	WorkingSetBytes int64
-	// PageBytes is the tenant's placement granularity (0 inherits
-	// Config.PageBytes).
-	PageBytes int64
 	// Profile is the tenant's traffic profile (required).
 	Profile workloads.Profile
 	// Workload, when non-nil, installs the tenant's access weights at
@@ -333,8 +304,8 @@ type TenantSpec struct {
 	CapacityQuota []int64
 	// MigrationLimitBytesPerSec caps this tenant's proactive migration
 	// rate. 0 leaves the tenant individually uncapped — the machine-wide
-	// Config.MigrationLimitBytesPerSec still applies through the shared
-	// budget all tenants drain.
+	// DefaultMigrationLimit still applies through the shared budget all
+	// tenants drain.
 	MigrationLimitBytesPerSec float64
 	// Heat, when non-nil, overrides Config.Heat for this tenant alone:
 	// its system sees the override through Context.Heat, so QoS classes
@@ -350,12 +321,6 @@ func (s TenantSpec) validate() []error {
 	}
 	if s.WorkingSetBytes <= 0 {
 		errs = append(errs, fmt.Errorf("sim: tenant %q: working set required (WorkingSetBytes = %d)", s.Name, s.WorkingSetBytes))
-	}
-	if s.PageBytes < 0 {
-		errs = append(errs, fmt.Errorf("sim: tenant %q: negative page size %d", s.Name, s.PageBytes))
-	} else if s.PageBytes > 0 && s.WorkingSetBytes > 0 && s.PageBytes > s.WorkingSetBytes {
-		errs = append(errs, fmt.Errorf("sim: tenant %q: page size %d bytes exceeds working set %d bytes",
-			s.Name, s.PageBytes, s.WorkingSetBytes))
 	}
 	if s.MigrationLimitBytesPerSec < 0 {
 		errs = append(errs, fmt.Errorf("sim: tenant %q: negative migration limit %v", s.Name, s.MigrationLimitBytesPerSec))
@@ -454,8 +419,8 @@ func WithSystem(s System) Option {
 // validated against the topology and compiled onto the event queue
 // before the first quantum. If the scenario degrades tiers, the
 // topology is cloned first so a Topology value shared across arms is
-// never mutated. A scenario-driven run is bit-identical to a run that
-// hand-schedules the equivalent ScheduleAt calls.
+// never mutated. Each event runs at the start of the quantum that
+// covers its time, equal-time events in declared order.
 //
 // Per-tenant events (ProfileSwitch, WorkloadShift, MigrationStall) act
 // on the unnamed tenant. With named tenants this is the machine-wide
@@ -484,7 +449,7 @@ func WithTenants(specs ...TenantSpec) Option {
 //
 // Without WithTenants the engine holds one unnamed tenant built from
 // Config.WorkingSetBytes, Config.Profile, Config.Workload, the
-// WithSystem system and Config's migration limit as its own cap.
+// WithSystem system and DefaultMigrationLimit as its own cap.
 // Its one-row ledger always reports physical capacity and its two
 // migration buckets accrue and drain together, so it behaves as the
 // paper's single workload. It differs from a named tenant in three
@@ -511,7 +476,7 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	}
 	cfg = cfg.withDefaults()
 	if unnamed {
-		specs[0].MigrationLimitBytesPerSec = cfg.MigrationLimitBytesPerSec
+		specs[0].MigrationLimitBytesPerSec = DefaultMigrationLimit
 	}
 	if bo.scenario != nil {
 		if err := bo.scenario.Validate(cfg.Topology.NumTiers()); err != nil {
@@ -542,9 +507,9 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		topo:       cfg.Topology,
-		counters:   cha.NewCounters(numTiers, cfg.CHANoiseStdDev, chaRNG),
+		counters:   cha.NewCounters(numTiers, chaNoiseStdDev, chaRNG),
 		ledger:     memsys.NewLedger(len(specs), numTiers),
-		shared:     migrate.NewSharedBudget(cfg.MigrationLimitBytesPerSec),
+		shared:     migrate.NewSharedBudget(DefaultMigrationLimit),
 		antagonist: workloads.AntagonistForIntensity(cfg.Antagonist),
 	}
 	e.counters.SetObs(cfg.Obs)
@@ -553,15 +518,11 @@ func New(cfg Config, opts ...Option) (*Engine, error) {
 	e.mCapped = cfg.Obs.Counter("sim_solver_capped")
 	e.hIters = cfg.Obs.Histogram("sim_solver_iters")
 	for i, spec := range specs {
-		pageBytes := spec.PageBytes
-		if pageBytes == 0 {
-			pageBytes = cfg.PageBytes
-		}
 		view, err := cfg.Topology.TenantView(e.ledger, i, spec.CapacityQuota)
 		if err != nil {
 			return nil, spec.wrap(err)
 		}
-		as, err := pages.NewAddressSpace(view, spec.WorkingSetBytes, pageBytes)
+		as, err := pages.NewAddressSpace(view, spec.WorkingSetBytes, cfg.PageBytes)
 		if err != nil {
 			return nil, spec.wrap(err)
 		}
@@ -724,19 +685,19 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 		switch ev := ev.(type) {
 		case scenario.AntagonistStep:
 			cores := workloads.AntagonistForIntensity(ev.Intensity).Cores
-			e.ScheduleAt(ev.AtSec, func(en *Engine) {
+			e.scheduleAt(ev.AtSec, func(en *Engine) {
 				en.antagonist.Cores = cores
 			})
 		case scenario.ProfileSwitch:
-			e.ScheduleAt(ev.AtSec, func(*Engine) {
+			e.scheduleAt(ev.AtSec, func(*Engine) {
 				ts.profile = ev.Profile
 			})
 		case scenario.WorkloadShift:
-			e.ScheduleAt(ev.AtSec, func(*Engine) {
+			e.scheduleAt(ev.AtSec, func(*Engine) {
 				ev.Shift(ts.as, ts.rngWorkload)
 			})
 		case scenario.TierDegrade:
-			e.ScheduleAt(ev.AtSec, func(en *Engine) {
+			e.scheduleAt(ev.AtSec, func(en *Engine) {
 				if err := en.topo.Degrade(ev.Tier, ev.LatencyFactor, ev.BandwidthFactor); err != nil {
 					panic(err) // impossible: scenario validated at install
 				}
@@ -746,7 +707,7 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 					obs.F("bw_factor", ev.BandwidthFactor))
 			})
 		case scenario.TierRestore:
-			e.ScheduleAt(ev.AtSec, func(en *Engine) {
+			e.scheduleAt(ev.AtSec, func(en *Engine) {
 				if err := en.topo.Restore(ev.Tier); err != nil {
 					panic(err) // impossible: scenario validated at install
 				}
@@ -754,17 +715,17 @@ func (e *Engine) installScenario(ts *tenantState, sc *scenario.Scenario) {
 			})
 		case scenario.CHADropout:
 			until := ev.AtSec + ev.ForSec
-			e.ScheduleAt(ev.AtSec, func(en *Engine) {
+			e.scheduleAt(ev.AtSec, func(en *Engine) {
 				en.counters.SetDropout(true)
 				en.cfg.Obs.Emit(obs.EvCHADropout, obs.F("until_sec", until))
 			})
-			e.ScheduleAt(until, func(en *Engine) {
+			e.scheduleAt(until, func(en *Engine) {
 				en.counters.SetDropout(false)
 				en.cfg.Obs.Emit(obs.EvCHARestore,
 					obs.F("dropped_quanta", float64(en.counters.DroppedQuanta())))
 			})
 		case scenario.MigrationStall:
-			e.ScheduleAt(ev.AtSec, func(*Engine) {
+			e.scheduleAt(ev.AtSec, func(*Engine) {
 				ts.migrator.InjectFault(ev.Fault, ev.Quanta)
 			})
 		default:
@@ -886,12 +847,12 @@ func (h TenantHandle) SteadyState(lastSeconds float64) Steady {
 	return out
 }
 
-// ScheduleAt registers fn to run at simulation time atSec, before the
+// scheduleAt registers fn to run at simulation time atSec, before the
 // quantum covering that time executes. Events at equal times fire in
-// scheduling order. Insertion is a binary search plus shift, so
-// experiment scripts can schedule many phase changes without the
+// scheduling order. Insertion is a binary search plus shift, so a
+// scenario can schedule many phase changes without the
 // re-sort-per-insert cost growing quadratically.
-func (e *Engine) ScheduleAt(atSec float64, fn func(*Engine)) {
+func (e *Engine) scheduleAt(atSec float64, fn func(*Engine)) {
 	i := sort.Search(len(e.events), func(i int) bool { return e.events[i].at > atSec })
 	e.events = append(e.events, event{})
 	copy(e.events[i+1:], e.events[i:])

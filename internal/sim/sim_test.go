@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"colloid/internal/cha"
 	"colloid/internal/memsys"
 	"colloid/internal/pages"
 	"colloid/internal/workloads"
@@ -126,7 +127,7 @@ func TestContentionReducesThroughput(t *testing.T) {
 func TestScheduleAtFires(t *testing.T) {
 	e, _ := gupsEngine(t, 0, 3)
 	fired := false
-	e.ScheduleAt(1.0, func(en *Engine) {
+	e.scheduleAt(1.0, func(en *Engine) {
 		fired = true
 		en.antagonist.Cores = 15
 	})
@@ -146,7 +147,7 @@ func TestScheduleAtFires(t *testing.T) {
 
 func TestAntagonistChangeShowsInLatency(t *testing.T) {
 	e, _ := gupsEngine(t, 0, 4)
-	e.ScheduleAt(2, func(en *Engine) { en.antagonist.Cores = 15 })
+	e.scheduleAt(2, func(en *Engine) { en.antagonist.Cores = 15 })
 	if err := e.Run(4); err != nil {
 		t.Fatal(err)
 	}
@@ -304,28 +305,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNegativeMigrationLimitRejected(t *testing.T) {
-	// Regression: withDefaults only special-cases NoMigrationLimit (-1);
-	// any other negative limit used to flow through to migrate.NewEngine.
-	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
-	g := workloads.DefaultGUPS()
-	cfg := Config{
-		Topology:        topo,
-		WorkingSetBytes: g.WorkingSetBytes,
-		Profile:         g.Profile(),
-	}
-	cfg.MigrationLimitBytesPerSec = -5e9
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative migration limit accepted")
-	}
-	cfg.MigrationLimitBytesPerSec = NoMigrationLimit
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("NoMigrationLimit rejected: %v", err)
-	}
-}
-
 func TestScheduleAtManyEventsOrdered(t *testing.T) {
-	// ScheduleAt uses a binary-search insert; many insertions in
+	// scheduleAt uses a binary-search insert; many insertions in
 	// adversarial (descending, duplicate-heavy) order must still fire in
 	// time order, with equal times firing in scheduling order.
 	e, _ := gupsEngine(t, 0, 8)
@@ -337,7 +318,7 @@ func TestScheduleAtManyEventsOrdered(t *testing.T) {
 	var fired []rec
 	for seq := 0; seq < n; seq++ {
 		at := 0.05 + float64((n-1-seq)%50)*0.01 // 50 time buckets, descending
-		e.ScheduleAt(at, func(*Engine) { fired = append(fired, rec{at, seq}) })
+		e.scheduleAt(at, func(*Engine) { fired = append(fired, rec{at, seq}) })
 	}
 	// The internal queue must be sorted before any event fires.
 	for j := 1; j < len(e.events); j++ {
@@ -406,11 +387,9 @@ func TestValidateReportsAllProblems(t *testing.T) {
 	// Validate must join every problem into one error so a bad
 	// invocation fails with the full list, not one complaint per retry.
 	cfg := Config{
-		QuantumSec:                -1,
-		SampleEverySec:            -2,
-		Antagonist:                -1,
-		MigrationLimitBytesPerSec: -5e9,
-		CHANoiseStdDev:            -0.5,
+		QuantumSec:     -1,
+		SampleEverySec: -2,
+		Antagonist:     -1,
 	}
 	err := cfg.Validate()
 	if err == nil {
@@ -423,8 +402,6 @@ func TestValidateReportsAllProblems(t *testing.T) {
 		"negative quantum",
 		"negative sample interval",
 		"negative antagonist intensity",
-		"negative migration limit",
-		"negative CHA noise",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error missing %q:\n%s", want, msg)
@@ -433,32 +410,24 @@ func TestValidateReportsAllProblems(t *testing.T) {
 }
 
 func TestNoCHANoiseSentinel(t *testing.T) {
-	// Regression: withDefaults treats CHANoiseStdDev == 0 as "use the
-	// default", so truly noiseless counters need an explicit sentinel,
-	// mirroring NoMigrationLimit.
-	if got := (Config{CHANoiseStdDev: NoCHANoise}).withDefaults().CHANoiseStdDev; got != 0 {
-		t.Fatalf("NoCHANoise maps to stddev %v, want 0", got)
-	}
-	if got := (Config{}).withDefaults().CHANoiseStdDev; got != 0.01 {
-		t.Fatalf("zero maps to stddev %v, want default 0.01", got)
-	}
-
-	// Behavioral check: with noiseless counters the CHA-derived latency
-	// (Little's law over one quantum's increments) equals the solver's
-	// equilibrium latency exactly; with the default noise it cannot.
+	// With noiseless counters the CHA-derived latency (Little's law
+	// over one quantum's increments) equals the solver's equilibrium
+	// latency exactly; with the engine's own noise it cannot.
 	topo := memsys.MustTopology(memsys.DualSocketXeonDefault(), memsys.DualSocketXeonRemote())
 	g := workloads.DefaultGUPS()
-	mk := func(noise float64) *Engine {
+	mk := func(noiseless bool) *Engine {
 		e, err := New(Config{
 			Topology:        topo,
 			WorkingSetBytes: g.WorkingSetBytes,
 			Profile:         g.Profile(),
 			Workload:        g,
-			CHANoiseStdDev:  noise,
 			Seed:            1,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if noiseless {
+			e.counters = cha.NewCounters(topo.NumTiers(), 0, nil)
 		}
 		return e
 	}
@@ -482,10 +451,10 @@ func TestNoCHANoiseSentinel(t *testing.T) {
 		}
 		return worst
 	}
-	if rel := chaError(mk(NoCHANoise)); rel > 1e-9 {
+	if rel := chaError(mk(true)); rel > 1e-9 {
 		t.Fatalf("noiseless CHA counters off by %v relative", rel)
 	}
-	if rel := chaError(mk(0)); rel < 1e-6 {
-		t.Fatalf("default noise produced exact counters (rel err %v); sentinel check is vacuous", rel)
+	if rel := chaError(mk(false)); rel < 1e-6 {
+		t.Fatalf("the engine's noise produced exact counters (rel err %v); the noiseless check is vacuous", rel)
 	}
 }

@@ -230,15 +230,11 @@ func TestClusterCapacityQuota(t *testing.T) {
 // Without named tenants the engine holds one unnamed tenant on the
 // same ledger and shared-budget path as a cluster: a one-row ledger
 // whose view reports physical capacity, the unscoped obs registry, and
-// Config's migration limit as the tenant's own cap.
+// the machine's migration limit as the tenant's own cap.
 func TestSingleWorkloadIsUnnamedTenant(t *testing.T) {
-	build := func(limit float64) (*Engine, *obs.Registry) {
-		reg := obs.NewRegistry()
-		cfg := Config{Topology: smallTopo(), WorkingSetBytes: 200 * tPage, PageBytes: tPage,
-			Profile: smallProfile("w"), Seed: 5, MigrationLimitBytesPerSec: limit, Obs: reg}
-		return clusterEngine(t, cfg, WithSystem(nopSystem{})), reg
-	}
-	e, reg := build(0)
+	reg := obs.NewRegistry()
+	e := clusterEngine(t, Config{Topology: smallTopo(), WorkingSetBytes: 200 * tPage, PageBytes: tPage,
+		Profile: smallProfile("w"), Seed: 5, Obs: reg}, WithSystem(nopSystem{}))
 	h := e.Tenant(0)
 	if e.NumTenants() != 1 || h.Name() != "" {
 		t.Fatalf("tenants = %d, tenant 0 = %q; want one unnamed tenant", e.NumTenants(), h.Name())
@@ -271,9 +267,6 @@ func TestSingleWorkloadIsUnnamedTenant(t *testing.T) {
 		}
 	}
 	if got := h.Migrator().StaticLimitBytesPerSec(); got != DefaultMigrationLimit {
-		t.Errorf("default limit = %v, want %v", got, DefaultMigrationLimit)
-	}
-	if e, _ = build(NoMigrationLimit); e.Tenant(0).Migrator().StaticLimitBytesPerSec() != 0 {
-		t.Errorf("NoMigrationLimit gave limit %v, want 0 (unlimited)", e.Tenant(0).Migrator().StaticLimitBytesPerSec())
+		t.Errorf("limit = %v, want %v", got, DefaultMigrationLimit)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"colloid/internal/memsys"
 	"colloid/internal/obs"
 	"colloid/internal/pages"
-	"colloid/internal/scenario"
 	"colloid/internal/sim"
 	"colloid/internal/workloads"
 )
@@ -24,8 +23,8 @@ type Config struct {
 	Tenants []Tenant
 	// Policy selects capacity arbitration (default SharedWatermark).
 	Policy Policy
-	// PageBytes is the default placement granularity for tenants that
-	// leave theirs zero (default 2 MB, as in sim.Config).
+	// PageBytes is every tenant's placement granularity (default 2 MB,
+	// as in sim.Config).
 	PageBytes int64
 	// QuantumSec is the engine step (default 10 ms).
 	QuantumSec float64
@@ -34,11 +33,6 @@ type Config struct {
 	// Workers is the sharded-pipeline fan-out; any value is
 	// bit-identical to any other.
 	Workers int
-	// MigrationLimitBytesPerSec is the machine-wide proactive migration
-	// cap all tenants drain together (sim.Config semantics: 0 = default
-	// 2.5 GB/s, sim.NoMigrationLimit = unlimited). Under Isolated each
-	// tenant additionally gets its class-weighted slice as a private cap.
-	MigrationLimitBytesPerSec float64
 	// Antagonist seeds the machine-wide contention generator on the
 	// paper's 0x-3x scale.
 	Antagonist workloads.Intensity
@@ -47,26 +41,25 @@ type Config struct {
 	// system builds its tracker from this spec unless the tenant carries
 	// its own Tenant.Heat override.
 	Heat heat.Spec
-	// WatermarkFree is the free fraction of the default tier the
-	// shared-watermark policy defends (default 0.02, kswapd-style).
-	WatermarkFree float64
-	// DemotePagesPerQuantum bounds forced demotions per quantum across
-	// the whole cluster (default 32), so pressure relief is paced like a
-	// background reclaimer rather than a stop-the-world flush.
-	DemotePagesPerQuantum int
 	// SampleEverySec is the per-tenant trace cadence (default 1 s).
 	SampleEverySec float64
-	// CHANoiseStdDev perturbs the shared CHA counters (sim.Config
-	// semantics).
-	CHANoiseStdDev float64
-	// Scenario is an optional cluster-level disturbance timeline
-	// (machine-wide events only; see sim.WithScenario).
-	Scenario *scenario.Scenario
 	// Obs receives metrics; per-tenant streams land under
 	// "tenant.<name>." and cluster-level ones under "cluster_". Nil
 	// disables instrumentation.
 	Obs *obs.Registry
 }
+
+// The shared-watermark policy's reclaimer, modelled on kswapd: it keeps
+// the free fraction of the default tier that TPP's kswapd keeps, and it
+// paces forced demotions like a background reclaimer rather than a
+// stop-the-world flush.
+const (
+	// watermarkFree is the free fraction of the default tier defended.
+	watermarkFree = 0.02
+	// demotePagesPerQuantum bounds forced demotions per quantum across
+	// the whole cluster.
+	demotePagesPerQuantum = 32
+)
 
 // Cluster steps N tenants against one shared topology and accumulates
 // the per-tenant interference and per-tier saturation summaries the
@@ -94,40 +87,25 @@ type Cluster struct {
 // New builds a cluster: it partitions capacity per the policy and
 // builds the underlying sim engine with one named tenant per Tenant,
 // which installs each tenant's workload weights from the tenant's
-// name-forked stream (see sim.New).
+// name-forked stream (see sim.New). New checks the cluster's own
+// settings, the tenant count, policy and classes; sim.New checks the
+// topology, heat specs, names and working sets and reports them with
+// its "sim: " prefix.
 func New(cfg Config) (*Cluster, error) {
 	var errs []error
-	if cfg.Topology == nil {
-		errs = append(errs, fmt.Errorf("tenant: topology required"))
-	}
 	if len(cfg.Tenants) == 0 {
 		errs = append(errs, fmt.Errorf("tenant: at least one tenant required"))
 	}
 	if cfg.Policy != SharedWatermark && cfg.Policy != Isolated {
 		errs = append(errs, fmt.Errorf("tenant: unknown policy %d", int(cfg.Policy)))
 	}
-	if cfg.WatermarkFree < 0 || cfg.WatermarkFree >= 1 {
-		errs = append(errs, fmt.Errorf("tenant: watermark free fraction %v out of [0,1)", cfg.WatermarkFree))
-	}
-	if cfg.DemotePagesPerQuantum < 0 {
-		errs = append(errs, fmt.Errorf("tenant: negative demotion batch %d", cfg.DemotePagesPerQuantum))
-	}
-	if err := cfg.Heat.Validate(); err != nil {
-		errs = append(errs, err)
-	}
 	for _, t := range cfg.Tenants {
-		if err := t.validate(); err != nil {
-			errs = append(errs, err)
+		if t.Class < BestEffort || t.Class > Premium {
+			errs = append(errs, fmt.Errorf("tenant: %q: unknown class %d", t.Name, int(t.Class)))
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-	if cfg.WatermarkFree == 0 {
-		cfg.WatermarkFree = 0.02
-	}
-	if cfg.DemotePagesPerQuantum == 0 {
-		cfg.DemotePagesPerQuantum = 32
 	}
 	if cfg.QuantumSec == 0 {
 		cfg.QuantumSec = 0.01
@@ -144,11 +122,9 @@ func New(cfg Config) (*Cluster, error) {
 		specs[i] = sim.TenantSpec{
 			Name:            t.Name,
 			WorkingSetBytes: t.WorkingSetBytes,
-			PageBytes:       t.PageBytes,
 			Profile:         t.Profile,
 			Workload:        t.Workload,
 			System:          t.System,
-			Scenario:        t.Scenario,
 			Heat:            t.Heat,
 		}
 	}
@@ -158,24 +134,17 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	simCfg := sim.Config{
-		Topology:                  cfg.Topology,
-		PageBytes:                 cfg.PageBytes,
-		Workers:                   cfg.Workers,
-		QuantumSec:                cfg.QuantumSec,
-		Seed:                      cfg.Seed,
-		CHANoiseStdDev:            cfg.CHANoiseStdDev,
-		MigrationLimitBytesPerSec: cfg.MigrationLimitBytesPerSec,
-		SampleEverySec:            cfg.SampleEverySec,
-		Antagonist:                cfg.Antagonist,
-		Heat:                      cfg.Heat,
-		Obs:                       cfg.Obs,
-	}
-	opts := []sim.Option{sim.WithTenants(specs...)}
-	if cfg.Scenario != nil {
-		opts = append(opts, sim.WithScenario(cfg.Scenario))
-	}
-	eng, err := sim.New(simCfg, opts...)
+	eng, err := sim.New(sim.Config{
+		Topology:       cfg.Topology,
+		PageBytes:      cfg.PageBytes,
+		Workers:        cfg.Workers,
+		QuantumSec:     cfg.QuantumSec,
+		Seed:           cfg.Seed,
+		SampleEverySec: cfg.SampleEverySec,
+		Antagonist:     cfg.Antagonist,
+		Heat:           cfg.Heat,
+		Obs:            cfg.Obs,
+	}, sim.WithTenants(specs...))
 	if err != nil {
 		return nil, err
 	}
@@ -213,35 +182,29 @@ func New(cfg Config) (*Cluster, error) {
 
 // partitionIsolated fills each spec's CapacityQuota and private
 // migration limit with its class-weighted working-set share of every
-// tier, rounded down to the tenant's page size. Specs are already in
-// name order.
+// tier and of sim.DefaultMigrationLimit, each quota rounded down to the
+// page size. Specs are already in name order. Without a topology, or
+// with a working set that is not positive, there is nothing to
+// partition, and sim.New rejects the config.
 func partitionIsolated(cfg Config, specs []sim.TenantSpec) error {
+	if cfg.Topology == nil {
+		return nil
+	}
 	var weightSum float64
 	for _, t := range cfg.Tenants {
+		if t.WorkingSetBytes <= 0 {
+			return nil
+		}
 		weightSum += t.Class.Weight() * float64(t.WorkingSetBytes)
 	}
-	if weightSum <= 0 {
-		return fmt.Errorf("tenant: isolated policy needs positive working sets")
-	}
-	// Resolve the machine-wide migration cap the way sim does, so the
-	// per-tenant slices partition the limit actually enforced.
-	machineLimit := cfg.MigrationLimitBytesPerSec
-	if machineLimit == 0 {
-		machineLimit = sim.DefaultMigrationLimit
-	} else if machineLimit == sim.NoMigrationLimit {
-		machineLimit = 0
+	pb := cfg.PageBytes
+	if pb == 0 {
+		pb = pages.HugePageBytes
 	}
 	numTiers := cfg.Topology.NumTiers()
 	var errs []error
 	for i, t := range cfg.Tenants {
 		share := t.Class.Weight() * float64(t.WorkingSetBytes) / weightSum
-		pb := t.PageBytes
-		if pb == 0 {
-			pb = cfg.PageBytes
-		}
-		if pb == 0 {
-			pb = pages.HugePageBytes
-		}
 		quota := make([]int64, numTiers)
 		var total int64
 		for tier := 0; tier < numTiers; tier++ {
@@ -257,9 +220,7 @@ func partitionIsolated(cfg Config, specs []sim.TenantSpec) error {
 			continue
 		}
 		specs[i].CapacityQuota = quota
-		if machineLimit > 0 {
-			specs[i].MigrationLimitBytesPerSec = share * machineLimit
-		}
+		specs[i].MigrationLimitBytesPerSec = share * sim.DefaultMigrationLimit
 	}
 	return errors.Join(errs...)
 }
@@ -325,12 +286,12 @@ func (c *Cluster) enforceWatermark() {
 		return
 	}
 	free := capDefault - led.Total(memsys.DefaultTier)
-	minFree := int64(c.cfg.WatermarkFree * float64(capDefault))
+	minFree := int64(watermarkFree * float64(capDefault))
 	if free >= minFree {
 		return
 	}
 	need := minFree - free
-	budget := c.cfg.DemotePagesPerQuantum
+	budget := demotePagesPerQuantum
 	for _, vi := range c.victims {
 		if need <= 0 || budget <= 0 {
 			break

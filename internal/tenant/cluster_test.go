@@ -12,6 +12,7 @@ import (
 	"colloid/internal/hemem"
 	"colloid/internal/memsys"
 	"colloid/internal/pages"
+	"colloid/internal/sim"
 	"colloid/internal/workloads"
 )
 
@@ -159,6 +160,39 @@ func TestIsolatedQuotaCapsPlacement(t *testing.T) {
 	}
 }
 
+// Under Isolated each tenant's private migration cap is its
+// class-weighted working-set share of the machine's limit, so the caps
+// together partition that limit.
+func TestIsolatedMigrationCapsPartitionMachineLimit(t *testing.T) {
+	c, err := New(Config{
+		Topology:  testTopology(128, 512),
+		Tenants:   testTenants(),
+		Policy:    Isolated,
+		PageBytes: testPage,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var weightSum float64
+	for i := 0; i < c.NumTenants(); i++ {
+		ten := c.Tenant(i)
+		weightSum += ten.Class.Weight() * float64(ten.WorkingSetBytes)
+	}
+	var sum float64
+	for i := 0; i < c.NumTenants(); i++ {
+		ten := c.Tenant(i)
+		want := ten.Class.Weight() * float64(ten.WorkingSetBytes) / weightSum * sim.DefaultMigrationLimit
+		got := c.Handle(i).Migrator().StaticLimitBytesPerSec()
+		if got != want {
+			t.Errorf("tenant %s: migration cap %v, want %v", ten.Name, got, want)
+		}
+		sum += got
+	}
+	if math.Abs(sum-sim.DefaultMigrationLimit) > 1e-6*sim.DefaultMigrationLimit {
+		t.Errorf("caps sum to %v, want the machine limit %v", sum, sim.DefaultMigrationLimit)
+	}
+}
+
 // A tenant whose working set cannot fit its class-weighted share must
 // be rejected at construction, not discovered as a placement failure.
 func TestIsolatedInfeasibleQuotaErrors(t *testing.T) {
@@ -221,7 +255,7 @@ func TestWatermarkDemotesBestEffortFirst(t *testing.T) {
 	topo := c.Engine().Topology()
 	cap0 := topo.Capacity(memsys.DefaultTier)
 	free := cap0 - c.Engine().Ledger().Total(memsys.DefaultTier)
-	if minFree := int64(0.02 * float64(cap0)); free < minFree {
+	if minFree := int64(watermarkFree * float64(cap0)); free < minFree {
 		t.Fatalf("free default-tier bytes %d below watermark %d after demotion", free, minFree)
 	}
 	// The demoted pages must be the victim's coldest: every page still
@@ -385,17 +419,18 @@ func TestClusterValidation(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"nil topology", Config{Tenants: ok}, "topology required"},
+		{"nil topology", Config{Tenants: ok}, "sim: topology required"},
+		{"nil topology, isolated", Config{Tenants: ok, Policy: Isolated}, "sim: topology required"},
 		{"no tenants", Config{Topology: topo}, "at least one tenant"},
 		{"bad policy", Config{Topology: topo, Tenants: ok, Policy: Policy(7)}, "unknown policy"},
-		{"bad watermark", Config{Topology: topo, Tenants: ok, WatermarkFree: 1.5}, "watermark free fraction"},
-		{"negative batch", Config{Topology: topo, Tenants: ok, DemotePagesPerQuantum: -1}, "negative demotion batch"},
 		{"unnamed tenant", Config{Topology: topo, Tenants: []Tenant{{WorkingSetBytes: 1}}}, "name required"},
+		{"zero working set, isolated", Config{Topology: topo, Policy: Isolated, Tenants: []Tenant{{Name: "x"}}},
+			`sim: tenant "x": working set required`},
 		{"bad class", Config{Topology: topo, Tenants: []Tenant{{Name: "x", WorkingSetBytes: 1, Class: Class(9)}}}, "unknown class"},
 		{"bad cluster heat", Config{Topology: topo, Tenants: ok,
 			Heat: heat.Spec{Kind: heat.Region, RegionPages: 3}}, "power of two"},
 		{"bad tenant heat", Config{Topology: topo, Tenants: []Tenant{{Name: "x", WorkingSetBytes: 1,
-			Heat: &heat.Spec{Kind: heat.Region, RegionPages: 3}}}}, `tenant: "x": heat: region granularity`},
+			Heat: &heat.Spec{Kind: heat.Region, RegionPages: 3}}}}, `sim: tenant "x": heat: region granularity`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"colloid/internal/heat"
-	"colloid/internal/scenario"
 	"colloid/internal/sim"
 	"colloid/internal/workloads"
 )
@@ -74,9 +73,6 @@ type Tenant struct {
 	Name string
 	// WorkingSetBytes sizes the tenant's address space (required).
 	WorkingSetBytes int64
-	// PageBytes is the tenant's placement granularity (0 inherits the
-	// cluster default).
-	PageBytes int64
 	// Profile is the tenant's traffic profile (required).
 	Profile workloads.Profile
 	// System is the tenant's tiering system (nil = static placement).
@@ -88,32 +84,11 @@ type Tenant struct {
 	// construction (after first-fit placement), drawing from the
 	// tenant's name-forked workload stream (sim.TenantSpec.Workload).
 	Workload sim.Workload
-	// Scenario is an optional per-tenant disturbance timeline (see
-	// sim.TenantSpec.Scenario for which event types are allowed).
-	Scenario *scenario.Scenario
 	// Heat, when non-nil, overrides the cluster's Config.Heat for this
 	// tenant alone — the per-tenant fidelity knob that lets QoS classes
 	// buy tracking accuracy (premium exact, best-effort coarse regions)
 	// while sharing one topology. Nil inherits the cluster default.
 	Heat *heat.Spec
-}
-
-func (t Tenant) validate() error {
-	if t.Name == "" {
-		return fmt.Errorf("tenant: name required")
-	}
-	if t.WorkingSetBytes <= 0 {
-		return fmt.Errorf("tenant: %q: working set required (WorkingSetBytes = %d)", t.Name, t.WorkingSetBytes)
-	}
-	if t.Class < BestEffort || t.Class > Premium {
-		return fmt.Errorf("tenant: %q: unknown class %d", t.Name, int(t.Class))
-	}
-	if t.Heat != nil {
-		if err := t.Heat.Validate(); err != nil {
-			return fmt.Errorf("tenant: %q: %w", t.Name, err)
-		}
-	}
-	return nil
 }
 
 // Policy selects how the cluster arbitrates shared tier capacity.

@@ -22,40 +22,31 @@ import (
 	"colloid/internal/sim"
 )
 
-// Config tunes TPP.
+// Config selects vanilla TPP or TPP with Colloid.
 type Config struct {
-	// ScanIntervalSec is the page-table scan period (default 30 s; the
-	// kernel's NUMA-balancing scanner covers memory slowly, which is
-	// why TPP converges orders of magnitude slower than HeMem).
-	ScanIntervalSec float64
-	// HotTTFSec is the initial time-to-fault threshold below which a
-	// faulting page counts as hot (default 100 ms), adapted at runtime.
-	HotTTFSec float64
-	// FreeWatermarkFrac is the fraction of default-tier capacity kswapd
-	// keeps free (default 0.02).
-	FreeWatermarkFrac float64
-	// QuantumSec is the cadence of threshold adaptation and the Colloid
-	// controller (default 1 s).
-	QuantumSec float64
 	// Colloid enables the Colloid integration; nil is vanilla TPP.
 	Colloid *core.Options
 }
 
-func (c Config) withDefaults() Config {
-	if c.ScanIntervalSec == 0 {
-		c.ScanIntervalSec = 30
-	}
-	if c.HotTTFSec == 0 {
-		c.HotTTFSec = 0.1
-	}
-	if c.FreeWatermarkFrac == 0 {
-		c.FreeWatermarkFrac = 0.02
-	}
-	if c.QuantumSec == 0 {
-		c.QuantumSec = 1
-	}
-	return c
-}
+// TPP's fixed parameters: this model's settings for the Linux v6.3
+// mechanisms Section 4.3 of the Colloid paper describes, the
+// NUMA-balancing page-table scanner, its adaptive hot-page threshold
+// and kswapd's free watermark.
+const (
+	// scanIntervalSec is the page-table scan period. The kernel's
+	// NUMA-balancing scanner covers memory slowly, which is why TPP
+	// converges orders of magnitude slower than HeMem.
+	scanIntervalSec = 30
+	// hotTTFSec is the initial time-to-fault threshold below which a
+	// faulting page counts as hot (100 ms), adapted at runtime.
+	hotTTFSec = 0.1
+	// freeWatermarkFrac is the fraction of default-tier capacity kswapd
+	// keeps free.
+	freeWatermarkFrac = 0.02
+	// quantumSec is the cadence of threshold adaptation and the Colloid
+	// controller.
+	quantumSec = 1
+)
 
 // System is one TPP instance.
 type System struct {
@@ -83,10 +74,9 @@ type System struct {
 
 // New returns a TPP instance.
 func New(cfg Config) *System {
-	cfg = cfg.withDefaults()
 	return &System{
 		cfg:       cfg,
-		ttfThresh: cfg.HotTTFSec,
+		ttfThresh: hotTTFSec,
 	}
 }
 
@@ -104,7 +94,7 @@ func (s *System) Name() string {
 // marking order, so it cannot shard without changing behavior.
 func (s *System) Step(ctx *sim.Context) {
 	if s.scanner == nil {
-		s.scanner = access.NewHintFaultScanner(ctx.AS, ctx.RNG, s.cfg.ScanIntervalSec, 0)
+		s.scanner = access.NewHintFaultScanner(ctx.AS, ctx.RNG, scanIntervalSec)
 		s.lastTTF = make([]float64, ctx.AS.NumPages())
 		for i := range s.lastTTF {
 			s.lastTTF[i] = -1
@@ -127,8 +117,8 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 
 	// Quantum bookkeeping: adapt the threshold and refresh the Colloid
-	// decision once per QuantumSec.
-	if !s.started || ctx.TimeSec-s.lastQuantumSec >= s.cfg.QuantumSec-1e-12 {
+	// decision once per quantumSec.
+	if !s.started || ctx.TimeSec-s.lastQuantumSec >= quantumSec-1e-12 {
 		s.onQuantum(ctx)
 		s.started = true
 		s.lastQuantumSec = ctx.TimeSec
@@ -154,7 +144,7 @@ func (s *System) onQuantum(ctx *sim.Context) {
 	// Threshold adaptation, as in the kernel's hot-page selection: aim
 	// to spend roughly the migration budget. Too many promotions ->
 	// stricter (smaller ttf); too few -> looser.
-	budget := int64(ctx.Migrator.StaticLimitBytesPerSec() * s.cfg.QuantumSec)
+	budget := int64(ctx.Migrator.StaticLimitBytesPerSec() * quantumSec)
 	if budget > 0 {
 		switch {
 		case s.promotedQuantum >= budget*9/10:
@@ -263,7 +253,7 @@ func (s *System) ensureDefaultFree(ctx *sim.Context, bytes int64) bool {
 // watermark; these demotions are capacity-driven and bypass the
 // proactive migration rate limit, as in the kernel.
 func (s *System) kswapd(ctx *sim.Context) {
-	watermark := int64(s.cfg.FreeWatermarkFrac * float64(ctx.Topo.Capacity(memsys.DefaultTier)))
+	watermark := int64(freeWatermarkFrac * float64(ctx.Topo.Capacity(memsys.DefaultTier)))
 	guard := 0
 	for ctx.AS.FreeBytes(memsys.DefaultTier) < watermark && guard < 64 {
 		guard++

@@ -65,7 +65,7 @@ func TestKswapdMaintainsWatermark(t *testing.T) {
 	}
 	e, _ := simtest.RunGUPS(t, New(Config{}), 0, 120, 5)
 	free := e.AS().FreeBytes(memsys.DefaultTier)
-	watermark := int64(0.02 * float64(e.Topology().Capacity(memsys.DefaultTier)))
+	watermark := int64(freeWatermarkFrac * float64(e.Topology().Capacity(memsys.DefaultTier)))
 	// Allow slack of a few pages while promotions are in flight.
 	if free < watermark/2 {
 		t.Fatalf("kswapd let free space fall to %d (watermark %d)", free, watermark)
@@ -78,7 +78,7 @@ func TestThresholdAdapts(t *testing.T) {
 	}
 	sys := New(Config{})
 	simtest.RunGUPS(t, sys, 0, 60, 6)
-	if sys.TTFThreshold() == sys.cfg.HotTTFSec {
+	if sys.TTFThreshold() == hotTTFSec {
 		t.Log("threshold unchanged (acceptable if budget matched exactly)")
 	}
 	if sys.TTFThreshold() < 1e-4 || sys.TTFThreshold() > 10 {

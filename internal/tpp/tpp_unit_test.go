@@ -54,11 +54,11 @@ func TestFaultProbabilityEstimator(t *testing.T) {
 
 func TestThresholdAdaptationDirections(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{HotTTFSec: 0.1})
+	s := New(Config{})
 	// Saturated promotions: threshold tightens.
 	s.promotedQuantum = int64(2.5e9) // == 1s budget at 2.5 GB/s
 	s.onQuantum(ctx)
-	if s.ttfThresh >= 0.1 {
+	if s.ttfThresh >= hotTTFSec {
 		t.Fatalf("threshold did not tighten: %v", s.ttfThresh)
 	}
 	// Starved promotions: threshold loosens.
@@ -87,7 +87,7 @@ func TestThresholdAdaptationDirections(t *testing.T) {
 
 func TestOnFaultVanillaPromotesOnlyHot(t *testing.T) {
 	ctx := unitContext(t, 8)
-	s := New(Config{HotTTFSec: 0.01})
+	s := New(Config{})
 	// Move a page to the alternate tier to be the fault target.
 	id := pages.PageID(0)
 	if err := ctx.AS.Move(id, 1); err != nil {
