@@ -41,29 +41,26 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable, skipping (pin: $(STATICCHECK_VERSION))"; \
 	fi
 
-# In-tree static analysis (internal/lint via cmd/colloidlint): seven
+# In-tree static analysis (internal/lint via cmd/colloidlint): six
 # typed checks enforcing the determinism and convention contracts — no
-# wall clocks, global math/rand, env reads or unsorted map iteration on
-# simulation paths, stats.RNG-only seed flow, "<pkg>: " diagnostic
-# prefixes, obs name grammar, no RNG capture or captured writes in
-# goroutines, no stale suppressions, no order-dependent float folds.
+# wall clocks, global math/rand, env reads or order-dependent map
+# iteration (float folds included) on simulation paths, stats.RNG-only
+# seed flow, "<pkg>: " diagnostic prefixes, obs name grammar, no RNG
+# capture or captured writes in goroutines, no stale suppressions.
 # Stdlib-only, so unlike staticcheck it runs even with no module proxy.
-# The whole tree must type-check: colloidlint exits 2 on a parse or
-# type error (or an unreadable baseline) and 1 on findings, and the
-# binary is built first because `go run` turns every nonzero status
-# into 1. Findings are diffed
-# against the committed lint.baseline.json (kept empty: fix or
-# //colloid:allow <check> <reason>, don't baseline). The target exits
-# with colloidlint's own status, so the failure survives `make -k`/
-# `make ci` composition instead of scrolling past.
+# colloidlint exits 1 on findings and 2 when the tree does not parse or
+# type-check; the binary is built first because `go run` turns every
+# nonzero status into 1. The target exits with colloidlint's own
+# status, so the failure survives `make -k`/`make ci` composition
+# instead of scrolling past.
 lint:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/colloidlint" ./cmd/colloidlint || exit 2; \
-	"$$dir/colloidlint" -json -baseline lint.baseline.json ./...; status=$$?; \
+	"$$dir/colloidlint" ./...; status=$$?; \
 	case $$status in \
 	0) ;; \
-	1) echo "lint: non-baselined findings above; fix them (do not grow lint.baseline.json)" >&2 ;; \
-	*) echo "lint: colloidlint could not load the tree or the baseline; fix the error above (no findings were checked)" >&2 ;; \
+	1) echo "lint: findings above; fix them or add a reasoned //colloid:allow <check> <reason>" >&2 ;; \
+	*) echo "lint: colloidlint could not load the tree; fix the error above (no findings were checked)" >&2 ;; \
 	esac; \
 	exit $$status
 

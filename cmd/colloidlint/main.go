@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	colloidlint [-list] [-checks determinism,maprange] [-json]
-//	            [-baseline lint.baseline.json] [-update-baseline] [./...]
+//	colloidlint [-list] [-checks determinism,maprange] [-json] [./...]
 //
 // Each argument is a directory tree to lint ("dir/..." and "dir" are
 // equivalent; both walk recursively, skipping testdata, vendor and
@@ -19,18 +18,11 @@
 //	file:line: [check] message
 //
 // with the file relative to the module root, or, under -json, as a JSON
-// array of objects carrying the same fields plus the finding's
-// content-addressed id. Any unsuppressed finding makes the exit status
-// 1; a tree that does not parse or type-check, a bad flag or an
-// unreadable baseline makes it 2. A finding is suppressed by a
+// array of objects carrying the same fields. Any unsuppressed finding
+// makes the exit status 1; a tree that does not parse or type-check, or
+// a bad flag, makes it 2. A finding is suppressed only by a
 // `//colloid:allow <check> <reason>` comment on the offending line or
 // alone on the line above; the reason is mandatory.
-//
-// With -baseline, findings whose id appears in the given baseline file
-// are acknowledged debt: they neither print nor fail the run (stale
-// baseline entries are reported on stderr for cleanup). With
-// -update-baseline, the current findings are written to the baseline
-// file instead and the run exits 0.
 package main
 
 import (
@@ -50,7 +42,6 @@ func main() {
 
 // jsonFinding is the -json wire form of one finding.
 type jsonFinding struct {
-	ID    string `json:"id"`
 	File  string `json:"file"`
 	Line  int    `json:"line"`
 	Check string `json:"check"`
@@ -63,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the registered checks and exit")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of file:line text")
-	baselinePath := fs.String("baseline", "", "baseline file; findings whose id it contains are acknowledged and do not fail the run")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,10 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "colloidlint: -update-baseline requires -baseline <path>")
-		return 2
 	}
 	checks, err := selectChecks(*checksFlag)
 	if err != nil {
@@ -101,29 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		findings = append(findings, found...)
 	}
-	if *updateBaseline {
-		if err := lint.NewBaseline(findings).Write(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, "colloidlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "colloidlint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		baseline, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "colloidlint:", err)
-			return 2
-		}
-		fresh, stale := baseline.Filter(findings)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "colloidlint: baseline entry %s (%s in %s) no longer fires; remove it\n", e.ID, e.Check, e.File)
-		}
-		if n := len(findings) - len(fresh); n > 0 {
-			fmt.Fprintf(stderr, "colloidlint: %d finding(s) acknowledged by baseline %s\n", n, *baselinePath)
-		}
-		findings = fresh
-	}
 	if err := emit(stdout, findings, *jsonOut); err != nil {
 		fmt.Fprintln(stderr, "colloidlint:", err)
 		return 2
@@ -146,7 +108,6 @@ func emit(stdout io.Writer, findings []lint.Finding, asJSON bool) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
-			ID:    lint.FindingID(f),
 			File:  f.Pos.Filename,
 			Line:  f.Pos.Line,
 			Check: f.Check,

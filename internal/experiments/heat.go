@@ -136,25 +136,8 @@ func runHeatScale(nPages int, ctx ArmContext) (any, error) {
 	const granularity = 1024
 	tr := heat.NewRegionTracker(16, granularity, nil)
 	tr.SetWorkers(maxInt(ctx.Options.ShardWorkers, 1))
-	rng := stats.NewRNG(ctx.Seed)
-	const hotBand = granularity
 	quanta := int(ctx.Options.scale(50, 10))
-	perQuantum := 20_000
-	touches := 0
-	for q := 0; q < quanta; q++ {
-		hotBase := (q * (nPages / quanta)) % (nPages - hotBand)
-		for i := 0; i < perQuantum; i++ {
-			var id pages.PageID
-			if rng.Intn(10) < 7 {
-				id = pages.PageID(hotBase + rng.Intn(hotBand))
-			} else {
-				id = pages.PageID(rng.Intn(nPages))
-			}
-			tr.Touch(id)
-			touches++
-		}
-		tr.Cool()
-	}
+	touches := touchHotBand(tr, stats.NewRNG(ctx.Seed), nPages, granularity, quanta)
 	// Deterministic digest over the hot pages so any behavior change
 	// shows up in the table, FNV-1a over the hot IDs.
 	var checksum uint64 = 14695981039346656037
@@ -175,6 +158,30 @@ func runHeatScale(nPages int, ctx ArmContext) (any, error) {
 		hotChecksum:  checksum,
 		sweepPerPage: float64(cells) / float64(nPages),
 	}, nil
+}
+
+// touchHotBand is the scale arms' touch stream: it drives tr with
+// 20,000 touches over n pages per quantum, cooling after each of the
+// quanta, and returns the touch count. Each touch draws rng.Intn(10)
+// first: below 7 it lands in a hot band hotBand pages wide (a second
+// draw, Intn(hotBand)) that drifts n/quanta pages a quantum, otherwise
+// anywhere (Intn(n)).
+func touchHotBand(tr *heat.RegionTracker, rng *stats.RNG, n, hotBand, quanta int) int {
+	const perQuantum = 20_000
+	for q := 0; q < quanta; q++ {
+		hotBase := (q * (n / quanta)) % (n - hotBand)
+		for i := 0; i < perQuantum; i++ {
+			var id pages.PageID
+			if rng.Intn(10) < 7 {
+				id = pages.PageID(hotBase + rng.Intn(hotBand))
+			} else {
+				id = pages.PageID(rng.Intn(n))
+			}
+			tr.Touch(id)
+		}
+		tr.Cool()
+	}
+	return quanta * perQuantum
 }
 
 func maxInt(a, b int) int {

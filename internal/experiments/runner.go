@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"colloid/internal/obs"
+	"colloid/internal/shard"
 	"colloid/internal/stats"
 )
 
@@ -157,9 +157,10 @@ func (r *Runner) Run(id string, opts Options) (*Table, error) {
 	return e.Assemble(o, results)
 }
 
-// runArms executes the arms on the worker pool and returns their
-// results in arm order. All arms run to completion even if one fails;
-// the lowest-index error is returned so failures are deterministic too.
+// runArms executes the arms as shard.Run shards, one per arm, and
+// returns their results in arm order. All arms run to completion even
+// if one fails; the lowest-index error is returned so failures are
+// deterministic too.
 func (r *Runner) runArms(id string, arms []Arm, o Options) ([]any, error) {
 	workers := r.Workers
 	if workers <= 0 {
@@ -185,44 +186,30 @@ func (r *Runner) runArms(id string, arms []Arm, o Options) ([]any, error) {
 			regs[i] = obs.NewRegistry()
 		}
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(arms) {
-					return
-				}
-				ctx := ArmContext{
-					Experiment: id,
-					Index:      i,
-					Seed:       armSeed(id, i, o.Seed),
-					Options:    o,
-				}
-				if regs != nil {
-					ctx.Obs = regs[i]
-				}
-				armStart := time.Now() //colloid:allow determinism bench wall-clock timing only; never feeds simulation state
-				results[i], errs[i] = runArm(arms[i], ctx)
-				rec := armRecord{
-					Name:        arms[i].Name,
-					Index:       i,
-					Seed:        ctx.Seed,
-					WallSeconds: time.Since(armStart).Seconds(), //colloid:allow determinism per-arm wall time reported in BENCH json, not simulation input
-					Metrics:     ctx.Obs.Values(),
-				}
-				if errs[i] != nil {
-					rec.Error = errs[i].Error()
-				}
-				bench.record(rec)
-			}
-		}()
-	}
-	wg.Wait()
+	shard.Run(workers, len(arms), func(i int) {
+		ctx := ArmContext{
+			Experiment: id,
+			Index:      i,
+			Seed:       armSeed(id, i, o.Seed),
+			Options:    o,
+		}
+		if regs != nil {
+			ctx.Obs = regs[i]
+		}
+		armStart := time.Now() //colloid:allow determinism bench wall-clock timing only; never feeds simulation state
+		results[i], errs[i] = runArm(arms[i], ctx)
+		rec := armRecord{
+			Name:        arms[i].Name,
+			Index:       i,
+			Seed:        ctx.Seed,
+			WallSeconds: time.Since(armStart).Seconds(), //colloid:allow determinism per-arm wall time reported in BENCH json, not simulation input
+			Metrics:     ctx.Obs.Values(),
+		}
+		if errs[i] != nil {
+			rec.Error = errs[i].Error()
+		}
+		bench.record(rec)
+	})
 	if o.Metrics != nil {
 		for _, reg := range regs {
 			o.Metrics.Merge(reg)

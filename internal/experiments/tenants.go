@@ -231,8 +231,6 @@ func runTenantsScale(ctx ArmContext) (any, error) {
 	nTenants := int(tenantsScaleTenants(ctx.Options))
 	perTenant := int(tenantsScalePagesPerTenant(ctx.Options))
 	quanta := int(ctx.Options.scale(20, 6))
-	const perQuantum = 20_000
-	const hotBand = granularity
 
 	root := stats.NewRNG(ctx.Seed)
 	touches := 0
@@ -241,23 +239,9 @@ func runTenantsScale(ctx ArmContext) (any, error) {
 	var checksum uint64 = 14695981039346656037
 	for ti := 0; ti < nTenants; ti++ {
 		name := fmt.Sprintf("t%02d", ti)
-		rng := root.Fork("tenant:" + name)
 		tr := heat.NewRegionTracker(16, granularity, nil)
 		tr.SetWorkers(maxInt(ctx.Options.ShardWorkers, 1))
-		for q := 0; q < quanta; q++ {
-			hotBase := (q * (perTenant / quanta)) % (perTenant - hotBand)
-			for i := 0; i < perQuantum; i++ {
-				var id pages.PageID
-				if rng.Intn(10) < 7 {
-					id = pages.PageID(hotBase + rng.Intn(hotBand))
-				} else {
-					id = pages.PageID(rng.Intn(perTenant))
-				}
-				tr.Touch(id)
-				touches++
-			}
-			tr.Cool()
-		}
+		touches += touchHotBand(tr, root.Fork("tenant:"+name), perTenant, granularity, quanta)
 		// Fold the tenant's hottest pages into the digest via the
 		// descending-count visit — FNV-1a, capped per tenant.
 		visited := 0

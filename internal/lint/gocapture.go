@@ -79,8 +79,7 @@ type concurrentBody struct {
 
 // concurrentBodies finds every `go` literal and shard.Run callback in
 // the file, nested ones and ones in package-level initializers
-// included, in source order. It is the one walk gocapture and
-// floatorder share.
+// included, in source order.
 func concurrentBodies(p *Package, file *ast.File) []*concurrentBody {
 	concurrent := map[*ast.FuncLit]bool{}
 	var out []*concurrentBody

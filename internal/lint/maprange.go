@@ -4,13 +4,27 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // maprange flags `range` over a map whose body produces iteration-order
-// data: appending to a slice, writing a trace/obs/IO sink, or
-// accumulating into state that outlives the loop. Go randomizes map
-// iteration order per process, so any such site silently breaks
-// replay identity and the golden placement-trace checksums.
+// data: appending to a slice, writing a trace/obs/IO sink, or folding
+// into state that outlives the loop. Go randomizes map iteration order
+// per process, so any such site silently breaks replay identity and the
+// golden placement-trace checksums.
+//
+// A fold is `t op= e` or `t = t op e`, with op one of + - * /. A float
+// fold is order-dependent whatever it folds into: float addition is not
+// associative, so (a+b)+c and a+(b+c) differ in the last ulp and a sum
+// over randomly ordered terms drifts even when every term is identical.
+// Every float fold is therefore flagged — into an identifier, a field,
+// an index (perTier[t] += w) or through a pointer — except into a plain
+// identifier that belongs to one iteration (the range variables and
+// the names the body declares). An integer fold is flagged into an
+// identifier from outside the loop or into a field; integer sums
+// commute, so such a site may carry a //colloid:allow maprange
+// <reason>. A float fold is reported in its own wording, so an
+// exemption for one is written against that text.
 //
 // Two deterministic idioms are recognized and allowed:
 //
@@ -20,17 +34,13 @@ import (
 //   - per-key map writes (`out[k] = ...`) and deletes, which commute
 //     across iteration orders.
 //
-// Everything the analysis cannot prove safe is flagged; genuinely
-// order-independent sites (e.g. integer accumulation, which commutes)
-// carry a //colloid:allow maprange <reason> suppression.
-//
 // A range operand counts as a map by its type, so cross-package map
 // returns and named map types are seen and slices named like maps are
-// not.
+// not. Ranges inside package-level function literals are checked too.
 func init() {
 	Register(&Check{
 		Name: "maprange",
-		Doc:  "flag map iteration whose body appends, writes a sink, or accumulates — the canonical map-order determinism hazard",
+		Doc:  "flag map iteration whose body appends, writes a sink, or folds into outer state — any float fold included — the canonical map-order determinism hazard",
 		Run:  runMapRange,
 	})
 }
@@ -59,17 +69,27 @@ func runMapRange(p *Package) []Finding {
 	seen := map[string]bool{}
 	var out []Finding
 	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		// Each outermost function, declared or a literal in a
+		// package-level initializer, is the scope sortedAfter searches.
+		ast.Inspect(file, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				body = v.Body
+			case *ast.FuncLit:
+				body = v.Body
+			default:
+				return true
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
+			if body == nil {
+				return false
+			}
+			ast.Inspect(body, func(m ast.Node) bool {
+				rs, ok := m.(*ast.RangeStmt)
 				if !ok || !p.isMap(rs.X) {
 					return true
 				}
-				for _, f := range checkMapBody(p, fn, rs) {
+				for _, f := range checkMapBody(p, body, rs) {
 					key := f.String()
 					if !seen[key] {
 						seen[key] = true
@@ -78,29 +98,32 @@ func runMapRange(p *Package) []Finding {
 				}
 				return true
 			})
-		}
+			return false
+		})
 	}
 	return out
 }
 
-// checkMapBody inspects one map-range body for order-sensitive writes.
-func checkMapBody(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt) []Finding {
+// checkMapBody inspects one map-range body, inside the function body
+// fn, for order-sensitive writes.
+func checkMapBody(p *Package, fn *ast.BlockStmt, rs *ast.RangeStmt) []Finding {
 	keyName := identName(rs.Key)
-	valName := identName(rs.Value)
-	bodyLocals := map[string]bool{}
+	// locals are the names that belong to one iteration: the range
+	// variables and every name the body declares.
+	locals := map[string]bool{keyName: true, identName(rs.Value): true}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
 			if v.Tok == token.DEFINE {
 				for _, lhs := range v.Lhs {
 					if id, ok := lhs.(*ast.Ident); ok {
-						bodyLocals[id.Name] = true
+						locals[id.Name] = true
 					}
 				}
 			}
 		case *ast.ValueSpec:
 			for _, name := range v.Names {
-				bodyLocals[name.Name] = true
+				locals[name.Name] = true
 			}
 		}
 		return true
@@ -110,11 +133,11 @@ func checkMapBody(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt) []Finding {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
-			out = append(out, checkMapAssign(p, fn, rs, v, keyName, valName, bodyLocals)...)
+			out = append(out, checkMapAssign(p, fn, rs, v, keyName, locals)...)
 		case *ast.IncDecStmt:
-			if target := outerTarget(v.X, bodyLocals, keyName, valName); target != "" {
+			if outlivesIteration(v.X, locals, false) {
 				out = append(out, p.finding("maprange", v,
-					fmt.Sprintf("%s of %q inside map iteration accumulates in random order; sort the keys first or suppress with a reason if order-independent", v.Tok, target)))
+					fmt.Sprintf("%s of %q inside map iteration accumulates in random order; sort the keys first or suppress with a reason if order-independent", v.Tok, targetName(v.X))))
 			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sinkMethods[sel.Sel.Name] {
@@ -128,9 +151,9 @@ func checkMapBody(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt) []Finding {
 }
 
 // checkMapAssign handles assignments inside a map-range body:
-// append-to-outer-slice (allowing key-collect-then-sort) and compound
-// accumulation into outer state.
-func checkMapAssign(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, as *ast.AssignStmt, keyName, valName string, bodyLocals map[string]bool) []Finding {
+// append-to-outer-slice (allowing key-collect-then-sort) and folds into
+// outer state.
+func checkMapAssign(p *Package, fn *ast.BlockStmt, rs *ast.RangeStmt, as *ast.AssignStmt, keyName string, locals map[string]bool) []Finding {
 	var out []Finding
 	for i, rhs := range as.Rhs {
 		call, ok := rhs.(*ast.CallExpr)
@@ -145,7 +168,7 @@ func checkMapAssign(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, as *ast.Ass
 		if i < len(as.Lhs) {
 			dst = identName(as.Lhs[i])
 		}
-		if dst == "" || as.Tok == token.DEFINE || bodyLocals[dst] {
+		if dst == "" || as.Tok == token.DEFINE || locals[dst] {
 			continue
 		}
 		// Key-collect idiom: appending exactly the range key, with the
@@ -158,46 +181,78 @@ func checkMapAssign(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, as *ast.Ass
 		out = append(out, p.finding("maprange", as,
 			fmt.Sprintf("append to %q inside map iteration captures random order; collect keys, sort, then iterate (or suppress with a reason)", dst)))
 	}
-	switch as.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		for _, lhs := range as.Lhs {
-			if target := outerTarget(lhs, bodyLocals, keyName, valName); target != "" {
-				out = append(out, p.finding("maprange", as,
-					fmt.Sprintf("%s into %q inside map iteration accumulates in random order; sort the keys first or suppress with a reason if order-independent (e.g. integer sums)", as.Tok, target)))
-			}
+	for i, lhs := range as.Lhs {
+		op := foldOp(as, i)
+		if op == "" {
+			continue
 		}
+		kind := p.floatKind(lhs)
+		if !outlivesIteration(lhs, locals, kind != "") {
+			continue
+		}
+		var msg string
+		if kind != "" {
+			msg = fmt.Sprintf("%s %s into %q inside map iteration folds terms in random order (float addition is not associative); iterate sorted keys", kind, op, targetName(lhs))
+		} else {
+			msg = fmt.Sprintf("%s into %q inside map iteration accumulates in random order; sort the keys first or suppress with a reason if order-independent (e.g. integer sums)", op, targetName(lhs))
+		}
+		out = append(out, p.finding("maprange", as, msg))
 	}
 	return out
 }
 
-// outerTarget returns the printable name of an assignment target that
-// outlives the loop body: a plain identifier not declared in the body
-// (and not the range variables), or a selector like s.total. Index
-// expressions (m[k] = ..., counts[id]++) are per-key writes that
-// commute across iteration orders and return "".
-func outerTarget(e ast.Expr, bodyLocals map[string]bool, keyName, valName string) string {
-	switch v := e.(type) {
-	case *ast.Ident:
-		if bodyLocals[v.Name] || v.Name == keyName || v.Name == valName || v.Name == "_" {
+// foldOp returns the compound operator that folds into as.Lhs[i]: the
+// statement's own +=, -=, *= or /=, or the one `t = t op e` spells out
+// with op one of + - * /. It returns "" for any other assignment.
+func foldOp(as *ast.AssignStmt, i int) string {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		return as.Tok.String()
+	case token.ASSIGN:
+		if len(as.Rhs) != len(as.Lhs) {
 			return ""
 		}
-		return v.Name
-	case *ast.SelectorExpr:
-		if base := identName(v.X); base != "" {
-			return base + "." + v.Sel.Name
+		bin, ok := ast.Unparen(as.Rhs[i]).(*ast.BinaryExpr)
+		if !ok {
+			return ""
 		}
-		return v.Sel.Name
-	case *ast.ParenExpr:
-		return outerTarget(v.X, bodyLocals, keyName, valName)
+		switch bin.Op {
+		case token.ADD, token.SUB, token.MUL, token.QUO:
+			if targetName(bin.X) == targetName(as.Lhs[i]) {
+				return bin.Op.String() + "="
+			}
+		}
 	}
 	return ""
 }
 
+// outlivesIteration reports whether a fold into e outlives one
+// iteration: an identifier that is not one of the iteration's locals,
+// or a field. An index (counts[id]++) or a pointer target counts only
+// for a float fold: an integer one commutes across the keys it lands
+// on, a float one does not.
+func outlivesIteration(e ast.Expr, locals map[string]bool, float bool) bool {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return !locals[v.Name]
+	case *ast.SelectorExpr:
+		return true
+	case *ast.IndexExpr, *ast.StarExpr:
+		return float
+	}
+	return false
+}
+
+// targetName prints an assignment target as written.
+func targetName(e ast.Expr) string {
+	return types.ExprString(ast.Unparen(e))
+}
+
 // sortedAfter reports whether fn calls a sort function on slice after
 // the range statement ends.
-func sortedAfter(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, slice string) bool {
+func sortedAfter(p *Package, fn *ast.BlockStmt, rs *ast.RangeStmt, slice string) bool {
 	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(fn, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || call.Pos() < rs.End() || len(call.Args) == 0 {
 			return true

@@ -21,9 +21,9 @@ import (
 //     substituted. Anything else — "prefix_" + name concatenation,
 //     %s verbs — drifts unboundedly with runtime strings and is
 //     exactly how tenant/heat scope names diverged before this check;
-//   - the "tenant." and "shard." namespaces are reserved for Scoped
-//     registries; a flat name starting with either would collide with
-//     scoped metrics;
+//   - the "tenant." namespace is reserved for Scoped registries (the
+//     engine scopes each tenant's metrics under "tenant.<name>."); a
+//     flat name starting with it would collide with scoped metrics;
 //   - Scoped prefixes must be namespace segments: a constant prefix
 //     must match (segment.)+; a dynamic prefix must open with a
 //     constant segment ending in "." and close with a constant ending
@@ -41,7 +41,7 @@ import (
 func init() {
 	Register(&Check{
 		Name:    "obsnames",
-		Doc:     "obs metric names must be constant (or %d-indexed Sprintf) lowercase.dotted_snake, kind-unique tree-wide, with tenant./shard. reserved for Scoped prefixes",
+		Doc:     "obs metric names must be constant (or %d-indexed Sprintf) lowercase.dotted_snake, kind-unique tree-wide, with tenant. reserved for Scoped prefixes",
 		RunTree: runObsNames,
 	})
 }
@@ -53,8 +53,8 @@ var obsNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 // segments, each closed by a dot.
 var obsScopeRE = regexp.MustCompile(`^([a-z][a-z0-9_]*\.)+$`)
 
-// obsReservedPrefixes are namespaces owned by Scoped registries.
-var obsReservedPrefixes = []string{"tenant.", "shard."}
+// obsReservedPrefix is the namespace owned by Scoped registries.
+const obsReservedPrefix = "tenant."
 
 // obsRegistration is one constant-name metric registration site.
 type obsRegistration struct {
@@ -120,21 +120,17 @@ func obsRegistryMethod(p *Package, call *ast.CallExpr) (string, bool) {
 }
 
 // checkObsName validates one constant metric name against the grammar
-// and the reserved scope namespaces.
+// and the reserved scope namespace.
 func checkObsName(p *Package, n ast.Node, name string) []Finding {
-	var out []Finding
-	for _, reserved := range obsReservedPrefixes {
-		if strings.HasPrefix(name, reserved) {
-			out = append(out, p.finding("obsnames", n,
-				fmt.Sprintf("obs name %q opens the reserved %q namespace; create the metric through a Scoped(%q...) registry instead", name, reserved, reserved)))
-			return out
-		}
+	if strings.HasPrefix(name, obsReservedPrefix) {
+		return []Finding{p.finding("obsnames", n,
+			fmt.Sprintf("obs name %q opens the reserved %q namespace; create the metric through a Scoped(%q...) registry instead", name, obsReservedPrefix, obsReservedPrefix))}
 	}
 	if !obsNameRE.MatchString(name) {
-		out = append(out, p.finding("obsnames", n,
-			fmt.Sprintf("obs name %q does not match the lowercase.dotted_snake grammar ([a-z][a-z0-9_]* segments joined by dots)", name)))
+		return []Finding{p.finding("obsnames", n,
+			fmt.Sprintf("obs name %q does not match the lowercase.dotted_snake grammar ([a-z][a-z0-9_]* segments joined by dots)", name))}
 	}
-	return out
+	return nil
 }
 
 // obsSprintfFormat returns the constant format string of a fmt.Sprintf

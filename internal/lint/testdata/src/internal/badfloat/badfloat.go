@@ -1,5 +1,5 @@
 // Package badfloat is a lint fixture: float accumulations whose fold
-// order is not deterministic.
+// order is not deterministic, and one (nestedSliceSum) whose is.
 package badfloat
 
 import "colloid/internal/shard"
@@ -29,4 +29,44 @@ func goSum(vals []float64, done chan struct{}) float64 {
 		}(vals[i])
 	}
 	return total
+}
+
+func perTierSum(m map[int]float64, tier map[int]int, perTier []float64) {
+	for id, w := range m {
+		perTier[tier[id]] += w // many keys fold into one slot
+	}
+}
+
+func pointerSum(m map[string]float64, out *float64) {
+	for _, w := range m {
+		*out += w // random iteration order
+	}
+}
+
+var literalSum = func(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v // a package-level literal is walked too
+	}
+	return sum
+}
+
+func nestedSliceSum(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, vs := range m {
+		var s float64
+		for _, v := range vs {
+			s += v // per-iteration local, folded in slice order
+		}
+		out[k] = s
+	}
+	return out
+}
+
+func spelledOutSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum = sum + v // the same fold, written out
+	}
+	return sum
 }

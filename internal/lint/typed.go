@@ -48,6 +48,19 @@ func (p *Package) isMap(e ast.Expr) bool {
 	return ok
 }
 
+// floatKind returns the name of e's basic float type ("float32" or
+// "float64", named float types included), or "" when e is not a float.
+func (p *Package) floatKind(e ast.Expr) string {
+	t := p.exprType(e)
+	if t == nil {
+		return ""
+	}
+	if basic, ok := t.Underlying().(*types.Basic); ok && basic.Info()&types.IsFloat != 0 {
+		return basic.Name()
+	}
+	return ""
+}
+
 // calleeObj resolves the function or method object a call invokes (nil
 // for calls of function values the type checker records no object for).
 func (p *Package) calleeObj(call *ast.CallExpr) types.Object {
