@@ -7,10 +7,10 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: ci verify fmt vet staticcheck lint lint-fixtures inline-check race bench bench-smoke bench-tenants bench-heat bench-check bench-diff examples clean
+.PHONY: ci verify fmt vet staticcheck lint lint-fixtures inline-check escape-check race bench bench-smoke bench-tenants bench-heat bench-check bench-diff examples clean
 
 # Everything CI gates on.
-ci: verify fmt vet staticcheck lint inline-check race bench-smoke bench-tenants bench-heat bench-check examples
+ci: verify fmt vet staticcheck lint inline-check escape-check race bench-smoke bench-tenants bench-heat bench-check examples
 
 # Tier-1: the whole tree must build and every test must pass.
 verify:
@@ -98,6 +98,26 @@ inline-check:
 		}; \
 	done; \
 	exit $$fail
+
+# The packages a quantum runs through must make no closure that
+# escapes: a func literal handed to a callee that keeps it (shard.Run,
+# a tracker's AppendHot or ForEach) allocates on every call. Bind such
+# callbacks once as method values, with their inputs in fields, as the
+# trackers bind their passes. Fails on any line of the compiler's -m
+# report that says "func literal escapes to heap", printed as file:line.
+ESCAPE_PKGS := ./internal/access/ ./internal/cha/ ./internal/core/ ./internal/heat/ \
+	./internal/hemem/ ./internal/memtis/ ./internal/migrate/ ./internal/tpp/
+
+escape-check:
+	@out=$$($(GO) build -gcflags=-m $(ESCAPE_PKGS) 2>&1) || { \
+		echo "$$out" >&2; exit 1; \
+	}; \
+	bad=$$(echo "$$out" | grep 'func literal escapes to heap' | sed -E 's/^([^:]+:[0-9]+):[0-9]+: .*/\1/' | sort -u); \
+	if [ -n "$$bad" ]; then \
+		echo "escape-check: func literals escape to the heap; bind them once as method values:" >&2; \
+		echo "$$bad" >&2; \
+		exit 1; \
+	fi
 
 # Race-detector pass over the parallel experiment runner, the engine,
 # the scenario/fault-injection subsystem, the migration engine, the

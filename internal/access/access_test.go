@@ -160,7 +160,7 @@ func TestHintFaultHotPageFaultsQuickly(t *testing.T) {
 	now := 0.0
 	for q := 0; q < 1000 && hotFaultAt < 0; q++ {
 		now += 0.01
-		for _, f := range h.Step(now, 0.01, rate) {
+		for _, f := range h.Step(nil, now, 0.01, rate) {
 			if f.Page == 0 {
 				hotFaultAt = now
 			}
@@ -186,7 +186,7 @@ func TestHintFaultColdPageFaultsSlowly(t *testing.T) {
 	now := 0.0
 	for q := 0; q < 100; q++ {
 		now += 0.01
-		for _, f := range h.Step(now, 0.01, rate) {
+		for _, f := range h.Step(nil, now, 0.01, rate) {
 			if f.Page == 1 {
 				t.Fatalf("cold page (lambda=0.1/s) faulted within %vs", now)
 			}
@@ -202,7 +202,7 @@ func TestHintFaultRemarking(t *testing.T) {
 	faults := 0
 	for q := 0; q < 300; q++ {
 		now += 0.01
-		faults += len(h.Step(now, 0.01, 1e8))
+		faults += len(h.Step(nil, now, 0.01, 1e8))
 	}
 	// The hot page faults after every re-mark: 3 s / 0.5 s interval.
 	if faults < 4 {
@@ -216,11 +216,43 @@ func TestHintFaultContinuousScanRate(t *testing.T) {
 	h := NewHintFaultScanner(as, stats.NewRNG(12), 1.0)
 	// With no traffic, marks accumulate at pages/interval.
 	for i := 0; i < 50; i++ {
-		h.Step(float64(i+1)*0.01, 0.01, 0)
+		h.Step(nil, float64(i+1)*0.01, 0.01, 0)
 	}
 	want := n / 2 // half the interval elapsed
 	if got := h.Marked(); got < want-2 || got > want+2 {
 		t.Fatalf("marked after half interval = %d, want ~%d", got, want)
+	}
+}
+
+// Step appends to the caller's buffer and leaves what it holds: a
+// scanner handed a reused buffer that starts with a sentinel draws the
+// same faults, in the same order, as a twin handed nil each quantum.
+func TestHintFaultStepAppendsToBuffer(t *testing.T) {
+	as := testSpace(t)
+	for id := pages.PageID(0); int(id) < as.NumPages(); id++ {
+		as.SetWeight(id, 1/float64(as.NumPages()))
+	}
+	fresh := NewHintFaultScanner(as, stats.NewRNG(3), 0.1)
+	reused := NewHintFaultScanner(as, stats.NewRNG(3), 0.1)
+	sentinel := Fault{Page: pages.NoPage}
+	var buf []Fault
+	total := 0
+	for q := 1; q <= 100; q++ {
+		now := float64(q) * 0.01
+		want := fresh.Step(nil, now, 0.01, 1e6)
+		buf = reused.Step(append(buf[:0], sentinel), now, 0.01, 1e6)
+		if len(buf) != len(want)+1 || buf[0] != sentinel {
+			t.Fatalf("quantum %d: buffer holds %d faults after the sentinel %v, want %d", q, len(buf)-1, buf[0], len(want))
+		}
+		for i, f := range want {
+			if buf[i+1] != f {
+				t.Fatalf("quantum %d: fault %d is %+v, want %+v", q, i, buf[i+1], f)
+			}
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no hint faults drawn")
 	}
 }
 
@@ -241,7 +273,7 @@ func TestTimeToFaultEstimatesProbability(t *testing.T) {
 	now := 0.0
 	for q := 0; q < 200000 && w.N() < 300; q++ {
 		now += 0.001
-		for _, f := range h.Step(now, 0.001, rate) {
+		for _, f := range h.Step(nil, now, 0.001, rate) {
 			if f.Page == 0 && f.TimeToFaultSec > 0 {
 				w.Observe(f.TimeToFaultSec)
 			}

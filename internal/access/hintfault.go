@@ -73,15 +73,16 @@ func NewHintFaultScanner(as *pages.AddressSpace, rng *stats.RNG, scanIntervalSec
 func (h *HintFaultScanner) Marked() int { return len(h.marks) }
 
 // Step advances the scanner by one quantum ending at nowSec, with the
-// workload issuing totalRatePerSec memory requests. It returns the hint
-// faults that fired during the quantum.
-func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []Fault {
+// workload issuing totalRatePerSec memory requests. It appends the hint
+// faults that fired during the quantum to dst, in the order it drew
+// them, and returns the extended slice, so a caller that passes the
+// same buffer each quantum allocates only while it grows.
+func (h *HintFaultScanner) Step(dst []Fault, nowSec, quantumSec, totalRatePerSec float64) []Fault {
 	// Incremental page-table scan: mark this quantum's share of pages.
 	h.scan(nowSec, quantumSec)
 	if len(h.marks) == 0 || totalRatePerSec <= 0 {
-		return nil
+		return dst
 	}
-	var faults []Fault
 	// A fault swap-removes its mark, so the loop looks at index i again.
 	for i := 0; i < len(h.marks); {
 		m := h.marks[i]
@@ -90,13 +91,13 @@ func (h *HintFaultScanner) Step(nowSec, quantumSec, totalRatePerSec float64) []F
 			i++
 			continue
 		}
-		faults = append(faults, Fault{Page: m.page, TimeToFaultSec: ttf})
+		dst = append(dst, Fault{Page: m.page, TimeToFaultSec: ttf})
 		h.isMarked[m.page] = false
 		last := len(h.marks) - 1
 		h.marks[i] = h.marks[last]
 		h.marks = h.marks[:last]
 	}
-	return faults
+	return dst
 }
 
 // draw decides whether marked page m faults in the quantum ending at

@@ -56,6 +56,9 @@ type Counters struct {
 }
 
 // SetObs installs the metrics registry (nil disables instrumentation).
+// cha_reads counts Read calls: the engine reads once per quantum and
+// hands that one snapshot to every tenant, so it counts quanta, not
+// tenant observations.
 func (c *Counters) SetObs(r *obs.Registry) {
 	c.mAdvances = r.Counter("cha_advances")
 	c.mReads = r.Counter("cha_reads")
@@ -164,6 +167,9 @@ type Meter struct {
 	numTiers int
 	prev     Snapshot
 	primed   bool
+	// out holds the last interval's measurements, reused by each
+	// Observe.
+	out []Measurement
 }
 
 // NewMeter returns a meter for numTiers tiers.
@@ -173,7 +179,9 @@ func NewMeter(numTiers int) *Meter {
 
 // Observe consumes a snapshot and returns measurements for the interval
 // since the previous one. The first call primes the meter and returns
-// ok=false.
+// ok=false. The meter keeps s as its previous read and never writes it,
+// so one snapshot may be shared by several meters. The measurements
+// live in a buffer the meter owns, valid until the next Observe.
 func (m *Meter) Observe(s Snapshot) (out []Measurement, ok bool) {
 	if len(s.Inserts) != m.numTiers {
 		panic("cha: snapshot tier count mismatch")
@@ -187,7 +195,10 @@ func (m *Meter) Observe(s Snapshot) (out []Measurement, ok bool) {
 	if dt <= 0 {
 		return nil, false
 	}
-	out = make([]Measurement, m.numTiers)
+	if m.out == nil {
+		m.out = make([]Measurement, m.numTiers)
+	}
+	out = m.out
 	for t := 0; t < m.numTiers; t++ {
 		dIns := s.Inserts[t] - m.prev.Inserts[t]
 		dOcc := s.OccupancyIntegralNs[t] - m.prev.OccupancyIntegralNs[t]

@@ -51,6 +51,30 @@ func TestMeterDiffsOnlyInterval(t *testing.T) {
 	}
 }
 
+// Once primed, Observe measures into the meter's own buffer and
+// allocates nothing. The snapshots are read up front, since each read
+// copies the counters.
+func TestPrimedObserveAllocatesNothing(t *testing.T) {
+	c := NewCounters(2, 0, nil)
+	m := NewMeter(2)
+	m.Observe(c.Read())
+	snaps := make([]Snapshot, 25)
+	for i := range snaps {
+		c.Advance(1e6, []float64{1e9, 2e8}, []float64{150, 300})
+		snaps[i] = c.Read()
+	}
+	i := 0
+	n := testing.AllocsPerRun(20, func() {
+		if _, ok := m.Observe(snaps[i]); !ok {
+			t.Fatal("primed meter did not measure")
+		}
+		i++
+	})
+	if n != 0 {
+		t.Fatalf("primed Observe allocates %v times a call", n)
+	}
+}
+
 func TestZeroTrafficTier(t *testing.T) {
 	c := NewCounters(2, 0, nil)
 	m := NewMeter(2)

@@ -22,9 +22,12 @@ type leaf struct {
 // cell is one base region of g pages. Most cells stay unsplit (sub ==
 // nil) with a single aggregate count; cells whose heat diverges refine
 // into a flattened buddy tree of leaves. count is always the cell's
-// total, split or not.
+// total, split or not. peak is the most leaves sub has held at a Cool,
+// so a cell that merges fully and splits again makes its list once at
+// that size instead of regrowing it; it sits in what would be padding.
 type cell struct {
 	count uint32
+	peak  uint32
 	sub   []leaf
 }
 
@@ -230,6 +233,9 @@ func (r *RegionTracker) Touch(id pages.PageID) uint32 {
 			r.tracked += r.g
 		}
 		if r.g > 1 && uint64(c.count) >= r.splitAt(r.g) {
+			if c.peak > 1 {
+				c.sub = make([]leaf, 0, c.peak)
+			}
 			c.sub = append(c.sub, leaf{off: 0, size: int32(r.g), count: c.count})
 			return r.cascade(c, 0, id)
 		}
@@ -359,6 +365,9 @@ func (r *RegionTracker) coolShard(s int) {
 				tr += r.g
 			}
 		} else {
+			// Only Cool shrinks a list, so its length here is the
+			// most it has held since the last Cool.
+			c.peak = max(c.peak, uint32(len(c.sub)))
 			// Halve every leaf, then collapse cooled buddies with a
 			// stack pass: adjacent aligned siblings re-join while
 			// their sum stays below the merged node's split trigger.
@@ -675,13 +684,13 @@ func (r *RegionTracker) histShard(s int) {
 	}
 }
 
-// MemoryFootprintBytes implements Tracker: the cell array plus split
-// leaves plus forecaster state. At g=1 this is deliberately heavier
-// than the exact tracker's 4 bytes/page — granularity 1 is the
-// fidelity anchor, not the scale point; the win arrives as g grows
-// (g=64 is ~8x lighter than exact, g=1024 ~128x).
+// MemoryFootprintBytes implements Tracker: the cell array plus the
+// leaf capacity split cells hold plus forecaster state. At g=1 this is
+// deliberately heavier than the exact tracker's 4 bytes/page —
+// granularity 1 is the fidelity anchor, not the scale point; the win
+// arrives as g grows (g=64 is ~8x lighter than exact, g=1024 ~128x).
 func (r *RegionTracker) MemoryFootprintBytes() int64 {
-	const cellBytes = 32 // count + padding + leaf-slice header
+	const cellBytes = 32 // count + peak + leaf-slice header
 	const leafBytes = 12
 	n := int64(cap(r.cells)) * cellBytes
 	for i := range r.cells {

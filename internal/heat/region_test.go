@@ -109,6 +109,38 @@ func TestSplitMergeConservationUnderChurn(t *testing.T) {
 	}
 }
 
+// A cell that Cool merges fully and that splits again to its earlier
+// depth makes its leaf list once, at the most leaves it held, instead
+// of regrowing it one append at a time; the cooling that merges it
+// drops the list again.
+func TestResplitAllocatesOneLeafList(t *testing.T) {
+	r := NewRegionTracker(16, 64, nil)
+	r.SetWorkers(1)
+	// Touching one page splits its cell along the page's path down to a
+	// single page, seven leaves deep, and the Cool after it merges the
+	// halved leaves back into one.
+	cycle := func() {
+		for split := false; !split; split = r.cells[0].sub != nil {
+			r.Touch(5)
+		}
+		if n := len(r.cells[0].sub); n != 7 {
+			t.Fatalf("split cell holds %d leaves, want 7", n)
+		}
+		r.Cool()
+		if r.cells[0].sub != nil {
+			t.Fatal("Cool left the cell split")
+		}
+	}
+	cycle()
+	if r.cells[0].peak != 7 {
+		t.Fatalf("peak = %d after the first split, want 7", r.cells[0].peak)
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 1 {
+		t.Fatalf("a re-split allocates %v times, want one leaf list", n)
+	}
+	checkRegionInvariants(t, r)
+}
+
 // driveTrackers feeds the same deterministic touch/cool stream
 // to both trackers.
 func driveTrackers(a, b Tracker, seed uint64, ops int) {

@@ -96,6 +96,13 @@ type System struct {
 	victims []pages.PageID
 	draws   []pages.PageID
 
+	// rebuildPage is rebuildLists' ForEach callback, bound once in New:
+	// a func value made per cooling would escape through the tracker
+	// and allocate. It reads placement from tiers, which rebuildLists
+	// sets before the walk.
+	rebuildPage func(id pages.PageID, count uint32)
+	tiers       []uint8
+
 	sampleCarry float64
 	lastRunSec  float64
 	started     bool
@@ -104,7 +111,9 @@ type System struct {
 
 // New returns a HeMem instance.
 func New(cfg Config) *System {
-	return &System{cfg: cfg}
+	s := &System{cfg: cfg}
+	s.rebuildPage = s.relist
+	return s
 }
 
 // Name identifies the system.
@@ -281,16 +290,21 @@ func (s *System) rebuildLists(ctx *sim.Context) {
 	for b := range s.bins {
 		s.bins[b] = s.bins[b][:0]
 	}
-	s.tracker.ForEach(func(id pages.PageID, count uint32) {
-		if count >= hotThreshold {
-			s.state[id].hot = true
-			s.nHot++
-			if ctx.AS.Tier(id) != memsys.DefaultTier {
-				s.addAlt(id)
-			}
+	s.tiers = ctx.AS.LiveView().Tier
+	s.tracker.ForEach(s.rebuildPage)
+}
+
+// relist files one tracked page, with its cooled count, into the hot
+// set, the promotion worklist and its bin.
+func (s *System) relist(id pages.PageID, count uint32) {
+	if count >= hotThreshold {
+		s.state[id].hot = true
+		s.nHot++
+		if memsys.TierID(s.tiers[id]) != memsys.DefaultTier {
+			s.addAlt(id)
 		}
-		s.addBin(id, s.binIndex(count))
-	})
+	}
+	s.addBin(id, s.binIndex(count))
 }
 
 // migrateVanilla is HeMem's placement: promote every hot page resident

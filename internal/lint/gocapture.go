@@ -19,7 +19,8 @@ import (
 //     pointer — completion-order-dependent even when mutex-guarded,
 //     which is exactly the nondeterminism the indexed per-shard-slot
 //     pattern exists to avoid. Indexed element writes (slots[i] = v)
-//     commute across goroutines and pass;
+//     commute across goroutines and pass, except into a captured map,
+//     where concurrent writes race even on distinct keys;
 //   - appends to captured slices, which bake completion order into the
 //     result;
 //   - draws (Uint64, Float64, Intn, ..., Sample, SampleN) on a stream
@@ -174,9 +175,11 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 				return true
 			}
 			for i, lhs := range v.Lhs {
-				target, node := capturedWriteTarget(lhs, b.locals)
+				target, node := capturedWriteTarget(p, lhs, b.locals)
 				switch {
 				case target == "":
+				case isMapElem(p, lhs):
+					out = append(out, mapWriteFinding(p, node, target))
 				case i < len(v.Rhs) && isAppendCall(v.Rhs[i]):
 					out = append(out, p.finding("gocapture", v,
 						fmt.Sprintf("append to %q, a slice captured from outside the concurrent body, reduces in completion order; write an indexed per-shard slot and concatenate in shard index order after the join", target)))
@@ -190,7 +193,11 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 				}
 			}
 		case *ast.IncDecStmt:
-			if target, node := capturedWriteTarget(v.X, b.locals); target != "" {
+			switch target, node := capturedWriteTarget(p, v.X, b.locals); {
+			case target == "":
+			case isMapElem(p, v.X):
+				out = append(out, mapWriteFinding(p, node, target))
+			default:
 				out = append(out, p.finding("gocapture", node,
 					fmt.Sprintf("%s of %q, captured from outside the concurrent body, depends on goroutine completion order; write an indexed per-worker slot and reduce after the join", v.Tok, target)))
 			}
@@ -220,10 +227,18 @@ func checkCapturedBody(p *Package, b *concurrentBody) []Finding {
 
 // capturedWriteTarget returns the printable name of a write target that
 // lives outside the concurrent body: a non-local identifier or a
-// selector/deref chain rooted at one. Indexed element writes
-// (slots[i] = v) commute across goroutines and return "".
-func capturedWriteTarget(e ast.Expr, locals map[string]bool) (string, ast.Node) {
+// selector/deref chain rooted at one, or an element of a map that is
+// one. Indexed element writes into slices and arrays (slots[i] = v)
+// commute across goroutines and return "".
+func capturedWriteTarget(p *Package, e ast.Expr, locals map[string]bool) (string, ast.Node) {
 	switch v := ast.Unparen(e).(type) {
+	case *ast.IndexExpr:
+		if !p.isMap(v.X) {
+			return "", nil
+		}
+		if target, _ := capturedWriteTarget(p, v.X, locals); target != "" {
+			return target, v
+		}
 	case *ast.Ident:
 		if locals[v.Name] {
 			return "", nil
@@ -243,6 +258,19 @@ func capturedWriteTarget(e ast.Expr, locals map[string]bool) (string, ast.Node) 
 		return "*" + base, v
 	}
 	return "", nil
+}
+
+// isMapElem reports whether e indexes a map.
+func isMapElem(p *Package, e ast.Expr) bool {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	return ok && p.isMap(ix.X)
+}
+
+// mapWriteFinding reports a write into an element of target, a map
+// captured from outside the concurrent body.
+func mapWriteFinding(p *Package, node ast.Node, target string) Finding {
+	return p.finding("gocapture", node,
+		fmt.Sprintf("write into map %q, captured from outside the concurrent body, races with the other goroutines even on distinct keys; write an indexed per-worker slot and fill the map after the join", target))
 }
 
 // rootIdent unwraps a selector/index/paren chain to its base

@@ -538,6 +538,41 @@ func FanOut(n int, out []int) {
 	}
 }
 
+// TestInjectedMapWriteCaught probes gocapture's map rule: an element
+// write into a captured map races even on distinct keys, reached
+// directly, through a field or through a pointer, while a map the body
+// declares and a map held in a per-shard slot pass.
+func TestInjectedMapWriteCaught(t *testing.T) {
+	got := lintTree(t, withStandIns(t, map[string]string{
+		"internal/core/bad.go": `package core
+
+import "colloid/internal/shard"
+
+type hits struct{ m map[int]int }
+
+func Fill(m map[int]int, h *hits, pm *map[int]int, slots []map[int]int, n int) {
+	shard.Run(4, n, func(s int) {
+		m[s] = s
+		h.m[s]++
+		(*pm)[s] += s
+		own := map[int]int{}
+		own[s] = s
+		slots[s][s] = s
+	})
+}
+`,
+	}))
+	want := []string{`map "m"`, `map "h.m"`, `map "*pm"`}
+	if len(got) != len(want) {
+		t.Fatalf("want %d findings (%q), got %q", len(want), want, got)
+	}
+	for i, line := range got {
+		if !strings.Contains(line, "[gocapture]") || !strings.Contains(line, want[i]) {
+			t.Errorf("finding %d = %q, want a gocapture finding naming %s", i, line, want[i])
+		}
+	}
+}
+
 // TestInjectedStaleAllowCaught is the staleallow acceptance probe: a
 // //colloid:allow directive on a line where its check no longer fires
 // is itself reported, by name of the staleallow check.

@@ -36,3 +36,9 @@ var spawn = func(done chan struct{}) int {
 	}()
 	return hits
 }
+
+// mapSlots writes per-shard keys into a captured map: distinct keys
+// still race.
+func mapSlots(m map[int]int, n int) {
+	shard.Run(4, n, func(s int) { m[s] = s * 2 })
+}

@@ -110,6 +110,15 @@ type System struct {
 	hotBuf []pages.PageID
 	draws  []pages.PageID
 	cand   []splitCand
+
+	// The AppendHot filters, bound once in New: a func value made per
+	// call would escape through the tracker and allocate. inSource
+	// keeps pages whose tier in srcTiers is srcTier, which
+	// alternateKmigratedColloid sets before its call; unsplit keeps
+	// pages isSplit does not mark.
+	inSource, unsplit func(id pages.PageID) bool
+	srcTiers          []uint8
+	srcTier           memsys.TierID
 }
 
 // splitCand is a huge page offered for splitting, with its count.
@@ -120,11 +129,13 @@ type splitCand struct {
 
 // New returns a MEMTIS instance.
 func New(cfg Config) *System {
-	return &System{
+	s := &System{
 		cfg:         cfg,
 		sampleScale: 1,
 		splitting:   true,
 	}
+	s.inSource, s.unsplit = s.inSourceTier, s.notSplit
+	return s
 }
 
 // Name identifies the system.
@@ -312,9 +323,8 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 	if p.Done() {
 		return
 	}
-	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return memsys.TierID(v.Tier[id]) == fromTier
-	}, candCap)
+	s.srcTiers, s.srcTier = v.Tier, fromTier
+	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, s.inSource, candCap)
 	for _, id := range s.hotBuf {
 		if p.Offer(s.tracker.Probability(id)) {
 			if toTier == memsys.DefaultTier && ctx.AS.FreeBytes(memsys.DefaultTier) < v.PageBytes {
@@ -330,6 +340,12 @@ func (s *System) alternateKmigratedColloid(ctx *sim.Context) {
 			return
 		}
 	}
+}
+
+// inSourceTier is alternateKmigratedColloid's AppendHot filter: it
+// keeps pages in the walk's source tier.
+func (s *System) inSourceTier(id pages.PageID) bool {
+	return memsys.TierID(s.srcTiers[id]) == s.srcTier
 }
 
 // defaultKmigrated demotes cold pages from the default tier to keep
@@ -400,9 +416,7 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 	// of the counts and the split set — capped at the serial scan's 4096
 	// and truncated in shard index order.
 	const splitCap = 4096
-	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, func(id pages.PageID) bool {
-		return !s.isSplit[id]
-	}, splitCap)
+	s.hotBuf = s.tracker.AppendHot(s.hotBuf[:0], s.hotThreshold, s.unsplit, splitCap)
 	best := s.cand[:0]
 	for _, id := range s.hotBuf {
 		best = append(best, splitCand{id, s.tracker.Count(id)})
@@ -422,6 +436,10 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 		ctx.Obs.Counter("memtis_splits").Inc()
 	}
 }
+
+// notSplit is splitHotHugePages' AppendHot filter: it keeps huge pages
+// not split yet.
+func (s *System) notSplit(id pages.PageID) bool { return !s.isSplit[id] }
 
 // coalesceSlowly models MEMTIS's background coalescing: a virtual
 // address space scan that merges at most one split parent per

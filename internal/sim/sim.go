@@ -64,8 +64,11 @@ type Context struct {
 	// are the tenant's slice (the whole tier for a lone tenant).
 	Topo *memsys.Topology
 	// CHA is a cumulative counter snapshot taken after this quantum.
-	// The counters are machine-wide (one socket's CHAs), so every
-	// tenant sees the same interference-bearing snapshot.
+	// The counters are machine-wide (one socket's CHAs), so the engine
+	// reads them once per quantum and every tenant gets that one
+	// snapshot, slices included. It is read-only: a system may keep it
+	// (a cha.Meter keeps it as its previous read) but must not write
+	// it.
 	CHA cha.Snapshot
 	// Migrator executes migrations under rate limits.
 	Migrator *migrate.Engine
@@ -932,6 +935,8 @@ func (e *Engine) Step() error {
 	for _, ts := range e.tenants {
 		ts.migrator.BeginQuantum(e.cfg.QuantumSec)
 	}
+	// No counter moves inside the tenant loop, so one read serves all.
+	snap := e.counters.Read()
 	for i, ts := range e.tenants {
 		if ts.system != nil {
 			// Every field is refilled, the setter included: a wrapping
@@ -944,7 +949,7 @@ func (e *Engine) Step() error {
 				Tenant:           ts.name,
 				AS:               ts.as,
 				Topo:             ts.topo,
-				CHA:              e.counters.Read(),
+				CHA:              snap,
 				Migrator:         ts.migrator,
 				Sampler:          ts.sampler,
 				AppRequestRate:   eq.Sources[i].RequestRate,

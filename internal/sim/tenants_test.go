@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,6 +78,64 @@ func TestClusterStepsAndSamplesAllTenants(t *testing.T) {
 	// Sources are index-aligned with tenants, antagonist last.
 	if eq := e.LastEquilibrium(); len(eq.Sources) != e.NumTenants()+1 {
 		t.Fatalf("%d solver sources for %d tenants", len(eq.Sources), e.NumTenants())
+	}
+}
+
+// chaRecorder checks, each quantum, that the snapshot the engine handed
+// it equals a fresh read of the counters, and records where its
+// counter slices live. It demotes a sampled page, so tenants move pages
+// inside the loop.
+type chaRecorder struct {
+	e          *Engine
+	mismatches int
+	inserts    []*float64
+}
+
+func (r *chaRecorder) Name() string { return "cha-recorder" }
+
+func (r *chaRecorder) Step(ctx *Context) {
+	if !reflect.DeepEqual(ctx.CHA, r.e.counters.Read()) {
+		r.mismatches++
+	}
+	r.inserts = append(r.inserts, &ctx.CHA.Inserts[0])
+	if id := ctx.Sampler.Sample(); id != pages.NoPage && ctx.AS.Tier(id) == memsys.DefaultTier {
+		_ = ctx.Migrator.Move(id, 1)
+	}
+}
+
+// The engine reads the CHA counters once per quantum and hands every
+// tenant that one snapshot: each tenant's Context.CHA equals a fresh
+// read, after the tenants before it stepped and moved pages, and all
+// of them share its slices.
+func TestTenantsShareOneCHASnapshot(t *testing.T) {
+	recs := []*chaRecorder{{}, {}, {}}
+	specs := make([]TenantSpec, len(recs))
+	for i, r := range recs {
+		specs[i] = spec(string(rune('a'+i)), 40)
+		specs[i].System = r
+	}
+	e := clusterEngine(t, Config{Topology: smallTopo(), PageBytes: tPage, Seed: 7}, WithTenants(specs...))
+	for _, r := range recs {
+		r.e = e
+	}
+	if err := e.Run(0.2); err != nil {
+		t.Fatal(err)
+	}
+	if e.counters.Read().TimeNs == 0 {
+		t.Fatal("the counters never advanced")
+	}
+	for i, r := range recs {
+		if r.mismatches != 0 {
+			t.Errorf("tenant %d: %d of %d snapshots differ from a fresh read", i, r.mismatches, len(r.inserts))
+		}
+		if len(r.inserts) != len(recs[0].inserts) || len(r.inserts) == 0 {
+			t.Fatalf("tenant %d stepped %d quanta, tenant 0 %d", i, len(r.inserts), len(recs[0].inserts))
+		}
+		for q, p := range r.inserts {
+			if p != recs[0].inserts[q] {
+				t.Fatalf("quantum %d: tenant %d got its own copy of the counters", q, i)
+			}
+		}
 	}
 }
 

@@ -53,6 +53,8 @@ type System struct {
 	cfg     Config
 	scanner *access.HintFaultScanner
 	colloid *core.Controller
+	// faults holds the quantum's hint faults, reused across quanta.
+	faults []access.Fault
 
 	// ttfThresh is the adaptive hot classification threshold.
 	ttfThresh float64
@@ -124,9 +126,9 @@ func (s *System) Step(ctx *sim.Context) {
 		s.lastQuantumSec = ctx.TimeSec
 	}
 
-	faults := s.scanner.Step(ctx.TimeSec, ctx.QuantumSec, ctx.AppRequestRate)
-	ctx.Obs.Counter("tpp_hint_faults").Add(int64(len(faults)))
-	for _, f := range faults {
+	s.faults = s.scanner.Step(s.faults[:0], ctx.TimeSec, ctx.QuantumSec, ctx.AppRequestRate)
+	ctx.Obs.Counter("tpp_hint_faults").Add(int64(len(s.faults)))
+	for _, f := range s.faults {
 		s.lastTTF[f.Page] = f.TimeToFaultSec
 		if s.cfg.Colloid != nil {
 			s.onFaultColloid(ctx, f)
