@@ -101,7 +101,7 @@ inline-check:
 
 # The packages a quantum runs through must make no closure that
 # escapes: a func literal handed to a callee that keeps it (shard.Run,
-# a tracker's AppendHot or ForEach) allocates on every call. Bind such
+# a tracker's AppendHot or ForEachHottest) allocates on every call. Bind such
 # callbacks once as method values, with their inputs in fields, as the
 # trackers bind their passes. Fails on any line of the compiler's -m
 # report that says "func literal escapes to heap", printed as file:line.
@@ -143,16 +143,19 @@ bench:
 # paper-gups-sized space (ns per sample: draw, touch and classify),
 # of a GUPS hot-set shift on 2^20 pages with the sampler rebuild it
 # forces (ns and allocs per shift; the rebuild allocates nothing, so
-# the one allocation is the shift's permutation prefix) and of the
-# region tracker's kmigrated query pair on a warmed 2^20-page region/64
-# tracker (one BytesByCount into a 257-bucket histogram plus one capped
-# AppendHot: ns and allocs per pair, which must stay 0), so they keep
-# compiling and running.
+# the one allocation is the shift's permutation prefix), of HeMem's
+# cooling rebuild of its lists on the same warmed paper-gups-sized
+# space (ns per page and allocs per rebuild, which must stay 0) and of
+# the region tracker's kmigrated query pair on a warmed 2^20-page
+# region/64 tracker (one BytesByCount into a 257-bucket histogram plus
+# one capped AppendHot: ns and allocs per pair, which must stay 0), so
+# they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=ObsOverhead -benchtime=1x .
 	$(GO) test -run '^$$' -bench='^BenchmarkSampler$$' -benchtime=1x ./internal/access/
 	$(GO) test -run '^$$' -bench='^BenchmarkColloidWalk$$' -benchtime=1x -benchmem ./internal/hemem/
 	$(GO) test -run '^$$' -bench='^BenchmarkSamplePEBS$$' -benchtime=1x -benchmem ./internal/hemem/
+	$(GO) test -run '^$$' -bench='^BenchmarkCoolingRebuild$$' -benchtime=1x -benchmem ./internal/hemem/
 	$(GO) test -run '^$$' -bench='^BenchmarkShiftHotSet$$' -benchtime=1x -benchmem ./internal/workloads/
 	$(GO) test -run '^$$' -bench='^BenchmarkRegionBulkQueries$$' -benchtime=1x -benchmem ./internal/heat/
 

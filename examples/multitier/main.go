@@ -33,6 +33,7 @@ type multiTierSystem struct {
 	ctrl    *core.MultiController
 	tracker heat.Tracker
 	draws   []pages.PageID // the quantum's PEBS samples, reused
+	counts  [256]uint32    // one chunk of tracker counts, reused
 }
 
 func (m *multiTierSystem) Name() string { return "multitier-colloid" }
@@ -62,19 +63,25 @@ func (m *multiTierSystem) Step(ctx *sim.Context) {
 		limit = b
 	}
 	// Move tracked pages of the slow tier toward the fast tier, within
-	// the deltaP and byte budgets, each as soon as the picker takes it.
-	// ForEach cannot stop early, so once the budgets are spent or a
-	// move fails the remaining pages are skipped.
+	// the deltaP and byte budgets, each as soon as the picker takes it,
+	// reading the tracker's counts one chunk at a time in page-ID order.
+	// The walk stops once the budgets are spent or a move fails.
 	pageBytes := ctx.AS.LiveView().PageBytes
 	p := core.NewPicker(d.DeltaP, limit, pageBytes, 4096)
-	stopped := p.Done()
-	m.tracker.ForEach(func(id pages.PageID, count uint32) {
-		if stopped || ctx.AS.Tier(id) != d.From || !p.Offer(m.tracker.Probability(id)) {
-			return
+	n := ctx.AS.NumPages()
+	for lo := 0; lo < n && !p.Done(); lo += len(m.counts) {
+		counts := m.counts[:min(len(m.counts), n-lo)]
+		m.tracker.ReadCounts(pages.PageID(lo), counts)
+		for k, count := range counts {
+			id := pages.PageID(lo + k)
+			if count == 0 || ctx.AS.Tier(id) != d.From || !p.Offer(m.tracker.Probability(id)) {
+				continue
+			}
+			if ctx.AS.FreeBytes(d.To) < pageBytes || ctx.Migrator.Move(id, d.To) != nil || p.Done() {
+				return
+			}
 		}
-		moved := ctx.AS.FreeBytes(d.To) >= pageBytes && ctx.Migrator.Move(id, d.To) == nil
-		stopped = !moved || p.Done()
-	})
+	}
 }
 
 func main() {

@@ -375,6 +375,9 @@ type FreqTracker struct {
 	cooled                      [shard.DefaultShards]freqCooled
 	shardIDs                    [shard.DefaultShards][]pages.PageID
 	shardHist                   [shard.DefaultShards][]int64
+
+	// buckets is ForEachHottest's scratch, one page list per count.
+	buckets [][]pages.PageID
 }
 
 // freqCooled is one shard's partials in a Cool: its halved count total
@@ -504,21 +507,26 @@ func (f *FreqTracker) Probability(id pages.PageID) float64 {
 // Tracked returns the number of pages with a nonzero count.
 func (f *FreqTracker) Tracked() int { return f.tracked }
 
-// ForEach visits every (page, count) pair with a nonzero count, in
-// ascending page-ID order.
-func (f *FreqTracker) ForEach(fn func(id pages.PageID, count uint32)) {
-	for i, c := range f.counts {
-		if c > 0 {
-			fn(pages.PageID(i), c)
-		}
+// ReadCounts sets dst[i] to the count of page lo+i: a copy of the
+// count slice, zero past its end.
+func (f *FreqTracker) ReadCounts(lo pages.PageID, dst []uint32) {
+	if lo < 0 {
+		panic(fmt.Sprintf("access: ReadCounts from invalid page id %d", lo))
 	}
+	n := 0
+	if int(lo) < len(f.counts) {
+		n = copy(dst, f.counts[lo:])
+	}
+	clear(dst[n:])
 }
 
 // ForEachHottest visits every (page, count) pair in descending count
 // order (page-ID ascending within a count), via a counting sort over
 // the bounded count domain — O(n) per call and deterministic. Policies
 // that migrate "hottest pages first" under a rate limit use this so
-// the limited budget lands on the pages that matter.
+// the limited budget lands on the pages that matter. The buckets are
+// tracker scratch, reused by the next call, so fn must not call
+// ForEachHottest.
 func (f *FreqTracker) ForEachHottest(fn func(id pages.PageID, count uint32) (stop bool)) {
 	maxCount := uint32(0)
 	for _, c := range f.counts {
@@ -526,7 +534,13 @@ func (f *FreqTracker) ForEachHottest(fn func(id pages.PageID, count uint32) (sto
 			maxCount = c
 		}
 	}
-	buckets := make([][]pages.PageID, maxCount+1)
+	for len(f.buckets) <= int(maxCount) {
+		f.buckets = append(f.buckets, nil)
+	}
+	buckets := f.buckets[:maxCount+1]
+	for c := range buckets {
+		buckets[c] = buckets[c][:0]
+	}
 	for i, c := range f.counts {
 		if c > 0 {
 			buckets[c] = append(buckets[c], pages.PageID(i))

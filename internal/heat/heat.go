@@ -30,6 +30,9 @@
 // none of the three allocates once its scratch has grown. The region
 // tracker's queries read its cells through one callback-free run walk
 // (RegionTracker.next), which steps over cold cells without a call.
+// ReadCounts, the serial read of a window of pages, starts that walk at
+// the leaf holding the window's first page, so a window pays only for
+// its own runs; on the exact tracker it is a copy.
 package heat
 
 import (
@@ -72,12 +75,16 @@ type Tracker interface {
 	// SetWorkers sets the fan-out for the sharded sweeps. Values below
 	// 1 clamp to 1; worker count never changes results.
 	SetWorkers(w int)
-	// ForEach visits every page with a nonzero estimated count, in
-	// ascending page-ID order.
-	ForEach(fn func(id pages.PageID, count uint32))
+	// ReadCounts sets dst[i] to page lo+i's estimated count, zero for a
+	// page with none: untracked, or past the highest page ID the tracker
+	// can serve. lo must not be negative. A caller reads a range of any
+	// size in fixed-size windows, so no per-page callback is made and
+	// no buffer grows with the space.
+	ReadCounts(lo pages.PageID, dst []uint32)
 	// ForEachHottest visits every page with a nonzero estimated count
 	// in descending count order (page-ID ascending within a count),
-	// stopping early when fn returns true.
+	// stopping early when fn returns true. Its count buckets are tracker
+	// scratch, reused by the next call, so fn must not call it again.
 	ForEachHottest(fn func(id pages.PageID, count uint32) (stop bool))
 	// AppendHot appends, in ascending page-ID order, every page whose
 	// estimated count is at least threshold (clamped up to 1) and for

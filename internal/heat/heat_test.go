@@ -149,13 +149,20 @@ func TestTouchReturnsCount(t *testing.T) {
 	}
 }
 
-// Once their scratch has grown, the sharded bulk queries allocate
-// nothing on either tracker: each hands shard.Run a pass bound at
-// construction, not a closure made per call. The keep func is built
+// Once their scratch has grown, the bulk queries allocate nothing on
+// either tracker: each sharded one hands shard.Run a pass bound at
+// construction, not a closure made per call, and ForEachHottest reuses
+// its buckets. The keep and visit funcs and the count window are built
 // once, outside the measured calls, as a system's would be.
 func TestTrackerBulkQueriesAllocateNothing(t *testing.T) {
 	v := pages.View{Weight: make([]float64, 4096), Tier: make([]uint8, 4096), PageBytes: pages.BasePageBytes}
 	keep := func(id pages.PageID) bool { return v.Tier[id] == 0 }
+	visited := 0
+	visit := func(id pages.PageID, count uint32) bool {
+		visited++
+		return false
+	}
+	counts := make([]uint32, 300)
 	for _, tr := range []Tracker{access.NewFreqTracker(16), NewRegionTracker(16, 64, nil), NewRegionTracker(16, 64, EWMA{Alpha: 0.5})} {
 		tr.SetWorkers(1)
 		rng := stats.NewRNG(5)
@@ -169,6 +176,10 @@ func TestTrackerBulkQueriesAllocateNothing(t *testing.T) {
 		if len(hot) != 64 {
 			t.Fatalf("%s: warm-up found %d hot pages, want the cap of 64", tr.Name(), len(hot))
 		}
+		tr.ForEachHottest(visit)
+		if visited == 0 {
+			t.Fatalf("%s: warm-up visited no page", tr.Name())
+		}
 		// Cool goes last: its repeated halving empties the tracker.
 		for _, q := range []struct {
 			name string
@@ -176,6 +187,8 @@ func TestTrackerBulkQueriesAllocateNothing(t *testing.T) {
 		}{
 			{"BytesByCount", func() { tr.BytesByCount(hist, v) }},
 			{"AppendHot", func() { hot = tr.AppendHot(hot[:0], 1, keep, 64) }},
+			{"ForEachHottest", func() { tr.ForEachHottest(visit) }},
+			{"ReadCounts", func() { tr.ReadCounts(1000, counts) }},
 			{"Cool", tr.Cool},
 		} {
 			if n := testing.AllocsPerRun(20, q.fn); n != 0 {

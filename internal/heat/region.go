@@ -531,17 +531,38 @@ func (r *RegionTracker) next(w *runWalk) (lo, hi pages.PageID, per uint32, ok bo
 	return 0, 0, 0, false
 }
 
-// ForEach implements Tracker.
-func (r *RegionTracker) ForEach(fn func(id pages.PageID, count uint32)) {
-	for w := walk(0, len(r.cells)); ; {
-		lo, hi, per, ok := r.next(&w)
-		if !ok {
-			return
-		}
-		for id := lo; id < hi; id++ {
-			fn(id, per)
-		}
+// ReadCounts implements Tracker with one walk over the cells the
+// window [lo, lo+len(dst)) touches, from the leaf that holds lo: each
+// run's count fills its part of the window and the gaps between runs
+// are zeroed, so every entry is written once. The first run can end
+// before lo, where the maxID clamp cuts the leaf holding lo short.
+func (r *RegionTracker) ReadCounts(lo pages.PageID, dst []uint32) {
+	if lo < 0 {
+		panic(fmt.Sprintf("heat: ReadCounts from invalid page id %d", lo))
 	}
+	hi := int(lo) + len(dst)
+	w := walk(int(lo)>>r.logG, min(len(r.cells), (hi+r.g-1)>>r.logG))
+	if w.b < w.end && r.cells[w.b].sub != nil {
+		w.i = findLeaf(r.cells[w.b].sub, int(lo)&(r.g-1))
+	}
+	at := 0
+	for {
+		l, h, per, ok := r.next(&w)
+		if !ok || int(l) >= hi {
+			break
+		}
+		from, to := max(int(l)-int(lo), 0), min(int(h)-int(lo), len(dst))
+		if to <= from {
+			continue
+		}
+		clear(dst[at:from])
+		run := dst[from:to]
+		for k := range run {
+			run[k] = per
+		}
+		at = to
+	}
+	clear(dst[at:])
 }
 
 // span is one uniform-count page run [lo, hi), the unit ForEachHottest

@@ -194,12 +194,23 @@ func TestGranularity1MatchesExact(t *testing.T) {
 			t.Fatalf("probability(%d): exact %v, region %v", id, e, r)
 		}
 	}
-	var eSeq, rSeq []pageCount
-	exact.ForEach(func(id pages.PageID, c uint32) { eSeq = append(eSeq, pageCount{id, c}) })
-	region.ForEach(func(id pages.PageID, c uint32) { rSeq = append(rSeq, pageCount{id, c}) })
-	comparePageCounts(t, "ForEach", eSeq, rSeq)
+	// The windows run past both count arrays, where each must write
+	// zeros over the sentinel.
+	eCounts, rCounts := make([]uint32, 1<<14), make([]uint32, 1<<14)
+	for _, lo := range []pages.PageID{0, 2999, 1 << 14} {
+		for i := range eCounts {
+			eCounts[i], rCounts[i] = 0xdead, 0xdead
+		}
+		exact.ReadCounts(lo, eCounts)
+		region.ReadCounts(lo, rCounts)
+		for i := range eCounts {
+			if eCounts[i] != rCounts[i] {
+				t.Fatalf("ReadCounts(%d)[%d]: exact %d, region %d", lo, i, eCounts[i], rCounts[i])
+			}
+		}
+	}
 
-	eSeq, rSeq = nil, nil
+	var eSeq, rSeq []pageCount
 	exact.ForEachHottest(func(id pages.PageID, c uint32) bool {
 		eSeq = append(eSeq, pageCount{id, c})
 		return len(eSeq) >= 200
@@ -307,14 +318,15 @@ func TestCoarseSmearingAndMaxIDClamp(t *testing.T) {
 	if got := r.Count(10); got != 1 {
 		t.Fatalf("smeared count(10) = %d, want 1", got)
 	}
-	var visited []pages.PageID
-	r.ForEach(func(id pages.PageID, c uint32) { visited = append(visited, id) })
-	if len(visited) != 11 {
-		t.Fatalf("ForEach visited %d ids, want 11 (clamped at maxID 10)", len(visited))
-	}
-	for i, id := range visited {
-		if id != pages.PageID(i) {
-			t.Fatalf("visited[%d] = %d", i, id)
+	counts := make([]uint32, 64)
+	r.ReadCounts(0, counts)
+	for id, c := range counts {
+		want := uint32(0)
+		if id <= 10 {
+			want = 1
+		}
+		if c != want {
+			t.Fatalf("ReadCounts: page %d reads %d, want %d (clamped at maxID 10)", id, c, want)
 		}
 	}
 	if got := r.AppendHot(nil, 1, nil, 0); len(got) != 11 {
@@ -686,15 +698,37 @@ func TestRegionBulkQueriesMatchReference(t *testing.T) {
 					t.Fatalf("%s: no heat past maxID %d; the clamp goes untested", r.Name(), r.maxID)
 				}
 				name := r.Name()
+				// dense is refForEach expanded over every page the cells
+				// span: zero where it visits nothing.
+				space := len(r.cells) << r.logG
+				dense := make([]uint32, space)
+				heated := false
+				refForEach(r, func(id pages.PageID, c uint32) { dense[id], heated = c, true })
+				if !heated {
+					t.Fatalf("%s: tracker reports no heat", name)
+				}
 				for _, w := range []int{1, 2, 4, 7} {
 					r.SetWorkers(w)
-					var want, got []pageCount
-					refForEach(r, func(id pages.PageID, c uint32) { want = append(want, pageCount{id, c}) })
-					r.ForEach(func(id pages.PageID, c uint32) { got = append(got, pageCount{id, c}) })
-					if len(want) == 0 {
-						t.Fatalf("%s: tracker reports no heat", name)
+					// maxID+2 starts inside a leaf the maxID clamp ends before it.
+					for _, lo := range []int{0, 1, g - 1, g + 3, int(r.maxID), int(r.maxID) + 1, int(r.maxID) + 2, space + 5} {
+						for _, n := range []int{1, 7, 256, space} {
+							got := make([]uint32, n)
+							for i := range got {
+								got[i] = 0xdead // ReadCounts must write every entry
+							}
+							r.ReadCounts(pages.PageID(lo), got)
+							for i, c := range got {
+								want := uint32(0)
+								if lo+i < space {
+									want = dense[lo+i]
+								}
+								if c != want {
+									t.Fatalf("%s W=%d: ReadCounts(%d, %d pages)[%d] = %d, want %d", name, w, lo, n, i, c, want)
+								}
+							}
+						}
 					}
-					comparePageCounts(t, name+" ForEach", want, got)
+					var want, got []pageCount
 					for _, stopAt := range []int{1, 137, 1 << 30} {
 						want, got = want[:0], got[:0]
 						refForEachHottest(r, func(id pages.PageID, c uint32) bool {

@@ -19,6 +19,7 @@ import (
 	"colloid/internal/heat"
 	"colloid/internal/memsys"
 	"colloid/internal/migrate"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 )
@@ -50,6 +51,12 @@ const (
 
 // numBins is the Colloid extension's bin count (Section 4.1).
 const numBins = 5
+
+// rebuildChunk is how many pages' counts the cooling rebuild reads at
+// a time. A chunk offset fits in a byte, so it is at most 256.
+const rebuildChunk = 256
+
+const _ = uint8(rebuildChunk - 1) // fails to compile past 256
 
 // pageState is one page's list membership: 12 bytes in place of a
 // position array per list. altPos and binPos are one plus the page's
@@ -96,12 +103,15 @@ type System struct {
 	victims []pages.PageID
 	draws   []pages.PageID
 
-	// rebuildPage is rebuildLists' ForEach callback, bound once in New:
-	// a func value made per cooling would escape through the tracker
-	// and allocate. It reads placement from tiers, which rebuildLists
-	// sets before the walk.
-	rebuildPage func(id pages.PageID, count uint32)
-	tiers       []uint8
+	// chunk and tracked are rebuildLists' buffers: one chunk of counts
+	// and the offsets in it of the chunk's tracked pages. chunk lives
+	// here, not on the rebuild's stack, because the tracker call would
+	// make a local buffer escape and allocate on every cooling.
+	chunk   [rebuildChunk]uint32
+	tracked [rebuildChunk]uint8
+
+	// mCools counts cooling rebuilds, bound on the first step.
+	mCools *obs.Counter
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -111,9 +121,7 @@ type System struct {
 
 // New returns a HeMem instance.
 func New(cfg Config) *System {
-	s := &System{cfg: cfg}
-	s.rebuildPage = s.relist
-	return s
+	return &System{cfg: cfg}
 }
 
 // Name identifies the system.
@@ -158,13 +166,15 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 }
 
-// ensureTracker builds the heat tracker from the engine's spec, and the
-// page records over the space's pages, on the first step and keeps the
-// tracker's worker count in sync with the context.
+// ensureTracker builds the heat tracker from the engine's spec, the
+// page records over the space's pages and the cooling counter on the
+// first step, and keeps the tracker's worker count in sync with the
+// context.
 func (s *System) ensureTracker(ctx *sim.Context) {
 	if s.tracker == nil {
 		s.tracker = ctx.Heat.NewTracker(coolThreshold)
 		s.state = make([]pageState, ctx.AS.NumPages())
+		s.mCools = ctx.Obs.Counter("hemem_cools")
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 }
@@ -281,30 +291,42 @@ func b2i(b bool) int {
 }
 
 // rebuildLists reconstructs hot/bin memberships after a cooling pass.
+// It reads the cooled counts one chunk at a time, lists the chunk's
+// tracked offsets with no branch on a count (tracked and untracked
+// pages interleave, so such a branch mispredicts often), and files only
+// those pages into the hot set, the promotion worklist and their bins,
+// in ascending page-ID order.
 func (s *System) rebuildLists(ctx *sim.Context) {
 	s.cools++
-	ctx.Obs.Counter("hemem_cools").Inc()
+	s.mCools.Inc()
 	clear(s.state)
 	s.nHot = 0
 	s.hotAlt = s.hotAlt[:0]
 	for b := range s.bins {
 		s.bins[b] = s.bins[b][:0]
 	}
-	s.tiers = ctx.AS.LiveView().Tier
-	s.tracker.ForEach(s.rebuildPage)
-}
-
-// relist files one tracked page, with its cooled count, into the hot
-// set, the promotion worklist and its bin.
-func (s *System) relist(id pages.PageID, count uint32) {
-	if count >= hotThreshold {
-		s.state[id].hot = true
-		s.nHot++
-		if memsys.TierID(s.tiers[id]) != memsys.DefaultTier {
-			s.addAlt(id)
+	tier := ctx.AS.LiveView().Tier
+	for lo := 0; lo < len(s.state); lo += rebuildChunk {
+		counts := s.chunk[:min(rebuildChunk, len(s.state)-lo)]
+		s.tracker.ReadCounts(pages.PageID(lo), counts)
+		n := 0
+		for k, c := range counts {
+			s.tracked[n] = uint8(k)
+			n += b2i(c != 0)
+		}
+		for _, k := range s.tracked[:n] {
+			id := pages.PageID(lo + int(k))
+			c := counts[k]
+			if c >= hotThreshold {
+				s.state[id].hot = true
+				s.nHot++
+				if memsys.TierID(tier[id]) != memsys.DefaultTier {
+					s.addAlt(id)
+				}
+			}
+			s.addBin(id, s.binIndex(c))
 		}
 	}
-	s.addBin(id, s.binIndex(count))
 }
 
 // migrateVanilla is HeMem's placement: promote every hot page resident

@@ -3,6 +3,7 @@ package hemem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -141,6 +142,122 @@ func TestRebuildAfterCooling(t *testing.T) {
 	}
 	if s.cools != 1 {
 		t.Fatalf("cools = %d", s.cools)
+	}
+}
+
+// refForEach visits what the tracker's ForEach did before ReadCounts
+// replaced it: every page with a nonzero estimated count, in ascending
+// page-ID order, with that count. AppendHot at threshold 1 lists
+// exactly those pages, the region tracker's maxID clamp included.
+func refForEach(tr heat.Tracker, fn func(id pages.PageID, count uint32)) {
+	for _, id := range tr.AppendHot(nil, 1, nil, 0) {
+		fn(id, tr.Count(id))
+	}
+}
+
+// refRebuildLists is the cooling rebuild as it was before it read
+// counts in chunks, kept as the reference: one callback per tracked
+// page, filing it into the hot set, the promotion worklist and its bin.
+func refRebuildLists(s *System, ctx *sim.Context) {
+	clear(s.state)
+	s.nHot = 0
+	s.hotAlt = s.hotAlt[:0]
+	for b := range s.bins {
+		s.bins[b] = s.bins[b][:0]
+	}
+	tiers := ctx.AS.LiveView().Tier
+	refForEach(s.tracker, func(id pages.PageID, count uint32) {
+		if count >= hotThreshold {
+			s.state[id].hot = true
+			s.nHot++
+			if memsys.TierID(tiers[id]) != memsys.DefaultTier {
+				s.addAlt(id)
+			}
+		}
+		s.addBin(id, s.binIndex(count))
+	})
+}
+
+// listSnapshot is a copy of everything a rebuild writes.
+type listSnapshot struct {
+	state  []pageState
+	bins   [numBins][]pages.PageID
+	hotAlt []pages.PageID
+	nHot   int
+}
+
+func snapshotLists(s *System) listSnapshot {
+	snap := listSnapshot{state: slices.Clone(s.state), hotAlt: slices.Clone(s.hotAlt), nHot: s.nHot}
+	for b := range s.bins {
+		snap.bins[b] = slices.Clone(s.bins[b])
+	}
+	return snap
+}
+
+// The chunked rebuild files pages exactly as the reference did: the
+// same records, the same five bins and promotion worklist in the same
+// order, and the same hot count, on the exact tracker and on region
+// trackers at granularities 64 and 1024 with and without a chained
+// forecaster, each after several rounds of fresh heat with and without
+// a cooling pass before the rebuild. Once its lists have grown, the
+// rebuild allocates nothing.
+func TestRebuildListsMatchesReference(t *testing.T) {
+	chain, err := heat.ParseForecaster("trend>ewma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allBins [numBins]int
+	for _, spec := range []heat.Spec{
+		{},
+		{Kind: heat.Region, RegionPages: 64},
+		{Kind: heat.Region, RegionPages: 1024},
+		{Kind: heat.Region, RegionPages: 64, Forecaster: chain},
+	} {
+		s, ctx := walkSystem(t, 5, spec)
+		rng := stats.NewRNG(6)
+		var alts int
+		var binned [numBins]int
+		for round := 0; round < 6; round++ {
+			reheat(s, ctx, rng, 20)
+			for _, cool := range []bool{false, true} {
+				if cool {
+					s.tracker.Cool()
+				}
+				s.rebuildLists(ctx)
+				got := snapshotLists(s)
+				refRebuildLists(s, ctx)
+				want := snapshotLists(s)
+				label := fmt.Sprintf("%s round %d cool %v", spec, round, cool)
+				if !slices.Equal(got.state, want.state) {
+					t.Fatalf("%s: page records differ from the reference", label)
+				}
+				for b := range want.bins {
+					if !slices.Equal(got.bins[b], want.bins[b]) {
+						t.Fatalf("%s: bin %d holds %v, reference %v", label, b, got.bins[b], want.bins[b])
+					}
+					binned[b] += len(want.bins[b])
+				}
+				if !slices.Equal(got.hotAlt, want.hotAlt) {
+					t.Fatalf("%s: hotAlt holds %v, reference %v", label, got.hotAlt, want.hotAlt)
+				}
+				if got.nHot != want.nHot {
+					t.Fatalf("%s: nHot %d, reference %d", label, got.nHot, want.nHot)
+				}
+				alts += len(want.hotAlt)
+			}
+		}
+		if alts == 0 || binned[1] == 0 {
+			t.Fatalf("%s: rebuilds not exercised: %d worklist entries, bin sizes %v", spec, alts, binned)
+		}
+		for b, n := range binned {
+			allBins[b] += n
+		}
+		if n := testing.AllocsPerRun(10, func() { s.rebuildLists(ctx) }); n != 0 {
+			t.Fatalf("%s: rebuildLists allocates %v times a call", spec, n)
+		}
+	}
+	if slices.Contains(allBins[:], 0) {
+		t.Fatalf("rebuilds left a bin empty throughout: bin sizes %v", allBins)
 	}
 }
 

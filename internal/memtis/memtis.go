@@ -27,6 +27,7 @@ import (
 	"colloid/internal/heat"
 	"colloid/internal/memsys"
 	"colloid/internal/migrate"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 )
@@ -119,6 +120,10 @@ type System struct {
 	inSource, unsplit func(id pages.PageID) bool
 	srcTiers          []uint8
 	srcTier           memsys.TierID
+
+	// mSplits and mCoalesces count splits and coalesces, bound on the
+	// first step.
+	mSplits, mCoalesces *obs.Counter
 }
 
 // splitCand is a huge page offered for splitting, with its count.
@@ -200,11 +205,14 @@ func (s *System) Step(ctx *sim.Context) {
 	s.applySplitPenalty(ctx)
 }
 
-// ensureTracker builds the heat tracker from the engine's spec on the
-// first step and keeps its worker count in sync with the context.
+// ensureTracker builds the heat tracker from the engine's spec and
+// binds the split counters on the first step, and keeps the tracker's
+// worker count in sync with the context.
 func (s *System) ensureTracker(ctx *sim.Context) {
 	if s.tracker == nil {
 		s.tracker = ctx.Heat.NewTracker(maxCount)
+		s.mSplits = ctx.Obs.Counter("memtis_splits")
+		s.mCoalesces = ctx.Obs.Counter("memtis_coalesces")
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 }
@@ -433,7 +441,7 @@ func (s *System) splitHotHugePages(ctx *sim.Context) {
 		best[i], best[maxJ] = best[maxJ], best[i]
 		s.split = append(s.split, best[i].id)
 		s.isSplit[best[i].id] = true
-		ctx.Obs.Counter("memtis_splits").Inc()
+		s.mSplits.Inc()
 	}
 }
 
@@ -454,7 +462,7 @@ func (s *System) coalesceSlowly(ctx *sim.Context) {
 		s.isSplit[s.split[0]] = false
 		s.split[0] = s.split[n-1]
 		s.split = s.split[:n-1]
-		ctx.Obs.Counter("memtis_coalesces").Inc()
+		s.mCoalesces.Inc()
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"colloid/internal/heat"
 	"colloid/internal/memsys"
 	"colloid/internal/migrate"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 )
@@ -72,6 +73,9 @@ const (
 	// deadband is the tolerated deviation from the target share before
 	// migrating.
 	deadband = 0.02
+	// countChunk is how many pages' counts the share estimate reads at a
+	// time.
+	countChunk = 256
 )
 
 // System implements sim.System for either policy.
@@ -79,6 +83,10 @@ type System struct {
 	cfg     Config
 	tracker heat.Tracker   // built lazily from Context.Heat on first Step
 	draws   []pages.PageID // the quantum's PEBS samples, reused
+	// counts is one chunk of the share estimate's count reads, reused.
+	counts [countChunk]uint32
+	// mShiftMoves counts the shifts' moves, bound on the first Step.
+	mShiftMoves *obs.Counter
 
 	sampleCarry float64
 	lastRunSec  float64
@@ -97,6 +105,7 @@ func (s *System) Name() string { return s.cfg.Policy.String() }
 func (s *System) Step(ctx *sim.Context) {
 	if s.tracker == nil {
 		s.tracker = ctx.Heat.NewTracker(coolThreshold)
+		s.mShiftMoves = ctx.Obs.Counter("related_shift_moves")
 	}
 	s.tracker.SetWorkers(ctx.Workers)
 	s.samplePEBS(ctx)
@@ -127,17 +136,22 @@ func (s *System) Step(ctx *sim.Context) {
 }
 
 // measuredDefaultShare estimates the app's default-tier access share
-// from tracked page temperatures.
+// from tracked page temperatures, summed in ascending page-ID order.
 func (s *System) measuredDefaultShare(ctx *sim.Context) (float64, bool) {
 	if s.tracker.Total() == 0 {
 		return 0, false
 	}
 	var inDefault float64
-	s.tracker.ForEach(func(id pages.PageID, count uint32) {
-		if ctx.AS.Tier(id) == memsys.DefaultTier {
-			inDefault += float64(count)
+	tier := ctx.AS.LiveView().Tier
+	for lo := 0; lo < len(tier); lo += countChunk {
+		counts := s.counts[:min(countChunk, len(tier)-lo)]
+		s.tracker.ReadCounts(pages.PageID(lo), counts)
+		for k, c := range counts {
+			if c != 0 && memsys.TierID(tier[lo+k]) == memsys.DefaultTier {
+				inDefault += float64(c)
+			}
 		}
-	})
+	}
 	return inDefault / float64(s.tracker.Total()), true
 }
 
@@ -188,7 +202,7 @@ func (s *System) shift(ctx *sim.Context, from, to memsys.TierID, deficit float64
 		}
 		if err == nil {
 			moved += prob
-			ctx.Obs.Counter("related_shift_moves").Inc()
+			s.mShiftMoves.Inc()
 		}
 		return false
 	})

@@ -18,6 +18,7 @@ import (
 	"colloid/internal/access"
 	"colloid/internal/core"
 	"colloid/internal/memsys"
+	"colloid/internal/obs"
 	"colloid/internal/pages"
 	"colloid/internal/sim"
 )
@@ -72,6 +73,10 @@ type System struct {
 	lastQuantumSec  float64
 	promotedQuantum int64
 	started         bool
+
+	// mHintFaults and mKswapd count hint faults and kswapd demotions,
+	// bound on the first step.
+	mHintFaults, mKswapd *obs.Counter
 }
 
 // New returns a TPP instance.
@@ -101,6 +106,8 @@ func (s *System) Step(ctx *sim.Context) {
 		for i := range s.lastTTF {
 			s.lastTTF[i] = -1
 		}
+		s.mHintFaults = ctx.Obs.Counter("tpp_hint_faults")
+		s.mKswapd = ctx.Obs.Counter("tpp_kswapd_demotions")
 	}
 	if s.cfg.Colloid != nil && s.colloid == nil {
 		opts := *s.cfg.Colloid
@@ -127,7 +134,7 @@ func (s *System) Step(ctx *sim.Context) {
 	}
 
 	s.faults = s.scanner.Step(s.faults[:0], ctx.TimeSec, ctx.QuantumSec, ctx.AppRequestRate)
-	ctx.Obs.Counter("tpp_hint_faults").Add(int64(len(s.faults)))
+	s.mHintFaults.Add(int64(len(s.faults)))
 	for _, f := range s.faults {
 		s.lastTTF[f.Page] = f.TimeToFaultSec
 		if s.cfg.Colloid != nil {
@@ -266,7 +273,7 @@ func (s *System) kswapd(ctx *sim.Context) {
 		if err := ctx.Migrator.MoveForced(victim, ctx.AS.SpillTier()); err != nil {
 			return
 		}
-		ctx.Obs.Counter("tpp_kswapd_demotions").Inc()
+		s.mKswapd.Inc()
 	}
 }
 
